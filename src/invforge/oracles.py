@@ -8,8 +8,12 @@ certify YES.
 Exactness contract: no verdict ever depends on floating point. The
 integer fast paths rescale all data to integers and guard against int64
 overflow, falling back to arbitrary-precision arithmetic when the bound
-check fails. The falsifier searches in float but re-verifies every
-candidate with exact rational forward evaluation before answering YES.
+check fails. The int64 binary scan builds layer 0 once, as a subset-sum
+table over the low latent bits, and adds one vector to it per chunk of
+latents; every value it forms is a partial sum of a layer-0 row, so the
+same bound covers it (see _scan_int64). The falsifier searches in float
+but re-verifies every candidate with exact rational forward evaluation
+before answering YES.
 
 Enumeration caps are configuration: explicit argument, then the
 INVFORGE_CAP environment variable, then the defaults below.
@@ -45,6 +49,8 @@ DEFAULT_CAPS = {
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INT64_SAFE = (1 << 63) - 1  # rigorous bound: no intermediate may exceed this
+_CHUNK_ELEMENTS = 1 << 21  # int64 elements in one binary-scan chunk array (16 MiB)
+_SAT_CHUNK_BITS = 16  # the SAT source oracle filters 2^16 assignments at a time
 
 
 class CapExceeded(RuntimeError):
@@ -115,29 +121,44 @@ def _clause_masks(formula: CnfFormula) -> list[tuple[int, int]]:
     return masks
 
 
+def _sat_models(formula: CnfFormula):
+    """Satisfying assignments in ascending order, one numpy array per chunk.
+
+    Chunks of 2^_SAT_CHUNK_BITS consecutive assignments are filtered clause
+    by clause: an assignment falsifies a clause exactly when it clears the
+    clause's positive bits and sets its negative ones.
+    """
+    n = formula.num_vars
+    masks = [(pos | neg, neg) for pos, neg in _clause_masks(formula)]
+    step = 1 << min(n, _SAT_CHUNK_BITS)
+    for base in range(0, 1 << n, step):
+        models = np.arange(base, base + step, dtype=np.int64)
+        for both, neg in masks:
+            if not models.size:
+                break
+            models = models[(models & both) != neg]
+        yield models
+
+
 def solve_sat_bruteforce(
     formula: CnfFormula, cap: int | None = None, early_exit: bool = True
 ) -> Verdict:
-    """Exhaustive 2^n scan; witness = lexicographically smallest model (F < T)."""
+    """Exhaustive 2^n scan; witness = lexicographically smallest model (F < T).
+
+    Without early_exit the scan covers all 2^n assignments and the witness
+    is the last model found.
+    """
     n = formula.num_vars
     limit = resolve_cap("sat_vars", cap)
     if n > limit:
         raise CapExceeded(f"{n} variables exceeds cap {limit}")
-    masks = _clause_masks(formula)
-    full = (1 << n) - 1
-    visited = 0
     found = None
-    for assignment in range(1 << n):
-        visited += 1
-        satisfied = True
-        for pos, neg in masks:
-            if (assignment & pos) | (~assignment & neg & full) == 0:
-                satisfied = False
-                break
-        if satisfied:
-            found = assignment
+    for models in _sat_models(formula):
+        if models.size:
+            found = int(models[0] if early_exit else models[-1])
             if early_exit:
                 break
+    visited = found + 1 if early_exit and found is not None else 1 << n
     stats = VerdictStats(latents_enumerated=visited)
     if found is None:
         return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
@@ -147,17 +168,7 @@ def solve_sat_bruteforce(
 
 def count_sat_assignments(formula: CnfFormula) -> tuple[int, int]:
     """(satisfying assignments, states scanned); full scan, used by the bench."""
-    n = formula.num_vars
-    masks = _clause_masks(formula)
-    full = (1 << n) - 1
-    count = 0
-    for assignment in range(1 << n):
-        for pos, neg in masks:
-            if (assignment & pos) | (~assignment & neg & full) == 0:
-                break
-        else:
-            count += 1
-    return count, 1 << n
+    return sum(models.size for models in _sat_models(formula)), 1 << formula.num_vars
 
 
 # -- (0,1)-CVP ---------------------------------------------------------------
@@ -194,13 +205,36 @@ def solve_cvp01_bruteforce(inst: CvpInstance, cap: int | None = None) -> Verdict
 # -- graph problems ----------------------------------------------------------
 
 
+def _masks_of_popcount(n: int, k: int) -> np.ndarray:
+    """Every n-bit mask with exactly k bits set, ascending (= indicator-lex order)."""
+    counts = np.zeros(1, dtype=np.int8)
+    for _ in range(n):  # doubling popcount table: bit j set adds one
+        counts = np.concatenate([counts, counts + 1])
+    return np.flatnonzero(counts == k)
+
+
+def _pair_mask(n: int, a: int, b: int) -> int:
+    """Mask of vertices a and b (1-based) in the msb-first indicator."""
+    return (1 << (n - a)) | (1 << (n - b))
+
+
+def _subset_verdict(masks: np.ndarray, hit: int | None, n: int) -> Verdict:
+    """YES with masks[hit] as witness after hit + 1 subsets, or NO after all of them."""
+    if hit is None:
+        return Verdict(NO, None, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=len(masks)))
+    witness = tuple(Fraction(b) for b in _bits_msb(int(masks[hit]), n))
+    return Verdict(YES, witness, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=hit + 1))
+
+
 def solve_halfclique_bruteforce(
     query: HalfCliqueQuery, p: int = 2, cap: int | None = None
 ) -> Verdict:
     """All C(n, n/2) subsets; YES iff some clique weighs strictly below the bound.
 
     Effective edge weights are root_weight**p, so the oracle needs the same
-    exponent the downstream reduction uses.
+    exponent the downstream reduction uses. Subsets containing a non-edge
+    are dropped in numpy; the cliques left are weighed exactly, in
+    ascending indicator order.
     """
     g = query.graph
     n = g.num_vertices
@@ -209,29 +243,20 @@ def solve_halfclique_bruteforce(
         raise CapExceeded(f"{n} vertices exceeds cap {limit}")
     if n % 2 != 0:
         raise ValueError("half-clique needs an even vertex count")
-    roots = g.root_weights()
-    half = n // 2
-    checked = 0
-    for index in range(1 << n):  # ascending = indicator-lex order
-        bits = _bits_msb(index, n)
-        if sum(bits) != half:
-            continue
-        checked += 1
+    weights = {pair: root**p for pair, root in g.root_weights().items()}
+    masks = _masks_of_popcount(n, n // 2)
+    clique = np.ones(len(masks), dtype=bool)
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        if (a, b) not in weights:
+            pair = _pair_mask(n, a, b)
+            clique &= (masks & pair) != pair
+    for pos in np.flatnonzero(clique):
+        bits = _bits_msb(int(masks[pos]), n)
         vertices = [i + 1 for i, b in enumerate(bits) if b]
-        weight = _ZERO
-        is_clique = True
-        for a, b in itertools.combinations(vertices, 2):
-            root = roots.get((a, b))
-            if root is None:
-                is_clique = False
-                break
-            weight += root**p
-        if is_clique and weight < query.bound:
-            witness = tuple(Fraction(bit) for bit in bits)
-            return Verdict(
-                YES, witness, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=checked)
-            )
-    return Verdict(NO, None, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=checked))
+        weight = sum((weights[e] for e in itertools.combinations(vertices, 2)), _ZERO)
+        if weight < query.bound:
+            return _subset_verdict(masks, int(pos), n)
+    return _subset_verdict(masks, None, n)
 
 
 def solve_vertexcover_bruteforce(query: VertexCoverQuery, cap: int | None = None) -> Verdict:
@@ -241,20 +266,12 @@ def solve_vertexcover_bruteforce(query: VertexCoverQuery, cap: int | None = None
     limit = resolve_cap("subset_vertices", cap)
     if n > limit:
         raise CapExceeded(f"{n} vertices exceeds cap {limit}")
-    edges = [(i, j) for i, j, _ in g.edges]
-    checked = 0
-    for index in range(1 << n):
-        bits = _bits_msb(index, n)
-        if sum(bits) != query.size:
-            continue
-        checked += 1
-        chosen = {i + 1 for i, b in enumerate(bits) if b}
-        if all(i in chosen or j in chosen for i, j in edges):
-            witness = tuple(Fraction(b) for b in bits)
-            return Verdict(
-                YES, witness, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=checked)
-            )
-    return Verdict(NO, None, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=checked))
+    masks = _masks_of_popcount(n, query.size)
+    cover = np.ones(len(masks), dtype=bool)
+    for i, j, _ in g.edges:
+        cover &= (masks & _pair_mask(n, i, j)) != 0
+    hits = np.flatnonzero(cover)
+    return _subset_verdict(masks, int(hits[0]) if hits.size else None, n)
 
 
 # -- binary-latent inversion -------------------------------------------------
@@ -347,30 +364,71 @@ def invert_binary_bruteforce(query: InversionQuery, cap: int | None = None) -> V
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
 
 
-def _scan_int64(layers, target, p, n, pm1, chunk_bits: int = 16):
-    np_layers = [
-        (np.array(w, dtype=np.int64).T, np.array(b, dtype=np.int64)) for w, b in layers
-    ]
+def _scan_int64(layers, target, p, n, pm1):
+    """int64 scan in chunks that share one layer-0 subset-sum table.
+
+    Split: of the n latent bits, the `hi` high bits are fixed within a
+    chunk and the `lo` low bits vary within it. The low bits' layer-0
+    contribution is built once, as a 2^lo x width subset-sum table, by
+    doubling in place from the least significant bit; chunk h adds bias0
+    plus its high bits' contribution to that table, so no chunk decodes
+    bits or multiplies by layer 0.
+
+    Exactness: every table entry, every partial sum met while building it
+    and every pre-activation is a sum of some of one layer-0 row's terms
+    (bias, w_j or -w_j), so its magnitude stays within the row bound
+    `_int_path_safe` checked. The later layers and the distance are the
+    same int64 arithmetic that bound already covers.
+
+    Memory: lo is the largest value with 2^lo rows of the widest layer
+    within _CHUNK_ELEMENTS, so the table, the chunk buffer and each later
+    layer's output hold at most max(_CHUNK_ELEMENTS, width) int64 values,
+    whatever n is.
+
+    Order: chunks run in ascending h, argmin takes the first minimum of a
+    chunk and a later chunk wins only on a strictly smaller distance, so
+    the index is the smallest minimizer's.
+    """
+    (w0, b0), rest = layers[0], layers[1:]
+    cols = np.array(w0, dtype=np.int64).T  # row i: latent bit i's column, msb first
+    widest = max(len(b) for _, b in layers)
+    lo = min(n, max(0, (_CHUNK_ELEMENTS // widest).bit_length() - 1))
+    hi = n - lo
+    table = np.zeros((1 << lo, len(b0)), dtype=np.int64)
+    for j, col in enumerate(cols[::-1][:lo]):  # least significant bit first
+        # doubling in place: table[:2k] = [table[:k] + low * col, table[:k] + col]
+        k = 1 << j
+        np.add(table[:k], col, out=table[k : 2 * k])
+        if pm1:  # low = -1; with {0,1} latents low = 0 and the lower half stays
+            table[:k] -= col
+    bias0 = np.array(b0, dtype=np.int64)
+    np_rest = [(np.array(w, dtype=np.int64).T, np.array(b, dtype=np.int64)) for w, b in rest]
     np_target = np.array(target, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    total = 1 << n
-    step = 1 << min(chunk_bits, n)
+    buf = np.empty_like(table)
     best_val = None
     best_index = -1
-    for base in range(0, total, step):
-        idx = np.arange(base, min(base + step, total), dtype=np.int64)
-        acts = (idx[:, None] >> shifts[None, :]) & 1
-        if pm1:
-            acts = 2 * acts - 1
-        for w_t, b in np_layers:
-            acts = np.maximum(acts @ w_t + b, 0)
-        dist = np.abs(acts - np_target) ** p
-        dist = dist.sum(axis=1)
+    for h in range(1 << hi):
+        bits = _bits_msb(h, hi)
+        high = np.array([2 * b - 1 for b in bits] if pm1 else bits, dtype=np.int64)
+        acts = np.add(table, bias0 + high @ cols[:hi], out=buf)
+        np.maximum(acts, 0, out=acts)
+        for w_t, b in np_rest:
+            acts = acts @ w_t
+            acts += b
+            np.maximum(acts, 0, out=acts)
+        if np_target.any():  # ReLU outputs are >= 0, so a zero target needs no |a - t|
+            acts -= np_target
+            np.abs(acts, out=acts)
+        if p == 2:
+            np.square(acts, out=acts)
+        elif p != 1:
+            np.power(acts, p, out=acts)
+        dist = acts.sum(axis=1)
         pos = int(np.argmin(dist))
         val = int(dist[pos])
         if best_val is None or val < best_val:
             best_val = val
-            best_index = base + pos
+            best_index = (h << lo) + pos
     return best_val, best_index
 
 

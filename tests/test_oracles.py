@@ -1,19 +1,29 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from invforge import oracles
 from invforge.instances import (
     CnfFormula,
     CvpInstance,
     HalfCliqueQuery,
     VertexCoverQuery,
+    gen_random_graph,
+    gen_random_ksat,
     graph,
     parse_dimacs,
 )
 from invforge.oracles import (
     CapExceeded,
     CERT_FALSIFIER,
+    _int_path_safe,
+    _integerized,
+    _scan_bigint,
+    _scan_int64,
+    count_sat_assignments,
     enumerate_patterns_invert,
     falsify_real,
     invert_binary_bruteforce,
@@ -32,6 +42,7 @@ from invforge.reductions import (
     LatentDomain,
     sat_to_exact_binary,
     sat_to_exact_real,
+    vertexcover_to_approx,
 )
 from invforge.relunet import ReluNetwork, distance_pow, forward, layer
 
@@ -91,6 +102,90 @@ def test_vertexcover_bruteforce_examples():
     assert solve_vertexcover_bruteforce(VertexCoverQuery(triangle, 2)).is_yes
     edgeless = graph(3, [])
     assert solve_vertexcover_bruteforce(VertexCoverQuery(edgeless, 0)).is_yes
+
+
+def _msb_bits(index, n):
+    return tuple(Fraction((index >> (n - 1 - i)) & 1) for i in range(n))
+
+
+def _naive_sat_models(formula):
+    """Every model's index (variable 1 most significant), by direct clause evaluation."""
+    n = formula.num_vars
+    models = []
+    for index in range(1 << n):
+        value = [(index >> (n - 1 - i)) & 1 for i in range(n)]
+        if all(any(value[abs(l) - 1] == (l > 0) for l in c) for c in formula.clauses):
+            models.append(index)
+    return models
+
+
+def test_sat_chunks_match_loop_reference(monkeypatch):
+    monkeypatch.setattr(oracles, "_SAT_CHUNK_BITS", 3)  # several chunks from n = 4 on
+    rng = random.Random(17)
+    outcomes = set()
+    for t in range(80):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, min(3, n))
+        formula = gen_random_ksat(n, rng.randint(0, 5 * n), k, seed=t)
+        models = _naive_sat_models(formula)
+        outcomes.add(bool(models))
+        assert count_sat_assignments(formula) == (len(models), 1 << n)
+        first = solve_sat_bruteforce(formula)
+        last = solve_sat_bruteforce(formula, early_exit=False)
+        assert last.stats.latents_enumerated == 1 << n
+        if models:
+            assert first.witness == _msb_bits(models[0], n)
+            assert first.stats.latents_enumerated == models[0] + 1
+            assert last.witness == _msb_bits(models[-1], n)
+        else:
+            assert not first.is_yes and not last.is_yes
+            assert first.stats.latents_enumerated == 1 << n
+    assert outcomes == {True, False}
+
+
+def _naive_subset(n, size, accept):
+    """(witness, subsets checked): ascending indicators with `size` ones until one is accepted."""
+    checked = 0
+    for index in range(1 << n):
+        bits = _msb_bits(index, n)
+        if sum(bits) != size:
+            continue
+        checked += 1
+        if accept({i + 1 for i, b in enumerate(bits) if b}):
+            return bits, checked
+    return None, checked
+
+
+def test_subset_oracles_match_loop_reference():
+    rng = random.Random(23)
+    outcomes = set()
+    for t in range(60):
+        n = rng.choice((2, 4, 6, 8))
+        g = gen_random_graph(n, rng.choice((0.0, 0.4, 0.8, 1.0)), seed=t, denom_max=2)
+        roots = g.root_weights()
+        bound = Fraction(rng.randint(0, 60), rng.randint(1, 3))
+
+        def light_clique(chosen):
+            pairs = list(itertools.combinations(sorted(chosen), 2))
+            if not all(pair in roots for pair in pairs):
+                return False
+            return sum((roots[pair] ** 2 for pair in pairs), Fraction(0)) < bound
+
+        def covers(chosen):
+            return all(i in chosen or j in chosen for i, j, _ in g.edges)
+
+        size = rng.randint(0, n)
+        halfclique = solve_halfclique_bruteforce(HalfCliqueQuery(g, bound), 2)
+        cover = solve_vertexcover_bruteforce(VertexCoverQuery(g, size))
+        for kind, verdict, (witness, checked) in (
+            ("halfclique", halfclique, _naive_subset(n, n // 2, light_clique)),
+            ("vertexcover", cover, _naive_subset(n, size, covers)),
+        ):
+            assert verdict.witness == witness
+            assert verdict.is_yes == (witness is not None)
+            assert verdict.stats.latents_enumerated == checked
+            outcomes.add((kind, verdict.is_yes))
+    assert len(outcomes) == 4  # YES and NO from both oracles
 
 
 # -- binary inversion --------------------------------------------------------
@@ -166,6 +261,104 @@ def test_invert_binary_matches_naive_reference():
             assert verdict.witness == best_z  # lex-smallest minimizer
             d = distance_pow(forward(net, verdict.witness), target, p)
             assert d.value == best
+
+
+def _all_distances(layers, target, p, n, pm1):
+    """Every latent's integer distance, in index order, by plain Python evaluation."""
+    out = []
+    for index in range(1 << n):
+        acts = [(index >> (n - 1 - i)) & 1 for i in range(n)]
+        if pm1:
+            acts = [2 * a - 1 for a in acts]
+        for rows, bias in layers:
+            acts = [
+                max(sum(w * a for w, a in zip(row, acts)) + b, 0) for row, b in zip(rows, bias)
+            ]
+        out.append(sum(abs(a - t) ** p for a, t in zip(acts, target)))
+    return out
+
+
+def test_scan_int64_chunks_match_bigint(monkeypatch):
+    """Many chunks per scan, and small weights, so minimizers tie across chunk borders."""
+    rng = random.Random(41)
+    split_ties = 0
+    for _ in range(100):
+        # at most 16 rows per chunk, so every n >= 5 takes two or more chunks
+        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", rng.choice((1, 2, 4, 8, 16)))
+        n = rng.randint(5, 10)
+        layers = []
+        fan_in = n
+        for _ in range(rng.randint(1, 2)):
+            fan_out = rng.randint(1, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(fan_in)] for _ in range(fan_out)]
+            layers.append((rows, [rng.randint(-2, 2) for _ in range(fan_out)]))
+            fan_in = fan_out
+        target = [rng.randint(-2, 2) for _ in range(fan_in)]
+        p = rng.choice((1, 2, 3))
+        pm1 = rng.random() < 0.5
+        assert _int_path_safe(layers, target, p)
+        values = _all_distances(layers, target, p, n, pm1)
+        best = min(values)
+        scanned = _scan_int64(layers, target, p, n, pm1)
+        assert scanned == _scan_bigint(layers, target, p, n, pm1)
+        assert scanned == (best, values.index(best))
+        ties = [i for i, v in enumerate(values) if v == best]
+        split_ties += ties[-1] - ties[0] >= 16  # 16 apart: never in one chunk
+    assert split_ties >= 25
+
+
+def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
+    """Depth-2 queries with ~2^40 weights overflow int64 and take the bigint scan."""
+    calls = []
+    bigint = oracles._scan_bigint
+    monkeypatch.setattr(oracles, "_scan_bigint", lambda *args: calls.append(args) or bigint(*args))
+    big = 1 << 40
+    rng = random.Random(7)
+    outcomes = set()
+    for t in range(12):
+        n = 3
+        rows1 = [
+            [rng.randint(-3, 3) * big + rng.randint(-2, 2) for _ in range(n)] for _ in range(3)
+        ]
+        rows2 = [[rng.randint(-3, 3) * big + 1 for _ in range(3)] for _ in range(2)]
+        net = ReluNetwork(
+            n,
+            (
+                layer(rows1, [rng.randint(-3, 3) * big for _ in range(3)]),
+                layer(rows2, [rng.randint(-3, 3) * big for _ in range(2)]),
+            ),
+        )
+        kind = rng.choice((DOMAIN_01, DOMAIN_PM1))
+        p = rng.choice((1, 2))
+        target = tuple(Fraction(rng.randint(0, 3) * big * big) for _ in range(2))
+        probe = InversionQuery(net, target, p, Fraction(0), LatentDomain(kind, n))
+        _, best, _ = _naive_invert(probe)
+        theta = best if t % 2 == 0 else max(best - 1, Fraction(0))
+        query = InversionQuery(net, target, p, theta, LatentDomain(kind, n))
+        layers, int_target, _, _ = _integerized(query)
+        assert not _int_path_safe(layers, int_target, p)
+        expect_yes, _, best_z = _naive_invert(query)
+        verdict = invert_binary_bruteforce(query)
+        assert verdict.is_yes == expect_yes
+        assert verdict.witness == (best_z if expect_yes else None)
+        outcomes.add(expect_yes)
+    assert len(calls) == 12
+    assert outcomes == {True, False}
+
+
+def test_invert_binary_scan_memory_is_bounded():
+    """A 16-bit query on a 242-unit layer: chunk arrays stay small whatever the width."""
+    g = gen_random_graph(16, 0.5, seed=3)
+    query = vertexcover_to_approx(VertexCoverQuery(g, 11), 2).query
+    assert query.domain.dim == 16
+    assert query.network.layers[0].fan_out >= 240
+    tracemalloc.start()
+    try:
+        invert_binary_bruteforce(query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10**6
 
 
 # -- pattern enumeration -----------------------------------------------------
