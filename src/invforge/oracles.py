@@ -8,12 +8,18 @@ certify YES.
 Exactness contract: no verdict ever depends on floating point. The
 integer fast paths rescale all data to integers and guard against int64
 overflow, falling back to arbitrary-precision arithmetic when the bound
-check fails. The int64 binary scan builds layer 0 once, as a subset-sum
-table over the low latent bits, and adds one vector to it per chunk of
-latents; every value it forms is a partial sum of a layer-0 row, so the
-same bound covers it (see _scan_int64). The falsifier searches in float
-but re-verifies every candidate with exact rational forward evaluation
-before answering YES.
+check fails. The int64 binary scan splits the latent bits into high bits,
+fixed within a chunk, and low bits, which vary within it. It sorts the
+layer-0 units into three classes: low-only units depend on low bits
+alone, so their share of the next stage is computed once per scan from a
+subset-sum table; high-only (or constant) units give one value per
+chunk; only the mixed units are evaluated for every latent of a chunk.
+Every value it forms is a partial sum of the terms of one layer-0 row,
+of one layer-1 row, or of the nonnegative distance terms, so the same
+bound covers it (see _scan_int64). The (0,1)-CVP source oracle uses the
+same subset-sum tables under its own bound. The falsifier searches in
+float but re-verifies every candidate with exact rational forward
+evaluation before answering YES.
 
 Enumeration caps are configuration: explicit argument, then the
 INVFORGE_CAP environment variable, then the defaults below.
@@ -175,12 +181,60 @@ def count_sat_assignments(formula: CnfFormula) -> tuple[int, int]:
 
 
 def solve_cvp01_bruteforce(inst: CvpInstance, cap: int | None = None) -> Verdict:
-    """Exhaustive over {0,1}^n coefficient vectors; exact rational comparison."""
+    """Exhaustive over {0,1}^n coefficient vectors; exact comparison.
+
+    The basis and target are scaled by lam, the lcm of their denominators.
+    When d * max_r(sum_i |B_ri| + |t_r|)^p fits in int64, the distances are
+    formed in int64 chunks (_cvp_scan_int64); otherwise the Fraction loop
+    (_cvp_scan_fraction) runs. Both return the first minimizer in index
+    order, which is the lexicographically smallest.
+    """
     n = inst.num_vectors
     limit = resolve_cap("latent_bits", cap)
     if n > limit:
         raise CapExceeded(f"{n} coefficients exceeds cap {limit}")
-    threshold = inst.radius**inst.p
+    lam = _lcm([v.denominator for v in itertools.chain(*inst.basis, inst.target)])
+    basis = [[_scaled(w, lam) for w in row] for row in inst.basis]
+    target = [_scaled(t, lam) for t in inst.target]
+    row_bound = max(sum(abs(w) for w in row) + abs(t) for row, t in zip(basis, target))
+    if inst.dim * row_bound**inst.p <= _INT64_SAFE:
+        best_val, best_index = _cvp_scan_int64(basis, target, inst.p, n)
+        best_val = Fraction(best_val, lam**inst.p)
+    else:
+        best_val, best_index = _cvp_scan_fraction(inst)
+    stats = VerdictStats(latents_enumerated=1 << n)
+    if best_val <= inst.radius**inst.p:
+        witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
+        return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
+    return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
+
+
+def _cvp_scan_int64(basis, target, p, n):
+    """(min, first minimizer) of sum_r |(B y)_r - t_r|^p over y in {0,1}^n, in int64.
+
+    The low bits' subset sums of the basis columns are built once; chunk h
+    adds its high bits' sum minus the target. Every residual is a partial
+    sum of one row's terms, so the caller's bound covers it.
+    """
+    cols = np.array(basis, dtype=np.int64).T  # row i: coefficient i's column, msb first
+    lo = _low_bits(n, len(target))
+    table = _subset_sums(cols[n - lo :], pm1=False)
+    np_target = np.array(target, dtype=np.int64)
+    buf = np.empty_like(table) if lo < n else table  # a single chunk may overwrite its table
+
+    def chunks():
+        for offset in _high_sums(cols[: n - lo], -np_target, pm1=False):
+            residual = np.add(table, offset, out=buf)
+            if p % 2:
+                np.abs(residual, out=residual)
+            yield _pow_sum(residual, p)
+
+    return _first_min(chunks(), lo)
+
+
+def _cvp_scan_fraction(inst: CvpInstance):
+    """Arbitrary-precision fallback and reference: the same minimum by a Fraction loop."""
+    n = inst.num_vectors
     best_val: Fraction | None = None
     best_index = None
     for index in range(1 << n):
@@ -195,11 +249,7 @@ def solve_cvp01_bruteforce(inst: CvpInstance, cap: int | None = None) -> Verdict
             total += abs(residual) ** inst.p
         if best_val is None or total < best_val:
             best_val, best_index = total, index
-    stats = VerdictStats(latents_enumerated=1 << n)
-    if best_val is not None and best_val <= threshold:
-        witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
-        return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
-    return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
+    return best_val, best_index
 
 
 # -- graph problems ----------------------------------------------------------
@@ -280,8 +330,14 @@ def solve_vertexcover_bruteforce(query: VertexCoverQuery, cap: int | None = None
 def _lcm(values) -> int:
     out = 1
     for v in values:
-        out = out * v // math.gcd(out, v)
+        if v != 1:
+            out = out * v // math.gcd(out, v)
     return out
+
+
+def _scaled(x, lam: int) -> int:
+    """x * lam as an int, for a rational x whose denominator divides lam."""
+    return x.numerator * (lam // x.denominator)
 
 
 def _integerized(query: InversionQuery):
@@ -295,13 +351,13 @@ def _integerized(query: InversionQuery):
     layers = []
     for lyr in query.network.layers:
         denoms = [w.denominator for row in lyr.weights for w in row]
-        denoms += [(b * scale).denominator for b in lyr.bias]
+        denoms += [b.denominator // math.gcd(b.denominator, scale) for b in lyr.bias]
         lam = _lcm(denoms)
-        weights = [[int(w * lam) for w in row] for row in lyr.weights]
+        weights = [[_scaled(w, lam) for w in row] for row in lyr.weights]
         scale *= lam
-        bias = [int(b * scale) for b in lyr.bias]
+        bias = [_scaled(b, scale) for b in lyr.bias]
         layers.append((weights, bias))
-    target_lam = _lcm([(t * scale).denominator for t in query.target])
+    target_lam = _lcm([t.denominator // math.gcd(t.denominator, scale) for t in query.target])
     if target_lam != 1:
         # fold the target's denominator into the last layer's scale
         weights, bias = layers[-1]
@@ -310,7 +366,7 @@ def _integerized(query: InversionQuery):
             [b * target_lam for b in bias],
         )
         scale *= target_lam
-    target = [int(t * scale) for t in query.target]
+    target = [_scaled(t, scale) for t in query.target]
     threshold_scaled = query.threshold_pow * Fraction(scale) ** query.p
     return layers, target, threshold_scaled, scale
 
@@ -364,72 +420,178 @@ def invert_binary_bruteforce(query: InversionQuery, cap: int | None = None) -> V
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
 
 
-def _scan_int64(layers, target, p, n, pm1):
-    """int64 scan in chunks that share one layer-0 subset-sum table.
+def _low_bits(n: int, width: int) -> int:
+    """Latent bits that vary within a chunk: 2^lo rows of `width` fit in _CHUNK_ELEMENTS."""
+    return min(n, max(0, (_CHUNK_ELEMENTS // width).bit_length() - 1))
 
-    Split: of the n latent bits, the `hi` high bits are fixed within a
-    chunk and the `lo` low bits vary within it. The low bits' layer-0
-    contribution is built once, as a 2^lo x width subset-sum table, by
-    doubling in place from the least significant bit; chunk h adds bias0
-    plus its high bits' contribution to that table, so no chunk decodes
-    bits or multiplies by layer 0.
 
-    Exactness: every table entry, every partial sum met while building it
-    and every pre-activation is a sum of some of one layer-0 row's terms
-    (bias, w_j or -w_j), so its magnitude stays within the row bound
-    `_int_path_safe` checked. The later layers and the distance are the
-    same int64 arithmetic that bound already covers.
+def _subset_sums(cols, pm1: bool):
+    """Row r: sum over i of bit_i(r) * cols[i], cols[0] the most significant bit.
 
-    Memory: lo is the largest value with 2^lo rows of the widest layer
-    within _CHUNK_ELEMENTS, so the table, the chunk buffer and each later
-    layer's output hold at most max(_CHUNK_ELEMENTS, width) int64 values,
-    whatever n is.
-
-    Order: chunks run in ascending h, argmin takes the first minimum of a
-    chunk and a later chunk wins only on a strictly smaller distance, so
-    the index is the smallest minimizer's.
+    Built by doubling in place from the least significant bit, no matmul:
+    table[:2k] = [table[:k], table[:k] + col]. With {-1,1} bits, row r is
+    the {0,1} sum of r's set bits less that of its clear bits, which is
+    row r of the reversed table.
     """
-    (w0, b0), rest = layers[0], layers[1:]
-    cols = np.array(w0, dtype=np.int64).T  # row i: latent bit i's column, msb first
-    widest = max(len(b) for _, b in layers)
-    lo = min(n, max(0, (_CHUNK_ELEMENTS // widest).bit_length() - 1))
-    hi = n - lo
-    table = np.zeros((1 << lo, len(b0)), dtype=np.int64)
-    for j, col in enumerate(cols[::-1][:lo]):  # least significant bit first
-        # doubling in place: table[:2k] = [table[:k] + low * col, table[:k] + col]
+    table = np.zeros((1 << len(cols), cols.shape[1]), dtype=np.int64)
+    for j, col in enumerate(cols[::-1]):
         k = 1 << j
         np.add(table[:k], col, out=table[k : 2 * k])
-        if pm1:  # low = -1; with {0,1} latents low = 0 and the lower half stays
-            table[:k] -= col
-    bias0 = np.array(b0, dtype=np.int64)
-    np_rest = [(np.array(w, dtype=np.int64).T, np.array(b, dtype=np.int64)) for w, b in rest]
-    np_target = np.array(target, dtype=np.int64)
-    buf = np.empty_like(table)
-    best_val = None
-    best_index = -1
+    return table - table[::-1] if pm1 else table
+
+
+def _high_sums(cols, base, pm1: bool):
+    """base + high @ cols for every setting of the high bits, in ascending order: one per chunk."""
+    hi = len(cols)
+    if not hi:  # a single chunk
+        yield base
+        return
     for h in range(1 << hi):
         bits = _bits_msb(h, hi)
-        high = np.array([2 * b - 1 for b in bits] if pm1 else bits, dtype=np.int64)
-        acts = np.add(table, bias0 + high @ cols[:hi], out=buf)
-        np.maximum(acts, 0, out=acts)
-        for w_t, b in np_rest:
-            acts = acts @ w_t
-            acts += b
-            np.maximum(acts, 0, out=acts)
-        if np_target.any():  # ReLU outputs are >= 0, so a zero target needs no |a - t|
-            acts -= np_target
-            np.abs(acts, out=acts)
-        if p == 2:
-            np.square(acts, out=acts)
-        elif p != 1:
-            np.power(acts, p, out=acts)
-        dist = acts.sum(axis=1)
-        pos = int(np.argmin(dist))
+        yield base + np.array([2 * b - 1 for b in bits] if pm1 else bits, dtype=np.int64) @ cols
+
+
+def _pow_sum(values, p: int):
+    """Row sums of values**p, overwriting values; for odd p they must be >= 0.
+
+    einsum sums each row in integers like .sum(axis=1), and is several
+    times faster on the narrow arrays the scans make.
+    """
+    if p == 2:
+        return np.einsum("ij,ij->i", values, values)
+    if p != 1:
+        np.power(values, p, out=values)
+    return np.einsum("ij->i", values)
+
+
+def _first_min(dists, lo: int):
+    """(value, index) of the first minimum over per-chunk distance vectors.
+
+    Chunks come in ascending order of their high bits; argmin takes a
+    chunk's first minimum and a later chunk wins only on a strictly
+    smaller value, so the index is the smallest minimizer's.
+    """
+    best_val = None
+    best_index = -1
+    for h, dist in enumerate(dists):
+        pos = int(dist.argmin())
         val = int(dist[pos])
         if best_val is None or val < best_val:
             best_val = val
             best_index = (h << lo) + pos
     return best_val, best_index
+
+
+def _unit_split(cols, hi: int):
+    """Layer-0 units in the order mixed, low-only, high-only or constant; and the first two counts.
+
+    cols holds one row per latent bit, msb first; the first `hi` rows are
+    the high bits. A unit is low-only when its only nonzero weights are on
+    low bits, high-only or constant when it has none there, and mixed
+    otherwise.
+    """
+    low = (cols[hi:] != 0).any(axis=0)
+    high = (cols[:hi] != 0).any(axis=0)
+    mixed, low_only = low & high, low & ~high
+    order = np.concatenate([np.flatnonzero(mixed), np.flatnonzero(low_only), np.flatnonzero(~low)])
+    return order, int(mixed.sum()), int(low_only.sum())
+
+
+def _distance(acts, target, p: int):
+    """Row sums of |acts - target|^p, in place; acts are ReLU outputs, so >= 0."""
+    if target.any():  # a zero target needs no |a - t|
+        acts -= target
+        if p % 2:
+            np.abs(acts, out=acts)
+    return _pow_sum(acts, p)
+
+
+def _scan_int64(layers, target, p, n, pm1):
+    """int64 scan in chunks; only the mixed layer-0 units are evaluated per chunk.
+
+    Split: of the n latent bits, the `hi` high bits are fixed within a
+    chunk and the `lo` low bits vary within it. Layer-0 units fall into
+    three classes by their weights (_unit_split):
+    - low-only units give the same values in every chunk, so their share
+      of the next stage is computed once per scan from their subset-sum
+      table: their distance terms for a one-layer network, else their
+      part of the layer-1 pre-activations, relu(table_L + b_L) @ W1_L;
+    - high-only or constant units take one value per chunk, from the
+      vector bias0 + high @ cols[:hi] every chunk computes anyway;
+    - mixed units get a subset-sum table of their own, built once; chunk h
+      adds that vector to it, applies ReLU and pushes the result on.
+    A scan of one chunk (hi = 0) shares nothing between chunks, so there
+    every unit takes the per-chunk path.
+
+    Exactness: every table entry, every partial sum met while building it
+    and every layer-0 pre-activation is a sum of some of one layer-0 row's
+    terms (bias, w_j or -w_j). Every layer-1 value formed, a class's share
+    or a sum of shares, is a sum of some of one layer-1 row's terms; every
+    distance formed is a sum of some of the nonnegative distance terms. So
+    each magnitude stays within a bound `_int_path_safe` checked, and the
+    later layers are the same int64 arithmetic that bound covers.
+
+    Memory: lo is the largest value with 2^lo rows of the widest layer
+    within _CHUNK_ELEMENTS, so every table, the chunk buffer and each later
+    layer's output hold at most max(_CHUNK_ELEMENTS, width) int64 values,
+    whatever n is. The low-only table is freed before the mixed one is
+    built.
+
+    Order: see _first_min.
+    """
+    (w0, b0), rest = layers[0], layers[1:]
+    cols = np.array(w0, dtype=np.int64).T  # row i: latent bit i's column, msb first
+    bias0 = np.array(b0, dtype=np.int64)
+    np_rest = [(np.array(w, dtype=np.int64).T, np.array(b, dtype=np.int64)) for w, b in rest]
+    np_target = np.array(target, dtype=np.int64)
+    lo = _low_bits(n, max(len(b) for _, b in layers))
+    hi = n - lo
+    mixed, low_only = len(b0), 0
+    if hi:  # reorder the units so each class is a slice; the function is unchanged
+        order, mixed, low_only = _unit_split(cols, hi)
+        cols, bias0 = cols[:, order], bias0[order]
+        if np_rest:
+            np_rest[0] = (np_rest[0][0][order], np_rest[0][1])
+        else:
+            np_target = np_target[order]
+    units_m = slice(0, mixed)
+    units_l = slice(mixed, mixed + low_only)
+    units_h = slice(mixed + low_only, None)
+    has_high = mixed + low_only < len(b0)
+
+    def share(acts, units):
+        """The next stage's share of these layer-0 units' activations."""
+        if np_rest:
+            return acts @ np_rest[0][0][units]
+        return _distance(acts, np_target[units], p)
+
+    if low_only:
+        acts = _subset_sums(cols[hi:, units_l], pm1)
+        acts += bias0[units_l]
+        low_share = share(np.maximum(acts, 0, out=acts), units_l)
+        del acts
+    table = _subset_sums(cols[hi:, units_m], pm1)
+    buf = np.empty_like(table) if hi else table  # a single chunk may overwrite its table
+
+    def chunks():
+        for offset in _high_sums(cols[:hi], bias0, pm1):
+            acts = np.add(table, offset[units_m], out=buf)
+            total = share(np.maximum(acts, 0, out=acts), units_m)
+            if low_only:
+                total += low_share
+            if has_high:
+                total += share(np.maximum(offset[None, units_h], 0), units_h)
+            if np_rest:  # total holds layer-1 pre-activations less the bias
+                total += np_rest[0][1]
+                np.maximum(total, 0, out=total)
+                for w_t, b in np_rest[1:]:
+                    total = total @ w_t
+                    total += b
+                    np.maximum(total, 0, out=total)
+                total = _distance(total, np_target, p)
+            yield total
+
+    return _first_min(chunks(), lo)
 
 
 def _scan_bigint(layers, target, p, n, pm1):

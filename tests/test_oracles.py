@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -86,6 +87,66 @@ def test_cvp_bruteforce_examples():
     verdict = solve_cvp01_bruteforce(CvpInstance(eye, (one, one), Fraction(0), 2))
     assert verdict.is_yes
     assert verdict.witness == (one, one)
+
+
+def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
+    """Several chunks per scan, and small entries, so minimizers tie across chunk borders."""
+    rng = random.Random(29)
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+    outcomes = set()
+    split_ties = 0
+    for _ in range(100):
+        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", rng.choice((1, 2, 4, 8, 16)))
+        n, d, p = rng.randint(1, 10), rng.randint(1, 3), rng.randint(1, 3)
+        basis = tuple(tuple(entry() for _ in range(n)) for _ in range(d))
+        inst = CvpInstance(basis, tuple(entry() for _ in range(d)), entry() + 2, p)
+        best, index = oracles._cvp_scan_fraction(inst)
+        lam = math.lcm(*(v.denominator for row in basis for v in row + inst.target))
+        int_basis = [[int(v * lam) for v in row] for row in basis]
+        int_target = [int(t * lam) for t in inst.target]
+        assert oracles._cvp_scan_int64(int_basis, int_target, p, n) == (best * lam**p, index)
+        verdict = solve_cvp01_bruteforce(inst)
+        assert verdict.is_yes == (best <= inst.radius**p)
+        assert verdict.witness == (_msb_bits(index, n) if verdict.is_yes else None)
+        assert verdict.stats.latents_enumerated == 1 << n
+        outcomes.add(verdict.is_yes)
+        ties = [i for i in range(1 << n) if _cvp_distance(inst, i) == best]
+        assert ties[0] == index
+        split_ties += ties[-1] - index >= 16  # 16 apart: never in one chunk
+    assert outcomes == {True, False}
+    assert split_ties >= 10
+
+
+def _cvp_distance(inst, index):
+    """sum_r |(B y)_r - t_r|^p for the coefficient vector y with this msb-first index."""
+    y = _msb_bits(index, inst.num_vectors)
+    rows = zip(inst.basis, inst.target)
+    residuals = (sum((c for c, b in zip(row, y) if b), -t) for row, t in rows)
+    return sum((abs(r) ** inst.p for r in residuals), Fraction(0))
+
+
+def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
+    """Entries near 2^62 overflow the int64 bound, so the Fraction loop decides."""
+    calls = []
+    loop = oracles._cvp_scan_fraction
+    monkeypatch.setattr(oracles, "_cvp_scan_fraction", lambda i: calls.append(i) or loop(i))
+    big = 1 << 62
+    basis = (
+        (Fraction(big), Fraction(big - 3), Fraction(-big, 3)),
+        (Fraction(1), Fraction(big + 1), Fraction(2)),
+    )
+    target = (Fraction(2 * big - 3), Fraction(big + 3))
+    inst = CvpInstance(basis, target, Fraction(1), 1)
+    verdict = solve_cvp01_bruteforce(inst)
+    assert len(calls) == 1
+    distances = [_cvp_distance(inst, i) for i in range(8)]
+    assert min(distances) == 1 and distances.index(1) == 0b110  # y = (1, 1, 0)
+    assert verdict.witness == _msb_bits(0b110, 3)
+    assert not solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(1, 2), 1)).is_yes
+    assert len(calls) == 2
 
 
 def test_halfclique_bruteforce_examples():
@@ -278,19 +339,48 @@ def _all_distances(layers, target, p, n, pm1):
     return out
 
 
+def _sparse_rows(rng, fan_out, n, hi):
+    """Rows whose weights sit on the high bits only, the low bits only, both, or neither."""
+    rows = []
+    for _ in range(fan_out):
+        kind = rng.choice(("high", "low", "both", "none"))
+        support = set()
+        if kind in ("high", "both") and hi:
+            support |= set(rng.sample(range(hi), rng.randint(1, hi)))
+        if kind in ("low", "both") and hi < n:
+            support |= set(rng.sample(range(hi, n), rng.randint(1, n - hi)))
+        rows.append([rng.choice((-2, -1, 1, 2)) if i in support else 0 for i in range(n)])
+    return rows
+
+
 def test_scan_int64_chunks_match_bigint(monkeypatch):
-    """Many chunks per scan, and small weights, so minimizers tie across chunk borders."""
+    """Many chunks per scan, and small weights, so minimizers tie across chunk borders.
+
+    The second half uses sparse layer-0 rows, so that low-only, high-only
+    (or constant) and mixed units all occur in one scan.
+    """
     rng = random.Random(41)
     split_ties = 0
-    for _ in range(100):
+    three_classes = {1: 0, 2: 0}
+    for case in range(200):
+        sparse = case >= 100
         # at most 16 rows per chunk, so every n >= 5 takes two or more chunks
-        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", rng.choice((1, 2, 4, 8, 16)))
+        # (sparse cases have 3 to 8 layer-0 units: 64 elements are at most 16 rows)
+        chunk = rng.choice((8, 16, 32, 64) if sparse else (1, 2, 4, 8, 16))
+        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
         n = rng.randint(5, 10)
+        depth = rng.randint(1, 2)
+        widths = [
+            rng.randint(3, 8) if sparse and not i else rng.randint(1, 4) for i in range(depth)
+        ]
+        hi = n - oracles._low_bits(n, max(widths))
         layers = []
         fan_in = n
-        for _ in range(rng.randint(1, 2)):
-            fan_out = rng.randint(1, 4)
-            rows = [[rng.randint(-2, 2) for _ in range(fan_in)] for _ in range(fan_out)]
+        for fan_out in widths:
+            if sparse and fan_in == n:
+                rows = _sparse_rows(rng, fan_out, n, hi)
+            else:
+                rows = [[rng.randint(-2, 2) for _ in range(fan_in)] for _ in range(fan_out)]
             layers.append((rows, [rng.randint(-2, 2) for _ in range(fan_out)]))
             fan_in = fan_out
         target = [rng.randint(-2, 2) for _ in range(fan_in)]
@@ -304,7 +394,15 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         assert scanned == (best, values.index(best))
         ties = [i for i, v in enumerate(values) if v == best]
         split_ties += ties[-1] - ties[0] >= 16  # 16 apart: never in one chunk
+        classes = set()
+        for row in layers[0][0]:
+            on_high = any(row[:hi])
+            on_low = any(row[hi:])
+            classes.add("mixed" if on_high and on_low else "low" if on_low else "high")
+        three_classes[depth] += hi >= 1 and len(classes) == 3
     assert split_ties >= 25
+    assert sum(three_classes.values()) >= 20
+    assert min(three_classes.values()) >= 5  # at depth 1 and at depth 2
 
 
 def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
