@@ -1,5 +1,11 @@
 """Command-line front end: compile reductions, run oracles, verify, bench.
 
+Each verify family (a source problem on binary or real latents) is declared
+once, as a `Family` record in `FAMILIES` below: its parser, compiler, query
+and source oracles, random-instance draws, witness forms and default p.
+`reduce`, `verify` and `bench` look families up there, and their argparse
+choices are derived from it.
+
 Exit codes: 0 YES/success, 1 NO (or disagreements found), 2 usage/parse
 error, 3 enumeration cap exceeded. The INVFORGE_CAP environment variable
 overrides every enumeration cap.
@@ -11,20 +17,21 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
-from . import instances, oracles, reductions
+from . import instances, oracles
 from .instances import (
     CnfFormula,
     CvpInstance,
     HalfCliqueQuery,
-    ParseError,
     VertexCoverQuery,
     assignment_satisfies,
     clique_weight,
@@ -38,7 +45,10 @@ from .instances import (
     parse_graph,
 )
 from .oracles import (
+    CERT_FALSIFIER,
+    YES,
     CapExceeded,
+    Verdict,
     count_sat_assignments,
     enumerate_patterns_invert,
     falsify_real,
@@ -50,7 +60,6 @@ from .oracles import (
 )
 from .relunet import distance_pow, forward
 from .reductions import (
-    DOMAIN_REAL,
     ReductionArtifact,
     UnsupportedReduction,
     artifact_from_json,
@@ -106,113 +115,70 @@ class BenchRecord:
     states: int
 
 
-# -- reduce ------------------------------------------------------------------
+# -- source families ------------------------------------------------------------
 
 
-def _build_artifact(args) -> ReductionArtifact:
-    text = Path(args.in_file).read_text()
-    family, latent = args.family, args.latent
-    if family == "sat":
-        formula = parse_dimacs(text)
-        if args.p not in (None, 1):
-            raise UnsupportedReduction("exact queries compare at distance zero; p is fixed to 1")
-        if latent == "binary":
-            return sat_to_exact_binary(formula)
-        return sat_to_exact_real(formula)
-    if family == "cvp":
-        inst = parse_cvp(text)
-        if args.p is not None and args.p != inst.p:
-            raise UnsupportedReduction(f"--p {args.p} contradicts the instance file (p={inst.p})")
-        if latent == "binary":
-            return cvp_to_approx_binary(inst)
-        return cvp_to_approx_real(inst)
-    if family == "halfclique":
-        g = parse_graph(text)
-        if args.bound is None:
-            raise UnsupportedReduction("half-clique needs --bound")
-        query = HalfCliqueQuery(g, Fraction(args.bound))
-        p = 2 if args.p is None else args.p
-        if latent == "binary":
-            return halfclique_to_approx(query, p)
-        return halfclique_to_approx_real(query, p)
-    if family == "vertexcover":
-        g = parse_graph(text)
-        if args.size is None:
-            raise UnsupportedReduction("vertex cover needs --size")
-        query = VertexCoverQuery(g, args.size)
-        p = 2 if args.p is None else args.p
-        if latent == "real":
-            raise UnsupportedReduction(
-                "no real-latent route for vertex cover; use --latent binary"
-            )
-        return vertexcover_to_approx(query, p)
-    raise UnsupportedReduction(f"unknown family {family!r}")
+ORACLES = {
+    "brute": lambda artifact, restarts, seed: invert_binary_bruteforce(artifact.query),
+    "pattern": lambda artifact, restarts, seed: enumerate_patterns_invert(artifact.query),
+    "falsify": lambda artifact, restarts, seed: falsify_real(
+        artifact.query,
+        restarts=restarts,
+        seed=seed,
+        corner_levels=(0, artifact.constants.get("clamp_hi", 1)),
+    ),
+}
 
 
-def cmd_reduce(args) -> int:
-    artifact = _build_artifact(args)
-    Path(args.out_file).write_text(artifact_to_json(artifact))
-    net = artifact.query.network
-    summary = {
-        "out": args.out_file,
-        "width": net.width,
-        "depth": net.depth,
-        "latent_dim": artifact.query.domain.dim,
-        "domain": artifact.query.domain.kind,
-        "p": artifact.query.p,
-        "threshold_pow": str(artifact.query.threshold_pow),
-        "constants": {k: str(v) for k, v in artifact.constants.items()},
-        "constants_valid": constants_valid(artifact),
-    }
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_YES
+def _needs(value, flag: str):
+    if value is None:
+        raise UnsupportedReduction(f"this route needs {flag}")
+    return value
 
 
-# -- invert -------------------------------------------------------------------
+def _read_cvp(text: str, args) -> CvpInstance:
+    inst = parse_cvp(text)
+    if inst.p % 2 == 0:
+        raise UnsupportedReduction("even p is handled by the half-clique / vertex-cover route")
+    return inst
 
 
-def cmd_invert(args) -> int:
-    artifact = artifact_from_json(Path(args.query).read_text())
-    query = artifact.query
-    if args.oracle == "brute":
-        verdict = invert_binary_bruteforce(query)
-    elif args.oracle == "pattern":
-        verdict = enumerate_patterns_invert(query)
-    elif args.oracle == "falsify":
-        hi = artifact.constants.get("clamp_hi", 1)
-        verdict = falsify_real(
-            query, restarts=args.restarts, seed=args.seed, corner_levels=(0, hi)
-        )
-    else:
-        raise ValueError(f"unknown oracle {args.oracle!r}")
-    print(json.dumps(verdict.to_dict(), sort_keys=True))
-    return EXIT_YES if verdict.is_yes else EXIT_NO
+def _draw_ksat(rng: random.Random, ts: int, n_max: int, m_max: int, k_max: int) -> CnfFormula:
+    n = rng.randint(1, n_max)
+    m = rng.randint(1, min(m_max, max(1, 2 * n)))
+    k = rng.randint(1, min(k_max, n))
+    return gen_random_ksat(n, m, k, ts)
 
 
-# -- verify -------------------------------------------------------------------
+def _draw_cvp(rng: random.Random, ts: int, n_max: int, d_max: int, p: int) -> CvpInstance:
+    n = rng.randint(1, n_max)
+    d = rng.randint(1, d_max)
+    return gen_random_cvp(n, d, seed=ts, p=p)
 
 
-def _check_sat_roundtrip(formula: CnfFormula, artifact, invert) -> tuple[bool, dict]:
-    source = solve_sat_bruteforce(formula)
-    query_verdict = invert(artifact.query)
-    agree = source.is_yes == query_verdict.is_yes
-    detail = {"source": source.decision, "query": query_verdict.decision}
-    if source.is_yes:
-        assignment = tuple(bool(v) for v in source.witness)
-        latent = forward_witness(artifact, assignment)
-        dist = distance_pow(forward(artifact.query.network, latent), artifact.query.target, artifact.query.p)
-        if dist.value > artifact.query.threshold_pow:
-            agree = False
-            detail["witness_forward"] = "failed"
-    if query_verdict.is_yes and query_verdict.witness is not None:
-        back = backward_witness(artifact, query_verdict.witness)
-        if not assignment_satisfies(formula, back):
-            agree = False
-            detail["witness_back"] = "failed"
-    if not constants_valid(artifact):
-        agree = False
-        detail["constants"] = "invalid"
-    return agree, detail
+def _draw_halfclique(rng: random.Random, ts: int, n: int, density: float, p: int):
+    g = gen_random_graph(n, density, seed=ts)
+    return HalfCliqueQuery(g, _tie_free_bound(g, p, rng))
+
+
+def _draw_vertexcover(rng: random.Random, ts: int, n_max: int, p: int) -> VertexCoverQuery:
+    n = rng.randint(1, n_max)
+    g = gen_random_graph(n, 0.5, seed=ts)
+    return VertexCoverQuery(g, rng.randint(0, n))
+
+
+def _all_small_covers(n_max: int):
+    for n in range(1, min(n_max, 5) + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [
+                (i, j, Fraction(1))
+                for bit, (i, j) in enumerate(pairs)
+                if mask >> bit & 1
+            ]
+            g = instances.WeightedGraph(n, tuple(edges))
+            for q in range(n + 1):
+                yield f"n{n}-m{mask}-q{q}", VertexCoverQuery(g, q)
 
 
 def _boundary_cvp(seed: int, p: int) -> CvpInstance:
@@ -244,6 +210,238 @@ def _tie_free_bound(g, p: int, rng: random.Random) -> Fraction:
     return Fraction(2 * rng.randint(0, top) + 1, 2 * denom)
 
 
+def _vertex_set(bits) -> frozenset:
+    return frozenset(i + 1 for i, v in enumerate(bits) if v == 1)
+
+
+def _cvp_accepts(inst: CvpInstance, y, p: int) -> bool:
+    dist = Fraction(0)
+    for row, t in zip(inst.basis, inst.target):
+        dist += abs(sum(w * v for w, v in zip(row, y)) - t) ** inst.p
+    return dist <= inst.radius**inst.p
+
+
+def _halfclique_accepts(hq: HalfCliqueQuery, chosen, p: int) -> bool:
+    return (
+        is_clique(hq.graph, chosen)
+        and len(chosen) == hq.graph.num_vertices // 2
+        and clique_weight(hq.graph, chosen, p) < hq.bound
+    )
+
+
+def _bench_query(artifact: ReductionArtifact):
+    return (lambda: invert_binary_bruteforce(artifact.query)), 1 << artifact.query.domain.dim
+
+
+def _bench_halfclique(n: int, seed: int):
+    if n % 2 != 0:
+        return None
+    g = gen_random_graph(n, 0.5, seed=seed + n)
+    bound = _tie_free_bound(g, 2, random.Random(seed + n))
+    return _bench_query(halfclique_to_approx(HalfCliqueQuery(g, bound), 2))
+
+
+def _bench_sat(n: int, seed: int):
+    formula = gen_random_ksat(n, m=min(12, 2 * n), k=min(3, n), seed=seed + n)
+    return (lambda: count_sat_assignments(formula)), 1 << n
+
+
+@dataclass(frozen=True)
+class Family:
+    """One verify family: a source problem and the route that compiles it."""
+
+    parse: Callable  # (file text, reduce args) -> source; rejects flags the route cannot honour
+    compile: Callable  # (source, p) -> ReductionArtifact
+    solve: Callable  # (source, p) -> source Verdict
+    draw: Callable  # (rng, trial seed, n_max, p) -> a random source instance for verify
+    accepts: Callable  # (source, backward-mapped witness, p) -> does it solve the source?
+    default_p: int
+    invert: Callable = ORACLES["brute"]  # (artifact, restarts, trial seed) -> query Verdict
+    witness: Callable = tuple  # the source oracle's 0/1 witness -> what forward_witness takes
+    reaches: Callable = operator.le  # (distance of the forward-mapped witness, threshold)
+    exhaustive: Callable | None = None  # n_max -> (label, source) pairs for verify --exhaustive
+    boundary: Callable | None = None  # (seed, p) -> a YES instance verify always adds
+    bench: Callable | None = None  # (n, seed) -> (timed job, states), or None to skip n
+
+
+_SAT = Family(
+    parse=lambda text, args: parse_dimacs(text),
+    compile=lambda formula, p: sat_to_exact_binary(formula),
+    solve=lambda formula, p: solve_sat_bruteforce(formula),
+    draw=lambda rng, ts, n_max, p: _draw_ksat(rng, ts, n_max, 2 * n_max, 3),
+    accepts=lambda formula, assignment, p: assignment_satisfies(formula, assignment),
+    default_p=1,
+    exhaustive=lambda n_max: (("exhaustive", f) for f in iter_all_formulas(min(n_max, 3), 2, 3)),
+    bench=_bench_sat,
+)
+_CVP = Family(
+    parse=_read_cvp,
+    compile=lambda inst, p: cvp_to_approx_binary(inst, strict=False),
+    solve=lambda inst, p: solve_cvp01_bruteforce(inst),
+    draw=lambda rng, ts, n_max, p: _draw_cvp(rng, ts, n_max, min(5, n_max), p),
+    accepts=_cvp_accepts,
+    default_p=1,
+    boundary=_boundary_cvp,
+    bench=lambda n, seed: _bench_query(
+        cvp_to_approx_binary(gen_random_cvp(n, d=min(3, n), seed=seed + n), strict=False)
+    ),
+)
+_HALFCLIQUE = Family(
+    parse=lambda text, args: HalfCliqueQuery(
+        parse_graph(text), Fraction(_needs(args.bound, "--bound"))
+    ),
+    compile=halfclique_to_approx,
+    solve=solve_halfclique_bruteforce,
+    draw=lambda rng, ts, n_max, p: _draw_halfclique(
+        rng, ts, rng.choice(range(4, n_max + 1, 2) or [4]), 0.5, p
+    ),
+    accepts=_halfclique_accepts,
+    default_p=2,
+    witness=_vertex_set,
+    bench=_bench_halfclique,
+)
+
+# The family NAME + REAL_SUFFIX is the binarization-gadget route of the family NAME,
+# which `reduce --from NAME --latent real` compiles.
+REAL_SUFFIX = "-real"
+FAMILIES = {
+    "sat": _SAT,
+    "sat-real": replace(
+        _SAT,
+        compile=lambda formula, p: sat_to_exact_real(formula),
+        draw=lambda rng, ts, n_max, p: _draw_ksat(rng, ts, min(n_max, 2), 2, 2),
+        invert=ORACLES["pattern"],
+        exhaustive=None,
+        bench=None,
+    ),
+    "cvp": _CVP,
+    "cvp-real": replace(
+        _CVP,
+        compile=lambda inst, p: cvp_to_approx_real(inst, strict=False),
+        draw=lambda rng, ts, n_max, p: _draw_cvp(rng, ts, min(n_max, 3), 2, p),
+        invert=ORACLES["falsify"],
+        boundary=None,
+        bench=None,
+    ),
+    "halfclique": _HALFCLIQUE,
+    "halfclique-real": replace(
+        _HALFCLIQUE,
+        compile=halfclique_to_approx_real,
+        draw=lambda rng, ts, n_max, p: _draw_halfclique(rng, ts, 4, 0.6, p),
+        invert=ORACLES["falsify"],
+        bench=None,
+    ),
+    "vertexcover": Family(
+        parse=lambda text, args: VertexCoverQuery(
+            parse_graph(text), _needs(args.size, "--size")
+        ),
+        compile=vertexcover_to_approx,
+        solve=lambda vq, p: solve_vertexcover_bruteforce(vq),
+        draw=_draw_vertexcover,
+        accepts=lambda vq, cover, p: is_cover(vq.graph, cover) and len(cover) == vq.size,
+        default_p=2,
+        witness=_vertex_set,
+        reaches=operator.eq,  # every edge costs exactly alpha**p, so a cover hits theta
+        exhaustive=_all_small_covers,
+        bench=lambda n, seed: _bench_query(
+            vertexcover_to_approx(
+                VertexCoverQuery(gen_random_graph(n, 0.5, seed=seed + n), n // 2), 2
+            )
+        ),
+    ),
+}
+
+
+# -- reduce ------------------------------------------------------------------
+
+
+def _build_artifact(args) -> ReductionArtifact:
+    name = args.family + (REAL_SUFFIX if args.latent == "real" else "")
+    if name not in FAMILIES:
+        raise UnsupportedReduction(
+            f"no {args.latent}-latent route for {args.family}; use --latent binary"
+        )
+    family = FAMILIES[name]
+    source = family.parse(Path(args.in_file).read_text(), args)
+    artifact = family.compile(source, family.default_p if args.p is None else args.p)
+    if args.p not in (None, artifact.query.p):
+        raise UnsupportedReduction(
+            f"--p {args.p} does not apply: this route fixes p = {artifact.query.p}"
+        )
+    return artifact
+
+
+def cmd_reduce(args) -> int:
+    artifact = _build_artifact(args)
+    Path(args.out_file).write_text(artifact_to_json(artifact))
+    net = artifact.query.network
+    summary = {
+        "out": args.out_file,
+        "width": net.width,
+        "depth": net.depth,
+        "latent_dim": artifact.query.domain.dim,
+        "domain": artifact.query.domain.kind,
+        "p": artifact.query.p,
+        "threshold_pow": str(artifact.query.threshold_pow),
+        "constants": {k: str(v) for k, v in artifact.constants.items()},
+        "constants_valid": constants_valid(artifact),
+    }
+    print(json.dumps(summary, sort_keys=True))
+    return EXIT_YES
+
+
+# -- invert -------------------------------------------------------------------
+
+
+def cmd_invert(args) -> int:
+    artifact = artifact_from_json(Path(args.query).read_text())
+    verdict = ORACLES[args.oracle](artifact, args.restarts, args.seed)
+    print(json.dumps(verdict.to_dict(), sort_keys=True))
+    return EXIT_YES if verdict.is_yes else EXIT_NO
+
+
+# -- verify -------------------------------------------------------------------
+
+
+def _check(family: Family, source, artifact: ReductionArtifact, verdict: Verdict):
+    """Compare the query verdict with the source oracle and check both witness maps.
+
+    A falsifier-only verdict is also decided by the exact pattern oracle
+    where that oracle applies (p = 1, under the pattern_units cap).
+    """
+    query = artifact.query
+    truth = family.solve(source, query.p)
+    agree = truth.is_yes == verdict.is_yes
+    detail = {
+        "source": truth.decision,
+        "query": verdict.decision,
+        "certificate": verdict.certificate,
+    }
+    if (
+        verdict.certificate == CERT_FALSIFIER
+        and query.p == 1
+        and query.network.hidden_units <= oracles.resolve_cap("pattern_units")
+    ):
+        certified = enumerate_patterns_invert(query)
+        detail["pattern"] = certified.decision
+        agree = agree and certified.is_yes == truth.is_yes
+    if truth.is_yes:
+        latent = forward_witness(artifact, family.witness(truth.witness))
+        dist = distance_pow(forward(query.network, latent), query.target, query.p)
+        if not family.reaches(dist.value, query.threshold_pow):
+            agree, detail["witness_forward"] = False, "failed"
+    if verdict.is_yes:
+        try:
+            back_ok = family.accepts(source, backward_witness(artifact, verdict.witness), query.p)
+        except ValueError:
+            back_ok = False
+        if not back_ok:
+            agree, detail["witness_back"] = False, "failed"
+    if not constants_valid(artifact):
+        agree, detail["constants"] = False, "invalid"
+    return agree, detail
+
+
 def run_verify(
     family: str,
     n_max: int,
@@ -255,221 +453,33 @@ def run_verify(
 ) -> VerifyReport:
     """Generate instances, solve both sides, and record agreements."""
     started = time.perf_counter()
+    if family not in FAMILIES:
+        raise ValueError(f"unknown verify family {family!r}")
+    fam = FAMILIES[family]
+    p = fam.default_p if p is None else p
     report = VerifyReport(family=family, trials=0, agreements=0)
 
-    def record(trial_seed, agree: bool, detail: dict):
+    def trial(label, source, must_be_yes: bool = False):
+        artifact = fam.compile(source, p)
+        agree, detail = _check(fam, source, artifact, fam.invert(artifact, restarts, label))
         report.trials += 1
-        if agree:
+        if agree and (detail["source"] == YES or not must_be_yes):
             report.agreements += 1
         else:
-            report.disagreements.append({"seed": trial_seed, **detail})
+            report.disagreements.append({"seed": label, **detail})
 
-    if family == "sat":
-        if exhaustive:
-            for formula in iter_all_formulas(min(n_max, 3), 2, 3):
-                artifact = sat_to_exact_binary(formula)
-                agree, detail = _check_sat_roundtrip(formula, artifact, invert_binary_bruteforce)
-                record("exhaustive", agree, detail)
-        else:
-            for t in range(trials):
-                ts = seed * 100_003 + t
-                rng = random.Random(ts)
-                n = rng.randint(1, n_max)
-                m = rng.randint(1, max(1, 2 * n))
-                k = rng.randint(1, min(3, n))
-                formula = gen_random_ksat(n, m, k, ts)
-                artifact = sat_to_exact_binary(formula)
-                agree, detail = _check_sat_roundtrip(formula, artifact, invert_binary_bruteforce)
-                record(ts, agree, detail)
-    elif family == "sat-real":
-        for t in range(trials):
-            ts = seed * 100_003 + t
-            rng = random.Random(ts)
-            n = rng.randint(1, min(n_max, 2))
-            m = rng.randint(1, 2)
-            k = rng.randint(1, min(2, n))
-            formula = gen_random_ksat(n, m, k, ts)
-            artifact = sat_to_exact_real(formula)
-            agree, detail = _check_sat_roundtrip(formula, artifact, enumerate_patterns_invert)
-            record(ts, agree, detail)
-    elif family == "cvp":
-        use_p = p if p is not None else 1
-        for t in range(trials):
-            ts = seed * 100_003 + t
-            rng = random.Random(ts)
-            n = rng.randint(1, n_max)
-            d = rng.randint(1, min(5, n_max))
-            inst = gen_random_cvp(n, d, seed=ts, p=use_p)
-            agree, detail = _check_cvp_roundtrip(inst)
-            record(ts, agree, detail)
-        boundary = _boundary_cvp(seed, use_p)
-        source = solve_cvp01_bruteforce(boundary)
-        artifact = cvp_to_approx_binary(boundary, strict=False)
-        query_verdict = invert_binary_bruteforce(artifact.query)
-        agree = source.is_yes and query_verdict.is_yes
-        record("boundary", agree, {"source": source.decision, "query": query_verdict.decision})
-    elif family == "cvp-real":
-        use_p = p if p is not None else 1
-        for t in range(trials):
-            ts = seed * 100_003 + t
-            rng = random.Random(ts)
-            n = rng.randint(1, min(n_max, 3))
-            d = rng.randint(1, 2)
-            inst = gen_random_cvp(n, d, seed=ts, p=use_p)
-            agree, detail = _check_cvp_real(inst, restarts, ts)
-            record(ts, agree, detail)
-    elif family == "halfclique":
-        use_p = p if p is not None else 2
-        sizes = [n for n in range(4, n_max + 1, 2)] or [4]
-        for t in range(trials):
-            ts = seed * 100_003 + t
-            rng = random.Random(ts)
-            n = rng.choice(sizes)
-            g = gen_random_graph(n, 0.5, seed=ts)
-            bound = _tie_free_bound(g, use_p, rng)
-            hq = HalfCliqueQuery(g, bound)
-            agree, detail = _check_halfclique_roundtrip(hq, use_p)
-            record(ts, agree, detail)
-    elif family == "halfclique-real":
-        use_p = p if p is not None else 2
-        for t in range(trials):
-            ts = seed * 100_003 + t
-            rng = random.Random(ts)
-            g = gen_random_graph(4, 0.6, seed=ts)
-            bound = _tie_free_bound(g, use_p, rng)
-            hq = HalfCliqueQuery(g, bound)
-            agree, detail = _check_halfclique_real(hq, use_p, restarts, ts)
-            record(ts, agree, detail)
-    elif family == "vertexcover":
-        use_p = p if p is not None else 2
-        if exhaustive:
-            for n in range(1, min(n_max, 5) + 1):
-                pairs = list(itertools.combinations(range(1, n + 1), 2))
-                for mask in range(1 << len(pairs)):
-                    edges = [
-                        (i, j, Fraction(1))
-                        for bit, (i, j) in enumerate(pairs)
-                        if mask >> bit & 1
-                    ]
-                    g = instances.WeightedGraph(n, tuple(edges))
-                    for q in range(n + 1):
-                        vq = VertexCoverQuery(g, q)
-                        agree, detail = _check_vertexcover_roundtrip(vq, use_p)
-                        record(f"n{n}-m{mask}-q{q}", agree, detail)
-        else:
-            for t in range(trials):
-                ts = seed * 100_003 + t
-                rng = random.Random(ts)
-                n = rng.randint(1, n_max)
-                g = gen_random_graph(n, 0.5, seed=ts)
-                vq = VertexCoverQuery(g, rng.randint(0, n))
-                agree, detail = _check_vertexcover_roundtrip(vq, use_p)
-                record(ts, agree, detail)
+    if exhaustive and fam.exhaustive is not None:
+        for label, source in fam.exhaustive(n_max):
+            trial(label, source)
     else:
-        raise ValueError(f"unknown verify family {family!r}")
+        for ts in range(seed * 100_003, seed * 100_003 + trials):
+            trial(ts, fam.draw(random.Random(ts), ts, n_max, p))
+    if fam.boundary is not None:
+        trial("boundary", fam.boundary(seed, p), must_be_yes=True)
 
     report.disagreements.sort(key=lambda d: str(d.get("seed")))
     report.wall_time_s = time.perf_counter() - started
     return report
-
-
-def _check_cvp_roundtrip(inst: CvpInstance) -> tuple[bool, dict]:
-    source = solve_cvp01_bruteforce(inst)
-    artifact = cvp_to_approx_binary(inst, strict=False)
-    query_verdict = invert_binary_bruteforce(artifact.query)
-    agree = source.is_yes == query_verdict.is_yes
-    detail = {"source": source.decision, "query": query_verdict.decision}
-    if source.is_yes:
-        y = tuple(int(v) for v in source.witness)
-        latent = forward_witness(artifact, y)
-        dist = distance_pow(forward(artifact.query.network, latent), artifact.query.target, inst.p)
-        if dist.value > artifact.query.threshold_pow:
-            agree, detail["witness_forward"] = False, "failed"
-    if query_verdict.is_yes:
-        y = backward_witness(artifact, query_verdict.witness)
-        dist = Fraction(0)
-        for r in range(inst.dim):
-            residual = sum(inst.basis[r][i] * y[i] for i in range(inst.num_vectors)) - inst.target[r]
-            dist += abs(residual) ** inst.p
-        if dist > inst.radius**inst.p:
-            agree, detail["witness_back"] = False, "failed"
-    if not constants_valid(artifact):
-        agree, detail["constants"] = False, "invalid"
-    return agree, detail
-
-
-def _check_cvp_real(inst: CvpInstance, restarts: int, seed: int) -> tuple[bool, dict]:
-    source = solve_cvp01_bruteforce(inst)
-    artifact = cvp_to_approx_real(inst, strict=False)
-    hi = artifact.constants["clamp_hi"]
-    verdict = falsify_real(artifact.query, restarts=restarts, seed=seed, corner_levels=(0, hi))
-    detail = {"source": source.decision, "query": verdict.decision, "certificate": verdict.certificate}
-    agree = source.is_yes == verdict.is_yes
-    if inst.p == 1 and artifact.query.network.hidden_units <= oracles.resolve_cap("pattern_units"):
-        certified = enumerate_patterns_invert(artifact.query)
-        detail["pattern"] = certified.decision
-        agree = agree and certified.is_yes == source.is_yes
-    if not constants_valid(artifact):
-        agree, detail["constants"] = False, "invalid"
-    return agree, detail
-
-
-def _check_halfclique_roundtrip(hq: HalfCliqueQuery, p: int) -> tuple[bool, dict]:
-    source = solve_halfclique_bruteforce(hq, p)
-    artifact = halfclique_to_approx(hq, p)
-    query_verdict = invert_binary_bruteforce(artifact.query)
-    agree = source.is_yes == query_verdict.is_yes
-    detail = {"source": source.decision, "query": query_verdict.decision}
-    if source.is_yes:
-        vertices = frozenset(i + 1 for i, v in enumerate(source.witness) if v == 1)
-        latent = forward_witness(artifact, vertices)
-        dist = distance_pow(forward(artifact.query.network, latent), artifact.query.target, p)
-        if dist.value > artifact.query.threshold_pow:
-            agree, detail["witness_forward"] = False, "failed"
-    if query_verdict.is_yes:
-        chosen = backward_witness(artifact, query_verdict.witness)
-        if not (
-            is_clique(hq.graph, chosen)
-            and len(chosen) == hq.graph.num_vertices // 2
-            and clique_weight(hq.graph, chosen, p) < hq.bound
-        ):
-            agree, detail["witness_back"] = False, "failed"
-    if not constants_valid(artifact):
-        agree, detail["constants"] = False, "invalid"
-    return agree, detail
-
-
-def _check_halfclique_real(hq, p, restarts, seed) -> tuple[bool, dict]:
-    source = solve_halfclique_bruteforce(hq, p)
-    artifact = halfclique_to_approx_real(hq, p)
-    hi = artifact.constants["clamp_hi"]
-    verdict = falsify_real(artifact.query, restarts=restarts, seed=seed, corner_levels=(0, hi))
-    agree = source.is_yes == verdict.is_yes
-    detail = {"source": source.decision, "query": verdict.decision, "certificate": verdict.certificate}
-    if not constants_valid(artifact):
-        agree, detail["constants"] = False, "invalid"
-    return agree, detail
-
-
-def _check_vertexcover_roundtrip(vq: VertexCoverQuery, p: int) -> tuple[bool, dict]:
-    source = solve_vertexcover_bruteforce(vq)
-    artifact = vertexcover_to_approx(vq, p)
-    query_verdict = invert_binary_bruteforce(artifact.query)
-    agree = source.is_yes == query_verdict.is_yes
-    detail = {"source": source.decision, "query": query_verdict.decision}
-    if source.is_yes:
-        cover = frozenset(i + 1 for i, v in enumerate(source.witness) if v == 1)
-        latent = forward_witness(artifact, cover)
-        dist = distance_pow(forward(artifact.query.network, latent), artifact.query.target, p)
-        if dist.value != artifact.query.threshold_pow:
-            agree, detail["witness_forward"] = False, "failed"
-    if query_verdict.is_yes:
-        cover = backward_witness(artifact, query_verdict.witness)
-        if not (is_cover(vq.graph, cover) and len(cover) == vq.size):
-            agree, detail["witness_back"] = False, "failed"
-    if not constants_valid(artifact):
-        agree, detail["constants"] = False, "invalid"
-    return agree, detail
 
 
 def iter_all_formulas(n_max: int, k_max: int, m_max: int):
@@ -507,45 +517,15 @@ def cmd_verify(args) -> int:
 
 def run_bench(family: str, n_from: int, n_to: int, trials: int, seed: int = 0):
     """Time the exhaustive oracles; state counts are exact (2^n or 2^{2n})."""
+    bench = FAMILIES[family].bench if family in FAMILIES else None
+    if bench is None:
+        raise ValueError(f"unknown bench family {family!r}")
     records = []
     for n in range(n_from, n_to + 1):
-        if family == "sat":
-            formula = gen_random_ksat(n, m=min(12, 2 * n), k=min(3, n), seed=seed + n)
-            states = 1 << n
-
-            def job():
-                count_sat_assignments(formula)
-
-        elif family == "cvp":
-            inst = gen_random_cvp(n, d=min(3, n), seed=seed + n)
-            artifact = cvp_to_approx_binary(inst, strict=False)
-            states = 1 << (2 * n)
-
-            def job(a=artifact):
-                invert_binary_bruteforce(a.query)
-
-        elif family == "halfclique":
-            if n % 2 != 0:
-                continue
-            g = gen_random_graph(n, 0.5, seed=seed + n)
-            bound = _tie_free_bound(g, 2, random.Random(seed + n))
-            artifact = halfclique_to_approx(HalfCliqueQuery(g, bound), 2)
-            states = 1 << n
-
-            def job(a=artifact):
-                invert_binary_bruteforce(a.query)
-
-        elif family == "vertexcover":
-            g = gen_random_graph(n, 0.5, seed=seed + n)
-            artifact = vertexcover_to_approx(VertexCoverQuery(g, n // 2), 2)
-            states = 1 << n
-
-            def job(a=artifact):
-                invert_binary_bruteforce(a.query)
-
-        else:
-            raise ValueError(f"unknown bench family {family!r}")
-
+        drawn = bench(n, seed)
+        if drawn is None:
+            continue
+        job, states = drawn
         times_ms = []
         for _ in range(trials):
             t0 = time.perf_counter()
@@ -585,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce", help="compile an instance into a query artifact")
     reduce_p.add_argument("--from", dest="family", required=True,
-                          choices=["sat", "cvp", "halfclique", "vertexcover"])
+                          choices=[name for name in FAMILIES if not name.endswith(REAL_SUFFIX)])
     reduce_p.add_argument("--latent", required=True, choices=["binary", "real"])
     reduce_p.add_argument("--p", type=int, default=None)
     reduce_p.add_argument("--in", dest="in_file", required=True)
@@ -596,15 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     invert_p = sub.add_parser("invert", help="run an inversion oracle on a query artifact")
     invert_p.add_argument("--query", required=True)
-    invert_p.add_argument("--oracle", required=True, choices=["brute", "pattern", "falsify"])
+    invert_p.add_argument("--oracle", required=True, choices=list(ORACLES))
     invert_p.add_argument("--restarts", type=int, default=10_000)
     invert_p.add_argument("--seed", type=int, default=0)
     invert_p.set_defaults(func=cmd_invert)
 
     verify_p = sub.add_parser("verify", help="round-trip reductions against the oracles")
-    verify_p.add_argument("--family", required=True,
-                          choices=["sat", "sat-real", "cvp", "cvp-real",
-                                   "halfclique", "halfclique-real", "vertexcover"])
+    verify_p.add_argument("--family", required=True, choices=list(FAMILIES))
     verify_p.add_argument("--n-max", dest="n_max", type=int, required=True)
     verify_p.add_argument("--trials", type=int, default=100)
     verify_p.add_argument("--seed", type=int, default=0)
@@ -614,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="time the exhaustive oracles across sizes")
     bench_p.add_argument("--family", required=True,
-                         choices=["sat", "cvp", "halfclique", "vertexcover"])
+                         choices=[name for name, family in FAMILIES.items() if family.bench])
     bench_p.add_argument("--n-from", dest="n_from", type=int, required=True)
     bench_p.add_argument("--n-to", dest="n_to", type=int, required=True)
     bench_p.add_argument("--trials", type=int, default=3)
@@ -635,10 +613,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, UnsupportedReduction) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and UnsupportedReduction included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

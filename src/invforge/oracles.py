@@ -641,6 +641,28 @@ def pattern_of(net: ReluNetwork, z) -> ActivationPattern:
     return ActivationPattern(tuple(flags))
 
 
+def _identity_affine(n: int) -> list:
+    return [(tuple(_ONE if j == i else _ZERO for j in range(n)), _ZERO) for i in range(n)]
+
+
+def _affine_step(lyr, affine, n: int) -> list:
+    """The layer's pre-activations as (coeffs, const) rows over the n latents.
+
+    `affine` gives the layer's inputs the same way, one row per input.
+    """
+    pre = []
+    for row, b in zip(lyr.weights, lyr.bias):
+        coeffs = [_ZERO] * n
+        const = b
+        for w, (acoeffs, aconst) in zip(row, affine):
+            if w != 0:
+                const += w * aconst
+                for j in range(n):
+                    coeffs[j] += w * acoeffs[j]
+        pre.append((tuple(coeffs), const))
+    return pre
+
+
 def pattern_region(net: ReluNetwork, pattern: ActivationPattern):
     """(constraints, output affine map) for a fixed activation pattern.
 
@@ -649,26 +671,14 @@ def pattern_region(net: ReluNetwork, pattern: ActivationPattern):
     is a list of (coeffs, const) rows giving the network output on the region.
     """
     n = net.input_dim
-    affine = [
-        (tuple(_ONE if j == i else _ZERO for j in range(n)), _ZERO) for i in range(n)
-    ]
+    affine = _identity_affine(n)
+    zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
     lp = LinearProgram(n)
     for lyr, flags in zip(net.layers, pattern.layers):
         next_affine = []
-        for row, b, active in zip(lyr.weights, lyr.bias, flags):
-            coeffs = [_ZERO] * n
-            const = b
-            for w, (acoeffs, aconst) in zip(row, affine):
-                if w != 0:
-                    const += w * aconst
-                    for j in range(n):
-                        coeffs[j] += w * acoeffs[j]
-            if active:
-                lp.constrain(coeffs, GE, -const)
-                next_affine.append((tuple(coeffs), const))
-            else:
-                lp.constrain(coeffs, LE, -const)
-                next_affine.append((tuple(_ZERO for _ in range(n)), _ZERO))
+        for (coeffs, const), active in zip(_affine_step(lyr, affine, n), flags):
+            lp.constrain(coeffs, GE if active else LE, -const)
+            next_affine.append((coeffs, const) if active else zero_row)
         affine = next_affine
     return lp, affine
 
@@ -696,9 +706,6 @@ def enumerate_patterns_invert(query: InversionQuery, cap: int | None = None) -> 
     n = net.input_dim
     stats = VerdictStats()
     lp_stats: dict = {}
-    identity = [
-        (tuple(_ONE if j == i else _ZERO for j in range(n)), _ZERO) for i in range(n)
-    ]
 
     def leaf(constraints, affine):
         stats.patterns_enumerated += 1
@@ -732,16 +739,7 @@ def enumerate_patterns_invert(query: InversionQuery, cap: int | None = None) -> 
         if layer_idx == net.depth:
             return leaf(constraints, affine)
         lyr = net.layers[layer_idx]
-        pre = []
-        for row, b in zip(lyr.weights, lyr.bias):
-            coeffs = [_ZERO] * n
-            const = b
-            for w, (acoeffs, aconst) in zip(row, affine):
-                if w != 0:
-                    const += w * aconst
-                    for j in range(n):
-                        coeffs[j] += w * acoeffs[j]
-            pre.append((tuple(coeffs), const))
+        pre = _affine_step(lyr, affine, n)
         zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
         for mask in range(1 << lyr.fan_out):
             branch = LinearProgram(n)
@@ -761,7 +759,7 @@ def enumerate_patterns_invert(query: InversionQuery, cap: int | None = None) -> 
                 return found
         return None
 
-    witness = dfs(0, identity, [])
+    witness = dfs(0, _identity_affine(n), [])
     stats.lp_pivots = lp_stats.get("pivots", 0)
     if witness is None:
         return Verdict(NO, None, CERT_PATTERN, stats)

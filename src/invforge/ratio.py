@@ -9,7 +9,7 @@ def parse_ratio(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer) into a Fraction."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:  # AttributeError: not a str
         raise ValueError(f"bad rational literal: {text!r}") from exc
 
 

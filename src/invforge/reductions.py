@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .ratio import format_ratio, int_root_ceil, parse_ratio, pth_power_split, rational_root_ceil
@@ -83,6 +84,10 @@ class InversionQuery:
             raise ValueError("p must be a positive integer")
         if self.threshold_pow < 0:
             raise ValueError("threshold must be nonnegative")
+        if self.domain.dim != self.network.input_dim:
+            raise ValueError(
+                f"domain dimension {self.domain.dim} != network input_dim {self.network.input_dim}"
+            )
 
 
 @dataclass
@@ -640,17 +645,103 @@ def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:
     )
 
 
-# -- constant validity ----------------------------------------------------
+# -- witness maps and constant validity ------------------------------------
+
+
+@dataclass(frozen=True)
+class WitnessKind:
+    """One witness-map kind: its witness translations and constant predicate."""
+
+    forward: Callable[[object, int], tuple]  # (source witness, latent dim) -> latent
+    backward: Callable[[tuple], object]  # latent -> source witness, else ValueError
+    valid: Callable[[dict, int, Fraction], bool] = lambda consts, p, theta: True
+
+
+def _pm1(assignment, dim: int) -> tuple:
+    return tuple(_ONE if v else Fraction(-1) for v in assignment)
+
+
+def _clamped_pm1_back(latent) -> tuple:
+    clamped = [min(max(v, Fraction(-1)), _ONE) for v in latent]
+    if any(abs(v) != 1 for v in clamped):
+        raise ValueError("latent does not clamp to a +/-1 assignment")
+    return tuple(v == 1 for v in clamped)
+
+
+def _pairs(coefficients, dim: int) -> tuple:
+    out = []
+    for y in coefficients:
+        if y not in (0, 1):
+            raise ValueError("lattice coefficients must be 0/1")
+        out.extend((Fraction(y), _ONE - y))
+    return tuple(out)
+
+
+def _pairs_back(latent) -> tuple:
+    out = []
+    for i in range(0, len(latent), 2):
+        a, b = latent[i], latent[i + 1]
+        if {a, b} != {_ZERO, _ONE}:
+            raise ValueError(f"pair ({a},{b}) is not exclusive")
+        out.append(int(a))
+    return tuple(out)
+
+
+def _indicator(vertices, dim: int, inside: Fraction) -> tuple:
+    chosen = set(vertices)
+    return tuple(inside if i + 1 in chosen else _ONE - inside for i in range(dim))
+
+
+def _indicated(latent, inside: Fraction) -> frozenset:
+    if any(v not in (_ZERO, _ONE) for v in latent):
+        raise ValueError("latent is not an indicator vector")
+    return frozenset(i + 1 for i, v in enumerate(latent) if v == inside)
+
+
+def _clique_constants_valid(consts, p, theta) -> bool:
+    three_p = Fraction(3) ** p - 1
+    return (
+        three_p * consts["alpha_pow"] > consts["total_weight"] + three_p * consts["bound"]
+        and consts["alpha_copies"] * consts["alpha_root"] ** p == consts["alpha_pow"]
+        and consts["beta_pow"] > theta
+    )
+
+
+WITNESS_KINDS = {
+    "sat-pm1": WitnessKind(_pm1, lambda latent: tuple(v > 0 for v in latent)),
+    "sat-real": WitnessKind(_pm1, _clamped_pm1_back),
+    "cvp-pairs": WitnessKind(
+        _pairs, _pairs_back, lambda consts, p, theta: consts["alpha"] > consts["radius"]
+    ),
+    "clique-indicator": WitnessKind(
+        lambda vertices, dim: _indicator(vertices, dim, _ONE),
+        lambda latent: _indicated(latent, _ONE),
+        _clique_constants_valid,
+    ),
+    "cover-complement": WitnessKind(
+        lambda cover, dim: _indicator(cover, dim, _ZERO),
+        lambda latent: _indicated(latent, _ZERO),
+        lambda consts, p, theta: consts["alpha"] > 0 and consts["beta_pow"] > theta,
+    ),
+}
+
+
+def _witness_kind(witness_map: dict) -> tuple[dict | None, WitnessKind]:
+    """(the gadget's "binarized" map or None, the entry of the kind it wraps)."""
+    gadget = None
+    if witness_map.get("kind") == "binarized":
+        gadget, witness_map = witness_map, witness_map["inner"]
+    kind = witness_map.get("kind")
+    if kind not in WITNESS_KINDS:
+        raise ValueError(f"unknown witness map kind {kind!r}")
+    return gadget, WITNESS_KINDS[kind]
 
 
 def constants_valid(artifact: ReductionArtifact) -> bool:
     """Machine check of every chooser's validity predicate for this artifact."""
+    gadget, kind = _witness_kind(artifact.witness_map)
     consts = artifact.constants
-    p = artifact.query.p
-    theta = artifact.query.threshold_pow
-    kind = artifact.witness_map.get("kind")
-    if kind == "binarized":
-        inner_kind = artifact.witness_map["inner"].get("kind")
+    if gadget is not None:
         delta = consts["delta"]
         if consts["gadget_mode"] == MODE_GENERAL:
             if (consts["c"] - 2) * delta < 1:
@@ -660,29 +751,7 @@ def constants_valid(artifact: ReductionArtifact) -> bool:
                 return False
             if consts["collapse_slope"] * (consts["collapse_bias"] - delta) < 1:
                 return False
-    else:
-        inner_kind = kind
-    if inner_kind == "cvp-pairs":
-        if not consts["alpha"] > consts["radius"]:
-            return False
-    elif inner_kind == "clique-indicator":
-        lhs = (Fraction(3) ** p - 1) * consts["alpha_pow"]
-        rhs = consts["total_weight"] + (Fraction(3) ** p - 1) * consts["bound"]
-        if not lhs > rhs:
-            return False
-        if not consts["alpha_copies"] * consts["alpha_root"] ** p == consts["alpha_pow"]:
-            return False
-        if not consts["beta_pow"] > theta:
-            return False
-    elif inner_kind == "cover-complement":
-        if not consts["alpha"] > 0:
-            return False
-        if not consts["beta_pow"] > theta:
-            return False
-    return True
-
-
-# -- witness translation ---------------------------------------------------
+    return kind.valid(consts, artifact.query.p, artifact.query.threshold_pow)
 
 
 def forward_witness(artifact: ReductionArtifact, source_witness) -> tuple[Fraction, ...]:
@@ -691,72 +760,24 @@ def forward_witness(artifact: ReductionArtifact, source_witness) -> tuple[Fracti
     Source forms: a bool tuple (assignments), an int 0/1 tuple (lattice
     coefficients), or a vertex set (cliques and covers, 1-based).
     """
-    kind = artifact.witness_map["kind"]
-    dim = artifact.query.domain.dim
-    if kind in ("sat-pm1", "sat-real"):
-        return tuple(_ONE if v else Fraction(-1) for v in source_witness)
-    if kind == "cvp-pairs":
-        out = []
-        for y in source_witness:
-            if y not in (0, 1):
-                raise ValueError("lattice coefficients must be 0/1")
-            out.extend((Fraction(y), _ONE - y))
-        return tuple(out)
-    if kind == "clique-indicator":
-        chosen = set(source_witness)
-        return tuple(_ONE if i + 1 in chosen else _ZERO for i in range(dim))
-    if kind == "cover-complement":
-        cover = set(source_witness)
-        return tuple(_ZERO if i + 1 in cover else _ONE for i in range(dim))
-    if kind == "binarized":
-        inner_art = ReductionArtifact(
-            artifact.query, artifact.constants, artifact.witness_map["inner"]
-        )
-        binary = forward_witness(inner_art, source_witness)
-        scale = as_fraction(artifact.witness_map["scale"])
-        return tuple(scale * v for v in binary)
-    raise ValueError(f"unknown witness map kind {kind!r}")
+    gadget, kind = _witness_kind(artifact.witness_map)
+    latent = kind.forward(source_witness, artifact.query.domain.dim)
+    if gadget is None:
+        return latent
+    scale = as_fraction(gadget["scale"])
+    return tuple(scale * v for v in latent)
 
 
 def backward_witness(artifact: ReductionArtifact, latent) -> object:
     """Map an accepted latent back to a source-problem witness."""
-    kind = artifact.witness_map["kind"]
+    gadget, kind = _witness_kind(artifact.witness_map)
     latent = tuple(as_fraction(v) for v in latent)
-    if kind == "sat-pm1":
-        return tuple(v > 0 for v in latent)
-    if kind == "sat-real":
-        clamped = [min(max(v, Fraction(-1)), _ONE) for v in latent]
-        if any(abs(v) != 1 for v in clamped):
-            raise ValueError("latent does not clamp to a +/-1 assignment")
-        return tuple(v == 1 for v in clamped)
-    if kind == "cvp-pairs":
-        out = []
-        for i in range(0, len(latent), 2):
-            a, b = latent[i], latent[i + 1]
-            if {a, b} != {_ZERO, _ONE}:
-                raise ValueError(f"pair ({a},{b}) is not exclusive")
-            out.append(int(a))
-        return tuple(out)
-    if kind == "clique-indicator":
-        if any(v not in (_ZERO, _ONE) for v in latent):
-            raise ValueError("latent is not an indicator vector")
-        return frozenset(i + 1 for i, v in enumerate(latent) if v == 1)
-    if kind == "cover-complement":
-        if any(v not in (_ZERO, _ONE) for v in latent):
-            raise ValueError("latent is not an indicator vector")
-        return frozenset(i + 1 for i, v in enumerate(latent) if v == 0)
-    if kind == "binarized":
+    if gadget is not None:
         # Read the exactly-collapsed 0/1 coordinates out of layer 4.
-        outputs = forward_layers(artifact.query.network, latent)
-        dim = artifact.query.domain.dim
-        bits = outputs[3][:dim]
-        if any(v not in (_ZERO, _ONE) for v in bits):
+        latent = forward_layers(artifact.query.network, latent)[3][: artifact.query.domain.dim]
+        if any(v not in (_ZERO, _ONE) for v in latent):
             raise ValueError("latent does not collapse to binary coordinates")
-        inner_art = ReductionArtifact(
-            artifact.query, artifact.constants, artifact.witness_map["inner"]
-        )
-        return backward_witness(inner_art, bits)
-    raise ValueError(f"unknown witness map kind {kind!r}")
+    return kind.backward(latent)
 
 
 # -- artifact (de)serialization --------------------------------------------
@@ -786,6 +807,8 @@ def artifact_to_json(artifact: ReductionArtifact) -> str:
 
 
 def _constants_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed artifact document: {type(doc).__name__} for an object")
     out = {}
     for key, value in doc.items():
         if isinstance(value, str) and "/" in value:

@@ -191,7 +191,11 @@ def distance_pow(y: Sequence, x: Sequence, p: int) -> DistancePow:
 
 
 def serialize(net: ReluNetwork) -> str:
-    doc = {
+    return json.dumps(network_to_dict(net), sort_keys=True)
+
+
+def network_to_dict(net: ReluNetwork) -> dict:
+    return {
         "version": NETWORK_FORMAT_VERSION,
         "input_dim": net.input_dim,
         "layers": [
@@ -205,11 +209,6 @@ def serialize(net: ReluNetwork) -> str:
         ],
         "metadata": net.metadata,
     }
-    return json.dumps(doc, sort_keys=True)
-
-
-def network_to_dict(net: ReluNetwork) -> dict:
-    return json.loads(serialize(net))
 
 
 def deserialize(text: str | bytes) -> ReluNetwork:

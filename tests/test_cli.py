@@ -1,9 +1,13 @@
+import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from invforge.cli import main, run_bench, run_verify, write_bench_csv
+from invforge import cli
+from invforge.cli import FAMILIES, main, run_bench, run_verify, write_bench_csv
+from invforge.instances import CvpInstance
 from invforge.reductions import artifact_from_json
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 2 0\n"
@@ -153,3 +157,132 @@ def test_bench_states_monotone():
 
 def test_unknown_flag_is_usage_error():
     assert main(["invert", "--nope"]) == 2
+
+
+SAT3_TEXT = "p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"
+CVP2_TEXT = "cvp 2 2 1\n1 1/2\n0 2\n3/2 2\n1/2\n"
+GRAPH4_TEXT = "graph 4\n1 2 1/1\n3 4 2/1\n1 3 1/4\n2 4 9/1\n"
+
+
+@pytest.mark.parametrize(
+    "source, latent, text, flags, sha256",
+    [
+        ("sat", "binary", SAT3_TEXT, [], "986e9640f884599526794651e09f4e385858fa91853425ebd31e160d9473f8e6"),
+        ("sat", "real", SAT3_TEXT, [], "f45688f635fb1bc529a4e5eb9320831a3a6c785170f65510148348de2ae1248b"),
+        ("cvp", "binary", CVP2_TEXT, [], "44d168aba3bd896df313d3d31e1f76adde3d83ef2baafccc55eff2e3db6105cc"),
+        ("cvp", "real", CVP2_TEXT, [], "ae02c8a66a7d81ec9be3cb294c1e537445189df95d5c077062b5cb91f38fcd08"),
+        ("cvp", "real", "cvp 1 1 1\n1\n1\n1/8\n", [],
+         "1b1008fd70ec99fb755d9237a5255b93f7978ff1f57b8a799629ed4fe92fb6c1"),
+        ("halfclique", "binary", GRAPH4_TEXT, ["--bound", "5"],
+         "564c3e4c5054cfcf5b2b7f8af6f0272df705ccbe180050ac2125dc3f63721eff"),
+        ("halfclique", "real", GRAPH4_TEXT, ["--bound", "5"],
+         "15eb8535d655148a102dcf1bd9a58e6240a2a7b18469d8f66ccf8bd1dc9713e8"),
+        ("vertexcover", "binary", GRAPH4_TEXT, ["--size", "2"],
+         "7f05badeeed687ac50a694ab43457a9711add88c7a37147a266222691f474cd9"),
+        ("vertexcover", "real", GRAPH4_TEXT, ["--size", "2"], None),
+    ],
+)
+def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha256):
+    src = tmp_path / "instance.txt"
+    src.write_text(text)
+    out = tmp_path / "art.json"
+    code = run_cli("reduce", "--from", source, "--latent", latent, "--in", str(src), "--out", str(out), *flags)
+    if sha256 is None:
+        assert code == 2 and not out.exists()
+    else:
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("network", "layers", 0, "weights", 0), 1),
+        (("target", 0), 0),
+        (("threshold_pow",), None),
+        (("constants",), "abc"),
+        (("witness_map",), []),
+        (("domain", "dim"), 5),
+        (("domain", "dim"), 2),
+    ],
+    ids=["numeric-weight", "numeric-target", "null-threshold", "string-constants",
+         "list-witness-map", "dim-above-input", "dim-below-input"],
+)
+def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(SAT3_TEXT)
+    out = tmp_path / "art.json"
+    run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
+    doc = json.loads(out.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, trials",
+    [
+        (["--family", "sat", "--n-max", "4", "--trials", "20"], 20),
+        (["--family", "sat", "--n-max", "3", "--exhaustive"], 370),
+        (["--family", "sat-real", "--n-max", "2", "--trials", "6"], 6),
+        (["--family", "cvp", "--n-max", "4", "--trials", "20"], 21),
+        (["--family", "cvp-real", "--n-max", "3", "--trials", "6"], 6),
+        (["--family", "halfclique", "--n-max", "6", "--trials", "20"], 20),
+        (["--family", "halfclique-real", "--n-max", "4", "--trials", "6"], 6),
+        (["--family", "vertexcover", "--n-max", "4", "--exhaustive"], 360),
+    ],
+    ids=["sat", "sat-exhaustive", "sat-real", "cvp", "cvp-real", "halfclique", "halfclique-real",
+         "vertexcover-exhaustive"],
+)
+def test_verify_every_family(capsys, argv, trials):
+    code = main(["verify", *argv, "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["disagreements"] == []
+    assert report["trials"] == report["agreements"] == trials
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_verify_reports_injected_faults(monkeypatch, family):
+    n_max = 1 if family.endswith("-real") else 4
+    query_yes = []
+    invert = FAMILIES[family].invert
+
+    def recorded_invert(artifact, restarts, seed):
+        verdict = invert(artifact, restarts, seed)
+        query_yes.append(verdict.is_yes)
+        return verdict
+
+    def no_source_witness(artifact, latent):
+        raise ValueError("injected fault")
+
+    monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], invert=recorded_invert))
+    monkeypatch.setattr(cli, "backward_witness", no_source_witness)
+    report = run_verify(family, n_max, 6, seed=3, restarts=200)
+    failed = [d for d in report.disagreements if d.get("witness_back") == "failed"]
+    assert len(query_yes) == report.trials and any(query_yes)
+    assert len(failed) == sum(query_yes)
+    assert all(d["query"] == "YES" for d in failed)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "constants_valid", lambda artifact: False)
+    report = run_verify(family, n_max, 6, seed=3, restarts=200)
+    assert report.agreements == 0
+    assert len(report.disagreements) == report.trials >= 6
+    assert all(d["constants"] == "invalid" for d in report.disagreements)
+
+
+def test_verify_boundary_trial_must_be_yes(monkeypatch):
+    far = CvpInstance(((Fraction(2),),), (Fraction(1),), Fraction(1, 4), 1)
+    monkeypatch.setitem(FAMILIES, "cvp", replace(FAMILIES["cvp"], boundary=lambda seed, p: far))
+    report = run_verify("cvp", 3, 4, seed=0)
+    assert report.trials == 5
+    assert [d["seed"] for d in report.disagreements] == ["boundary"]
+    assert report.disagreements[0]["source"] == report.disagreements[0]["query"] == "NO"

@@ -26,6 +26,7 @@ from invforge.reductions import (
     DOMAIN_REAL,
     MODE_GENERAL,
     MODE_QUARTER,
+    ReductionArtifact,
     UnsupportedReduction,
     artifact_from_json,
     artifact_to_json,
@@ -391,3 +392,18 @@ def test_artifact_json_roundtrip():
         assert again.query == art.query
         assert artifact_to_json(again) == doc
         assert constants_valid(again)
+
+
+@pytest.mark.parametrize(
+    "witness_map",
+    [{"kind": "nope"}, {}, {"kind": "binarized", "scale": "1/1", "inner": {"kind": "nope"}}],
+)
+def test_unknown_witness_kind_raises(witness_map):
+    compiled = sat_to_exact_binary(parse_dimacs("p cnf 2 1\n1 2 0\n"))
+    art = ReductionArtifact(compiled.query, compiled.constants, witness_map)
+    with pytest.raises(ValueError, match="unknown witness map kind"):
+        constants_valid(art)
+    with pytest.raises(ValueError, match="unknown witness map kind"):
+        forward_witness(art, (True, False))
+    with pytest.raises(ValueError, match="unknown witness map kind"):
+        backward_witness(art, (ONE, -ONE))
