@@ -7,8 +7,9 @@ and source oracles, random-instance draws, witness forms and default p.
 choices are derived from it.
 
 Exit codes: 0 YES/success, 1 NO (or disagreements found), 2 usage/parse
-error, 3 enumeration cap exceeded. The INVFORGE_CAP environment variable
-overrides every enumeration cap.
+error or any other failure (so a crash never reads as NO), 3 enumeration
+cap exceeded. The INVFORGE_CAP environment variable overrides every
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -276,14 +277,14 @@ _SAT = Family(
 )
 _CVP = Family(
     parse=_read_cvp,
-    compile=lambda inst, p: cvp_to_approx_binary(inst, strict=False),
+    compile=lambda inst, p: cvp_to_approx_binary(inst),
     solve=lambda inst, p: solve_cvp01_bruteforce(inst),
     draw=lambda rng, ts, n_max, p: _draw_cvp(rng, ts, n_max, min(5, n_max), p),
     accepts=_cvp_accepts,
     default_p=1,
     boundary=_boundary_cvp,
     bench=lambda n, seed: _bench_query(
-        cvp_to_approx_binary(gen_random_cvp(n, d=min(3, n), seed=seed + n), strict=False)
+        cvp_to_approx_binary(gen_random_cvp(n, d=min(3, n), seed=seed + n))
     ),
 )
 _HALFCLIQUE = Family(
@@ -317,7 +318,7 @@ FAMILIES = {
     "cvp": _CVP,
     "cvp-real": replace(
         _CVP,
-        compile=lambda inst, p: cvp_to_approx_real(inst, strict=False),
+        compile=lambda inst, p: cvp_to_approx_real(inst),
         draw=lambda rng, ts, n_max, p: _draw_cvp(rng, ts, min(n_max, 3), 2, p),
         invert=ORACLES["falsify"],
         boundary=None,
@@ -615,6 +616,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (ValueError, OSError) as exc:  # ParseError and UnsupportedReduction included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # noqa: BLE001 - a traceback exits 1, which would read as NO
+        print(f"error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
         return EXIT_USAGE
 
 

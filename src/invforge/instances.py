@@ -355,45 +355,28 @@ def gen_random_ksat(n: int, m: int, k: int, seed: int) -> CnfFormula:
     return CnfFormula(n, k, tuple(clauses))
 
 
-def gen_random_graph(
-    n: int,
-    edge_prob: float,
-    weight_range: tuple[int, int] = (1, 3),
-    seed: int = 0,
-    denom_max: int = 1,
-) -> WeightedGraph:
-    """G(n, edge_prob) with root-weights num/den, num in weight_range, den <= denom_max."""
-    lo, hi = weight_range
-    if lo < 1 or hi < lo:
-        raise ValueError("weight_range must be positive and ordered")
+def gen_random_graph(n: int, edge_prob: float, seed: int = 0, denom_max: int = 1) -> WeightedGraph:
+    """G(n, edge_prob) with root-weights num/den, 1 <= num <= 3, den <= denom_max."""
     rng = random.Random(seed)
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if rng.random() < edge_prob:
-                root = Fraction(rng.randint(lo, hi), rng.randint(1, denom_max))
+                root = Fraction(rng.randint(1, 3), rng.randint(1, denom_max))
                 edges.append((i, j, root))
     return WeightedGraph(n, tuple(edges))
 
 
-def gen_random_cvp(
-    n: int,
-    d: int,
-    entry_range: tuple[int, int] = (-4, 4),
-    seed: int = 0,
-    p: int = 1,
-    denom_max: int = 8,
-) -> CvpInstance:
-    """Random basis/target with bounded-denominator entries.
+def gen_random_cvp(n: int, d: int, seed: int = 0, p: int = 1, denom_max: int = 8) -> CvpInstance:
+    """Random basis/target with entries num/den, -4 <= num <= 4, den <= denom_max.
 
     The radius is anchored at the distance of a random {0,1} combination and
     jittered, so YES and NO instances both occur across seeds.
     """
     rng = random.Random(seed)
-    lo, hi = entry_range
 
     def entry() -> Fraction:
-        return Fraction(rng.randint(lo, hi), rng.randint(1, denom_max))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, denom_max))
 
     basis = tuple(tuple(entry() for _ in range(n)) for _ in range(d))
     target = tuple(entry() for _ in range(d))

@@ -21,8 +21,8 @@ same subset-sum tables under its own bound. The falsifier searches in
 float but re-verifies every candidate with exact rational forward
 evaluation before answering YES.
 
-Enumeration caps are configuration: explicit argument, then the
-INVFORGE_CAP environment variable, then the defaults below.
+Enumeration caps are configuration: the INVFORGE_CAP environment
+variable, else the defaults below.
 """
 
 from __future__ import annotations
@@ -63,13 +63,17 @@ class CapExceeded(RuntimeError):
     """The instance is larger than the configured enumeration cap."""
 
 
-def resolve_cap(name: str, override: int | None = None) -> int:
-    if override is not None:
-        return override
+def resolve_cap(name: str) -> int:
     env = os.environ.get("INVFORGE_CAP")
     if env is not None:
         return int(env)
     return DEFAULT_CAPS[name]
+
+
+def _check_cap(name: str, size: int, what: str) -> None:
+    limit = resolve_cap(name)
+    if size > limit:
+        raise CapExceeded(f"{size} {what} exceeds cap {limit}")
 
 
 @dataclass
@@ -146,30 +150,17 @@ def _sat_models(formula: CnfFormula):
         yield models
 
 
-def solve_sat_bruteforce(
-    formula: CnfFormula, cap: int | None = None, early_exit: bool = True
-) -> Verdict:
-    """Exhaustive 2^n scan; witness = lexicographically smallest model (F < T).
-
-    Without early_exit the scan covers all 2^n assignments and the witness
-    is the last model found.
-    """
+def solve_sat_bruteforce(formula: CnfFormula) -> Verdict:
+    """2^n scan that stops at the lexicographically smallest model (F < T), the witness."""
     n = formula.num_vars
-    limit = resolve_cap("sat_vars", cap)
-    if n > limit:
-        raise CapExceeded(f"{n} variables exceeds cap {limit}")
-    found = None
+    _check_cap("sat_vars", n, "variables")
     for models in _sat_models(formula):
         if models.size:
-            found = int(models[0] if early_exit else models[-1])
-            if early_exit:
-                break
-    visited = found + 1 if early_exit and found is not None else 1 << n
-    stats = VerdictStats(latents_enumerated=visited)
-    if found is None:
-        return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
-    witness = tuple(Fraction(b) for b in _bits_msb(found, n))
-    return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
+            found = int(models[0])
+            witness = tuple(Fraction(b) for b in _bits_msb(found, n))
+            stats = VerdictStats(latents_enumerated=found + 1)
+            return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
+    return Verdict(NO, None, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=1 << n))
 
 
 def count_sat_assignments(formula: CnfFormula) -> tuple[int, int]:
@@ -180,7 +171,7 @@ def count_sat_assignments(formula: CnfFormula) -> tuple[int, int]:
 # -- (0,1)-CVP ---------------------------------------------------------------
 
 
-def solve_cvp01_bruteforce(inst: CvpInstance, cap: int | None = None) -> Verdict:
+def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     """Exhaustive over {0,1}^n coefficient vectors; exact comparison.
 
     The basis and target are scaled by lam, the lcm of their denominators.
@@ -190,9 +181,7 @@ def solve_cvp01_bruteforce(inst: CvpInstance, cap: int | None = None) -> Verdict
     order, which is the lexicographically smallest.
     """
     n = inst.num_vectors
-    limit = resolve_cap("latent_bits", cap)
-    if n > limit:
-        raise CapExceeded(f"{n} coefficients exceeds cap {limit}")
+    _check_cap("latent_bits", n, "coefficients")
     lam = _lcm([v.denominator for v in itertools.chain(*inst.basis, inst.target)])
     basis = [[_scaled(w, lam) for w in row] for row in inst.basis]
     target = [_scaled(t, lam) for t in inst.target]
@@ -276,9 +265,7 @@ def _subset_verdict(masks: np.ndarray, hit: int | None, n: int) -> Verdict:
     return Verdict(YES, witness, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=hit + 1))
 
 
-def solve_halfclique_bruteforce(
-    query: HalfCliqueQuery, p: int = 2, cap: int | None = None
-) -> Verdict:
+def solve_halfclique_bruteforce(query: HalfCliqueQuery, p: int = 2) -> Verdict:
     """All C(n, n/2) subsets; YES iff some clique weighs strictly below the bound.
 
     Effective edge weights are root_weight**p, so the oracle needs the same
@@ -288,9 +275,7 @@ def solve_halfclique_bruteforce(
     """
     g = query.graph
     n = g.num_vertices
-    limit = resolve_cap("subset_vertices", cap)
-    if n > limit:
-        raise CapExceeded(f"{n} vertices exceeds cap {limit}")
+    _check_cap("subset_vertices", n, "vertices")
     if n % 2 != 0:
         raise ValueError("half-clique needs an even vertex count")
     weights = {pair: root**p for pair, root in g.root_weights().items()}
@@ -309,13 +294,11 @@ def solve_halfclique_bruteforce(
     return _subset_verdict(masks, None, n)
 
 
-def solve_vertexcover_bruteforce(query: VertexCoverQuery, cap: int | None = None) -> Verdict:
+def solve_vertexcover_bruteforce(query: VertexCoverQuery) -> Verdict:
     """All C(n, q) subsets of exactly the requested size; weights ignored."""
     g = query.graph
     n = g.num_vertices
-    limit = resolve_cap("subset_vertices", cap)
-    if n > limit:
-        raise CapExceeded(f"{n} vertices exceeds cap {limit}")
+    _check_cap("subset_vertices", n, "vertices")
     masks = _masks_of_popcount(n, query.size)
     cover = np.ones(len(masks), dtype=bool)
     for i, j, _ in g.edges:
@@ -385,7 +368,7 @@ def _int_path_safe(layers, target, p: int) -> bool:
     return total <= _INT64_SAFE
 
 
-def invert_binary_bruteforce(query: InversionQuery, cap: int | None = None) -> Verdict:
+def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
     """Exhaustive scan of a binary latent domain.
 
     YES iff the minimum p-th-powered distance is <= the threshold; the
@@ -395,9 +378,7 @@ def invert_binary_bruteforce(query: InversionQuery, cap: int | None = None) -> V
     if kind == DOMAIN_REAL:
         raise ValueError("binary brute force cannot search a real domain")
     n = query.domain.dim
-    limit = resolve_cap("latent_bits", cap)
-    if n > limit:
-        raise CapExceeded(f"{n} latent bits exceeds cap {limit}")
+    _check_cap("latent_bits", n, "latent bits")
     layers, target, threshold_scaled, _ = _integerized(query)
     pm1 = kind == DOMAIN_PM1
     p = query.p
@@ -622,10 +603,6 @@ class ActivationPattern:
 
     layers: tuple[tuple[bool, ...], ...]
 
-    @property
-    def total_units(self) -> int:
-        return sum(len(l) for l in self.layers)
-
 
 def pattern_of(net: ReluNetwork, z) -> ActivationPattern:
     """The pattern the exact forward pass induces (pre-activation 0 counts active)."""
@@ -683,7 +660,7 @@ def pattern_region(net: ReluNetwork, pattern: ActivationPattern):
     return lp, affine
 
 
-def enumerate_patterns_invert(query: InversionQuery, cap: int | None = None) -> Verdict:
+def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     """Exact real-latent decision by activation-pattern enumeration.
 
     Supported: threshold 0 with any p (range membership), or p = 1 with any
@@ -698,10 +675,7 @@ def enumerate_patterns_invert(query: InversionQuery, cap: int | None = None) -> 
     if not exact and query.p != 1:
         raise ValueError("thresholded pattern enumeration supports p = 1 only")
     net = query.network
-    total_units = net.hidden_units
-    limit = resolve_cap("pattern_units", cap)
-    if total_units > limit:
-        raise CapExceeded(f"{total_units} units exceeds cap {limit}")
+    _check_cap("pattern_units", net.hidden_units, "units")
 
     n = net.input_dim
     stats = VerdictStats()

@@ -47,26 +47,26 @@ def int_root_ceil(value, p: int) -> int:
     return b
 
 
-def rational_root_ceil(value, p: int, denominator: int = 64) -> Fraction:
-    """Smallest k/denominator (k >= 1) whose p-th power is >= value."""
+def rational_root_ceil(value, p: int) -> Fraction:
+    """Smallest k/64 (k >= 1) whose p-th power is >= value."""
     value = Fraction(value)
     if value <= 0:
-        return Fraction(1, denominator)
-    hi = int_root_ceil(value, p) * denominator
+        return Fraction(1, 64)
+    hi = int_root_ceil(value, p) * 64
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if Fraction(mid, denominator) ** p >= value:
+        if Fraction(mid, 64) ** p >= value:
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(lo, denominator)
+    return Fraction(lo, 64)
 
 
-def pth_power_split(value, p: int, trial_bound: int = 100_000) -> tuple[int, Fraction]:
+def pth_power_split(value, p: int) -> tuple[int, Fraction]:
     """Write a positive rational as k * s**p with integer k and rational s.
 
-    k is kept as small as trial-division factoring up to ``trial_bound``
+    k is kept as small as trial-division factoring up to 100,000
     allows; an unfactored leftover that is not itself a perfect p-th power
     is absorbed into k. Exactness always holds: k * s**p == value.
     """
@@ -83,7 +83,7 @@ def pth_power_split(value, p: int, trial_bound: int = 100_000) -> tuple[int, Fra
     remainder = base
     factor = 2
     exponents: dict[int, int] = {}
-    while factor * factor <= remainder and factor <= trial_bound:
+    while factor * factor <= remainder and factor <= 100_000:
         while remainder % factor == 0:
             exponents[factor] = exponents.get(factor, 0) + 1
             remainder //= factor

@@ -283,7 +283,7 @@ def _stack(rows: list[list[Fraction]], bias: list[Fraction]) -> Layer:
     )
 
 
-def cvp_to_approx_binary(inst: CvpInstance, strict: bool = True) -> ReductionArtifact:
+def cvp_to_approx_binary(inst: CvpInstance) -> ReductionArtifact:
     """One-layer network matching binary lattice combinations within the radius.
 
     Latents live in {0,1}^(2n), coordinates paired: a valid latent has
@@ -291,15 +291,10 @@ def cvp_to_approx_binary(inst: CvpInstance, strict: bool = True) -> ReductionArt
     rows reproduce By - t on valid latents; the pair rows charge alpha > r
     for any invalid pair, pushing those latents past the threshold r^p.
 
-    The construction works for every p >= 1; in strict mode even p is
-    rejected because even-norm instances are routed through the graph
-    reductions instead.
+    Built for every p >= 1. The paper uses it for odd p; `invforge reduce`
+    refuses even p, which goes through the half-clique and vertex-cover
+    routes instead.
     """
-    if strict and inst.p % 2 == 0:
-        raise UnsupportedReduction(
-            "even p is handled by the half-clique / vertex-cover route; "
-            "pass strict=False to build the lattice gadget anyway"
-        )
     n, d = inst.num_vectors, inst.dim
     N = 2 * n
     alpha = choose_alpha_cvp(inst.radius)
@@ -467,12 +462,13 @@ def binarization_gadget(inner: ReductionArtifact, delta, mode: str) -> Reduction
     )
 
 
-def cvp_to_approx_real(inst: CvpInstance, strict: bool = True) -> ReductionArtifact:
+def cvp_to_approx_real(inst: CvpInstance) -> ReductionArtifact:
     """Five-layer real-latent variant: gadget around the binary lattice query.
 
-    Quarter mode when the radius is below 1/4, general mode otherwise.
+    Built for every p >= 1, like the binary query. Quarter mode when the
+    radius is below 1/4, general mode otherwise.
     """
-    inner = cvp_to_approx_binary(inst, strict=strict)
+    inner = cvp_to_approx_binary(inst)
     mode = MODE_QUARTER if inst.radius < Fraction(1, 4) else MODE_GENERAL
     return binarization_gadget(inner, inst.radius, mode)
 
@@ -484,9 +480,7 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def halfclique_to_approx(
-    query: HalfCliqueQuery, p: int, exact_split_max: int = EXACT_SPLIT_MAX
-) -> ReductionArtifact:
+def halfclique_to_approx(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
     """One-layer network accepting exactly the light half-cliques.
 
     Each vertex pair gets a row: edges are scaled by their root-weight,
@@ -499,7 +493,7 @@ def halfclique_to_approx(
     The non-edge penalty alpha_pow = bound + total_weight + 1 rarely has a
     rational p-th root, so each non-edge is realized as k scaled row-pairs
     with k * s**p == alpha_pow exactly; when that k would exceed
-    exact_split_max the penalty is rounded up to the next integer p-th
+    EXACT_SPLIT_MAX the penalty is rounded up to the next integer p-th
     power instead (the validity predicate is preserved either way).
     """
     if p < 2 or p % 2 != 0:
@@ -513,7 +507,7 @@ def halfclique_to_approx(
 
     alpha_pow = choose_alpha_halfclique(p, total_weight, query.bound)
     copies, alpha_root = pth_power_split(alpha_pow, p)
-    if copies > exact_split_max:
+    if copies > EXACT_SPLIT_MAX:
         alpha_root = Fraction(int_root_ceil(alpha_pow, p))
         alpha_pow = alpha_root**p
         copies = 1
@@ -568,25 +562,18 @@ def halfclique_to_approx(
     )
 
 
-def halfclique_to_approx_real(
-    query: HalfCliqueQuery, p: int, mode: str = MODE_GENERAL, delta=None
-) -> ReductionArtifact:
-    """Gadget-wrapped half-clique query for real latents.
+def halfclique_to_approx_real(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
+    """Gadget-wrapped half-clique query for real latents, in general mode.
 
-    The gadget parameter must be a rational upper bound on the p-th root of
-    the threshold; by default the smallest 1/64-grid value is used. Any
-    rational delta with delta**p >= threshold works: the YES witness is the
-    scaled binary witness, and an accepted real latent still pins every
-    clamped coordinate within the true root of the threshold of {0, U}.
+    delta is the smallest value on the 1/64 grid whose p-th power is at
+    least the threshold. Any rational delta with delta**p >= threshold would
+    do: the YES witness is the scaled binary witness, and an accepted real
+    latent still pins every clamped coordinate within the true root of the
+    threshold of {0, U}.
     """
     inner = halfclique_to_approx(query, p)
-    if delta is None:
-        delta = rational_root_ceil(inner.query.threshold_pow, p)
-    else:
-        delta = as_fraction(delta)
-        if delta**p < inner.query.threshold_pow:
-            raise ValueError("delta**p must dominate the threshold")
-    return binarization_gadget(inner, delta, mode)
+    delta = rational_root_ceil(inner.query.threshold_pow, p)
+    return binarization_gadget(inner, delta, MODE_GENERAL)
 
 
 def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:

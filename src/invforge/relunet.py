@@ -122,10 +122,6 @@ class ReluNetwork:
         return sum(lyr.fan_out for lyr in self.layers)
 
 
-def network(input_dim: int, layers: Iterable[Layer], metadata: dict | None = None) -> ReluNetwork:
-    return ReluNetwork(input_dim, tuple(layers), metadata or {})
-
-
 def forward_layers(net: ReluNetwork, z: Sequence) -> list[tuple[Fraction, ...]]:
     """Exact forward pass returning every layer's output, in order."""
     if len(z) != net.input_dim:

@@ -213,7 +213,7 @@ def test_criterion_04_stacking_identity():
         d = rng.randint(1, 3)
         p = rng.choice((1, 3))
         inst = gen_random_cvp(n, d, seed=_seed(4, t), p=p)
-        artifact = cvp_to_approx_binary(inst, strict=False)
+        artifact = cvp_to_approx_binary(inst)
         ARTIFACTS.append(artifact)
         stacked = artifact.query.network.layers[0]
         half = len(stacked.weights) // 2
@@ -276,7 +276,7 @@ def test_criterion_05_gadget():
         if not source.is_yes:
             failures.append((t, "expected YES instance"))
             continue
-        artifact = cvp_to_approx_real(inst, strict=False)
+        artifact = cvp_to_approx_real(inst)
         ARTIFACTS.append(artifact)
         modes_yes.add(artifact.constants["gadget_mode"])
         y = tuple(int(v) for v in source.witness)
@@ -312,7 +312,7 @@ def test_criterion_05_gadget():
                 continue
         inst = CvpInstance(inst0.basis, inst0.target, radius, p)
         found += 1
-        artifact = cvp_to_approx_real(inst, strict=False)
+        artifact = cvp_to_approx_real(inst)
         ARTIFACTS.append(artifact)
         modes_no.add(artifact.constants["gadget_mode"])
         verdict = falsify_real(
@@ -380,7 +380,7 @@ def test_criterion_06_halfclique_roundtrip():
         rng = random.Random(ts)
         n = (4, 6, 8)[t % 3]
         p = (2, 4)[t % 2]
-        g = gen_random_graph(n, 0.5, weight_range=(1, 3), seed=ts, denom_max=1)
+        g = gen_random_graph(n, 0.5, seed=ts, denom_max=1)
         total = sum((root**p for _, _, root in g.edges), ZERO)
         denom = 1
         for _, _, root in g.edges:

@@ -226,6 +226,35 @@ def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("clamp_hi", [[1], {"a": 1}], ids=["list", "object"])
+def test_falsify_bad_clamp_hi_is_usage_error(tmp_path, capsys, clamp_hi):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(SAT_TEXT)
+    out = tmp_path / "art.json"
+    run_cli("reduce", "--from", "sat", "--latent", "real", "--in", str(cnf), "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["constants"]["clamp_hi"] = clamp_hi
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "8") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("latent", ["binary", "real"])
+def test_reduce_cvp_even_p_is_refused(tmp_path, capsys, latent):
+    src = tmp_path / "inst.cvp"
+    src.write_text("cvp 1 1 2\n1\n2\n1/2\n")
+    out = tmp_path / "art.json"
+    code = run_cli("reduce", "--from", "cvp", "--latent", latent,
+                   "--in", str(src), "--out", str(out))
+    assert code == 2 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, trials",
     [

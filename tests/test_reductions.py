@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from invforge import reductions
 from invforge.instances import (
     CvpInstance,
     HalfCliqueQuery,
@@ -128,11 +129,12 @@ def test_cvp_binary_shape_and_examples():
     assert verdict.witness == (ONE, ZERO)
 
 
-def test_cvp_strict_mode_rejects_even_p():
+def test_cvp_compilers_build_even_p():
+    # the compilers build every p; `reduce` refuses even p (tests/test_cli.py)
     inst = CvpInstance(((ONE,),), (ONE,), ONE, 2)
-    with pytest.raises(UnsupportedReduction):
-        cvp_to_approx_binary(inst)
-    assert cvp_to_approx_binary(inst, strict=False).query.p == 2
+    binary = cvp_to_approx_binary(inst)
+    assert binary.query.p == 2 and binary.query.threshold_pow == 1
+    assert cvp_to_approx_real(inst).query.p == 2
 
 
 def test_cvp_stacking_identity_exact():
@@ -141,7 +143,7 @@ def test_cvp_stacking_identity_exact():
         n, d = rng.randint(1, 3), rng.randint(1, 3)
         p = rng.choice((1, 3))
         inst = gen_random_cvp(n, d, seed=seed, p=p)
-        art = cvp_to_approx_binary(inst, strict=False)
+        art = cvp_to_approx_binary(inst)
         stacked = art.query.network.layers[0]
         inner_rows = stacked.weights[: len(stacked.weights) // 2]
         inner_bias = stacked.bias[: len(stacked.bias) // 2]
@@ -286,10 +288,11 @@ def test_halfclique_exact_split_realizes_penalty():
     assert k * s**2 == art.constants["alpha_pow"]
 
 
-def test_halfclique_integer_fallback_when_split_large():
+def test_halfclique_integer_fallback_when_split_large(monkeypatch):
+    monkeypatch.setattr(reductions, "EXACT_SPLIT_MAX", 1)
     g = graph(4, [(1, 2, 1), (3, 4, 2)])
     hq = HalfCliqueQuery(g, Fraction(2))
-    art = halfclique_to_approx(hq, 2, exact_split_max=1)
+    art = halfclique_to_approx(hq, 2)
     assert art.constants["alpha_copies"] == 1
     assert art.constants["alpha_root"] == 3  # ceil(sqrt(8))
     assert art.constants["alpha_pow"] == 9
