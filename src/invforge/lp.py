@@ -1,13 +1,20 @@
 """Exact linear programming over the rationals.
 
 Two-phase primal simplex with Bland's rule (terminating, no cycling).
-Every coefficient is a Fraction: feasibility answers, optimal points and
-optimal values are exact. Variables are free; internally each is split
-into a difference of two nonnegative columns.
+Variables are free; internally each is split into a difference of two
+nonnegative columns. The tableau is fraction-free (Bareiss 1968; compare
+the exact LP of QSopt_ex, Applegate, Cook, Dash and Espinoza 2007): each
+row, and the cost row, holds Python ints equal to the true rational row
+times some positive scale. A pivot cross-multiplies and divides out the
+row's gcd, and the ratio test compares by cross-multiplication, so every
+decision is the one the rational tableau makes. Feasibility answers,
+optimal points and optimal values are exact Fractions, read back as
+rhs / (the basic column's entry).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,20 +74,33 @@ class LinearProgram:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _reduce(row, pivot_row, pivot, factor) -> list[int]:
+    """row * pivot - factor * pivot_row, divided by the gcd of its entries.
+
+    With pivot > 0 the result is the eliminated row times a positive scale.
+    """
+    out = [pivot * v - factor * w for v, w in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    if g > 1:
+        out = [v // g for v in out]
+    return out
 
 
 def _pivot(rows, cost, basis, pivot_row, pivot_col, stats) -> None:
-    factor = rows[pivot_row][pivot_col]
-    rows[pivot_row] = [v / factor for v in rows[pivot_row]]
+    prow = rows[pivot_row]
+    pivot = prow[pivot_col]
+    if pivot < 0:  # only when a leftover artificial is driven out
+        prow = rows[pivot_row] = [-v for v in prow]
+        pivot = -pivot
     for i, row in enumerate(rows):
-        if i != pivot_row and row[pivot_col] != 0:
-            scale = row[pivot_col]
-            rows[i] = [v - scale * w for v, w in zip(row, rows[pivot_row])]
-    if cost[pivot_col] != 0:
-        scale = cost[pivot_col]
-        for j, w in enumerate(rows[pivot_row]):
-            cost[j] -= scale * w
+        factor = row[pivot_col]
+        if i != pivot_row and factor:
+            rows[i] = _reduce(row, prow, pivot, factor)
+    factor = cost[pivot_col]
+    if factor:
+        cost[:] = _reduce(cost, prow, pivot, factor)
     basis[pivot_row] = pivot_col
     if stats is not None:
         stats["pivots"] = stats.get("pivots", 0) + 1
@@ -93,20 +113,24 @@ def _simplex_min(rows, cost, basis, num_cols, stats) -> str:
         if entering is None:
             return "optimal"
         pivot_row = None
-        best_ratio = None
         for i, row in enumerate(rows):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
-                ):
-                    best_ratio = ratio
-                    pivot_row = i
+            a = row[entering]
+            if a > 0:
+                if pivot_row is None:
+                    pivot_row, best_rhs, best_a = i, row[-1], a
+                    continue
+                # rhs_i / a_i against the best ratio; each row's scale cancels
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                    pivot_row, best_rhs, best_a = i, row[-1], a
         if pivot_row is None:
             return "unbounded"
         _pivot(rows, cost, basis, pivot_row, entering, stats)
+
+
+def _int_row(values, scale: int) -> list[int]:
+    """Fractions times `scale`, a common multiple of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _solve(lp: LinearProgram, objective, stats):
@@ -115,41 +139,43 @@ def _solve(lp: LinearProgram, objective, stats):
     num_struct = 2 * n  # x_k = col(2k) - col(2k+1)
     slack_count = sum(1 for c in lp.constraints if c.relation != EQ)
     m = len(lp.constraints)
-    num_cols = num_struct + slack_count + m  # artificials at the end
+    art_start = num_struct + slack_count
+    num_cols = art_start + m  # artificials at the end
 
     rows = []
     basis = []
     slack_index = 0
     for row_idx, con in enumerate(lp.constraints):
-        row = [_ZERO] * (num_cols + 1)
-        for k, c in enumerate(con.coeffs):
+        scale = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
+        sign = -1 if con.rhs < 0 else 1
+        *coeffs, rhs = _int_row(con.coeffs + (con.rhs,), sign * scale)
+        row = [0] * (num_cols + 1)
+        for k, c in enumerate(coeffs):
             row[2 * k] = c
             row[2 * k + 1] = -c
         if con.relation != EQ:
-            row[num_struct + slack_index] = _ONE if con.relation == LE else -_ONE
+            row[num_struct + slack_index] = sign * scale if con.relation == LE else -sign * scale
             slack_index += 1
-        row[-1] = con.rhs
-        if row[-1] < 0:
-            row = [-v for v in row]
-        art_col = num_struct + slack_count + row_idx
-        row[art_col] = _ONE
+        row[-1] = rhs
+        art_col = art_start + row_idx
+        row[art_col] = scale
         rows.append(row)
         basis.append(art_col)
 
-    # Phase 1: minimize the artificial total.
-    cost = [_ZERO] * (num_cols + 1)
-    for j in range(num_cols + 1):
-        total = sum(row[j] for row in rows)
-        if j >= num_struct + slack_count and j < num_cols:
-            cost[j] = _ONE - total
-        else:
-            cost[j] = -total
+    # Phase 1: minimize the artificial total. Row i holds its true row times
+    # row[basis[i]]; the cost row is the true cost times the lcm of those.
+    total = math.lcm(*(row[b] for row, b in zip(rows, basis)))
+    cost = [0] * (num_cols + 1)
+    for row, b in zip(rows, basis):
+        weight = total // row[b]
+        cost = [c - weight * v for c, v in zip(cost, row)]
+    for b in basis:
+        cost[b] = 0  # each artificial's own row cancels its unit cost
     _simplex_min(rows, cost, basis, num_cols, stats)
-    if -cost[-1] != 0:
+    if cost[-1] != 0:
         return None  # artificials cannot all vanish: infeasible
 
     # Drive leftover artificials out of the basis (or drop redundant rows).
-    art_start = num_struct + slack_count
     keep = []
     for i in range(len(rows)):
         if basis[i] >= art_start:
@@ -160,30 +186,29 @@ def _solve(lp: LinearProgram, objective, stats):
                 continue  # redundant row
             _pivot(rows, cost, basis, i, pivot_col, stats)
         keep.append(i)
-    rows = [rows[i] for i in keep]
+    # artificial columns can never re-enter, so phase 2 drops them
+    rows = [rows[i][:art_start] + rows[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
     def extract_point():
         values = [_ZERO] * num_struct
-        for i, b in enumerate(basis):
+        for row, b in zip(rows, basis):
             if b < num_struct:
-                values[b] = rows[i][-1]
+                values[b] = Fraction(row[-1], row[b])
         return tuple(values[2 * k] - values[2 * k + 1] for k in range(n))
 
     if objective is None:
         return extract_point(), _ZERO
 
-    # Phase 2 over the real objective; artificial columns are excluded from
-    # the entering-variable scan so they can never rejoin the basis.
-    cost = [_ZERO] * (num_cols + 1)
-    for k, c in enumerate(objective):
+    # Phase 2 over the real objective.
+    cost = [0] * (art_start + 1)
+    scale = math.lcm(*(c.denominator for c in objective))
+    for k, c in enumerate(_int_row(objective, scale)):
         cost[2 * k] = c
         cost[2 * k + 1] = -c
-    for i, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         if cost[b] != 0:
-            scale = cost[b]
-            for j, w in enumerate(rows[i]):
-                cost[j] -= scale * w
+            cost = _reduce(cost, row, row[b], cost[b])
     status = _simplex_min(rows, cost, basis, art_start, stats)
     if status == "unbounded":
         raise UnboundedError("objective is unbounded below")

@@ -667,7 +667,9 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     threshold (per-region L1 minimization is an LP). The DFS walks layer
     sign-vectors and prunes prefixes whose constraint systems are already
     infeasible, which enumerates a subset of the full 2^H pattern space with
-    identical verdict.
+    identical verdict. With threshold 0 the target fixes the output layer's
+    mask (units with target > 0 active, the rest inactive), so that layer
+    tries one mask and goes straight to its leaf LP.
     """
     if query.domain.kind != DOMAIN_REAL:
         raise ValueError("pattern enumeration needs a real latent domain")
@@ -715,7 +717,17 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
         lyr = net.layers[layer_idx]
         pre = _affine_step(lyr, affine, n)
         zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
-        for mask in range(1 << lyr.fan_out):
+        fixed = exact and layer_idx == net.depth - 1
+        if fixed:
+            # Output unit k equals target_k >= 0: it must be active when
+            # target_k > 0. Activating a target-0 unit as well only adds
+            # pre_k >= 0 to its leaf's pre_k == 0, a subset of this region,
+            # and such masks come later in the full loop, so this one mask
+            # finds the same first witness.
+            masks = [sum(1 << k for k, x in enumerate(query.target) if x > 0)]
+        else:
+            masks = range(1 << lyr.fan_out)
+        for mask in masks:
             branch = LinearProgram(n)
             branch.constraints.extend(constraints)
             next_affine = []
@@ -726,14 +738,15 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
                 else:
                     branch.constrain(coeffs, LE, -const)
                     next_affine.append(zero_row)
-            if lp_feasible(branch, lp_stats) is None:
-                continue
+            if not fixed and lp_feasible(branch, lp_stats) is None:
+                continue  # the fixed mask's leaf LP holds this branch's rows
             found = dfs(layer_idx + 1, next_affine, branch.constraints)
             if found is not None:
                 return found
         return None
 
-    witness = dfs(0, _identity_affine(n), [])
+    # ReLU outputs are nonnegative, so a negative target entry has no pattern
+    witness = None if exact and min(query.target) < 0 else dfs(0, _identity_affine(n), [])
     stats.lp_pivots = lp_stats.get("pivots", 0)
     if witness is None:
         return Verdict(NO, None, CERT_PATTERN, stats)
@@ -757,8 +770,8 @@ def falsify_real(
     Seeds every {lo,hi}-corner of the latent cube first (up to the restart
     budget), then random points, and runs a batched coordinate descent.
     Candidates near or below the threshold are rationalized with bounded
-    denominators and checked exactly; a NO answer is explicitly
-    non-certifying.
+    denominators and checked exactly, each distinct point once; a NO answer
+    is explicitly non-certifying.
     """
     if query.domain.kind != DOMAIN_REAL:
         raise ValueError("the falsifier searches real latent domains only")
@@ -816,12 +829,16 @@ def falsify_real(
         int(i) for i in np.nonzero(values <= theta * (1 + 1e-9) + 1e-9)[0][:64]
     ]
     seen: set[int] = set()
+    checked: set[tuple] = set()  # rationalized points already found too far
     for i in shortlist:
         if i in seen:
             continue
         seen.add(i)
         for denom in (1, 2, 4, 8, 16, 64, 256, 4096, 1 << 16):
             z = tuple(Fraction(float(v)).limit_denominator(denom) for v in points[i])
+            if z in checked:
+                continue
+            checked.add(z)
             exact = distance_pow(forward(query.network, z), query.target, p)
             if exact.value <= query.threshold_pow:
                 return Verdict(YES, z, CERT_FALSIFIER, stats)

@@ -822,5 +822,10 @@ def artifact_from_json(text: str | bytes) -> ReductionArtifact:
         raise ValueError(f"malformed artifact document: {exc}") from exc
     query = InversionQuery(net, target, p, theta, domain)
     constants = _constants_from_json(doc.get("constants", {}))
+    clamp_hi = constants.get("clamp_hi", 1)
+    if isinstance(clamp_hi, bool) or not isinstance(clamp_hi, (int, Fraction)):
+        raise ValueError(
+            f"malformed artifact document: constants.clamp_hi {clamp_hi!r} is not a rational"
+        )
     witness_map = _constants_from_json(doc.get("witness_map", {}))
     return ReductionArtifact(query, constants=constants, witness_map=witness_map)

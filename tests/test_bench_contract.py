@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import invforge.oracles  # noqa: E402
 import pipeline  # noqa: E402
 import workloads  # noqa: E402
-from spans import Tracer, patched  # noqa: E402
+from spans import ORACLE_LOOKUPS, Tracer, patched  # noqa: E402
 
 
 def _roundtrip_small():
@@ -31,12 +31,27 @@ def _real_latent():
     return list(firsts.values())
 
 
+# Each name `patched` wraps, under the oracle span that must call it. A lookup
+# an oracle bypasses records no span, and spans.REQUIRED names no
+# distance_pow span, so a bypassed distance_pow would pass tracer.missing.
+REAL_LATENT_LOOKUPS = [
+    ("lp.solve", "oracles.pattern"),
+    ("relunet.forward", "oracles.pattern"),
+    ("relunet.distance_pow", "oracles.pattern"),
+    ("relunet.distance_pow", "oracles.falsify"),
+]
+
+
+def test_real_latent_lookups_cover_every_patched_name():
+    assert {name for name, _ in ORACLE_LOOKUPS} == {name for name, _ in REAL_LATENT_LOOKUPS}
+
+
 @pytest.mark.parametrize(
-    "workload, pick",
-    [("roundtrip-small", _roundtrip_small), ("real-latent", _real_latent)],
+    "workload, pick, lookups",
+    [("roundtrip-small", _roundtrip_small, []), ("real-latent", _real_latent, REAL_LATENT_LOOKUPS)],
     ids=["roundtrip-small", "real-latent"],
 )
-def test_pipeline_runs_traced(workload, pick):
+def test_pipeline_runs_traced(workload, pick, lookups):
     instances = pick()
     tracer = Tracer()
     with patched(tracer, invforge.oracles):
@@ -49,3 +64,6 @@ def test_pipeline_runs_traced(workload, pick):
         if inst.expect is not None:
             assert out.decision == inst.expect, inst.id
     assert tracer.missing(workload) == []
+    spans = tracer.spans
+    recorded = {(name, spans[parent][0]) for name, _, _, parent, _ in spans if parent >= 0}
+    assert [pair for pair in lookups if pair not in recorded] == []

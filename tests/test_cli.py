@@ -240,6 +240,7 @@ def test_falsify_bad_clamp_hi_is_usage_error(tmp_path, capsys, clamp_hi):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "clamp_hi" in captured.err
 
 
 @pytest.mark.parametrize("latent", ["binary", "real"])

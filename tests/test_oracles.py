@@ -17,9 +17,12 @@ from invforge.instances import (
     graph,
     parse_dimacs,
 )
+from invforge.lp import EQ, GE, LE, LinearProgram, lp_feasible, lp_minimize
 from invforge.oracles import (
     CapExceeded,
     CERT_FALSIFIER,
+    _affine_step,
+    _identity_affine,
     _int_path_safe,
     _integerized,
     _scan_bigint,
@@ -468,11 +471,6 @@ def test_patterns_identity_exact():
     assert forward(q.network, verdict.witness) == (Fraction(2), Fraction(3))
 
 
-def test_patterns_negative_target_is_no():
-    q = identity_query(2, (-1, 0), domain=DOMAIN_REAL)
-    assert not enumerate_patterns_invert(q).is_yes
-
-
 def test_patterns_on_real_sat_artifact():
     art = sat_to_exact_real(parse_dimacs("p cnf 1 1\n1 0\n"))
     verdict = enumerate_patterns_invert(art.query)
@@ -501,6 +499,127 @@ def test_patterns_cap(monkeypatch):
     monkeypatch.setenv("INVFORGE_CAP", "5")
     with pytest.raises(CapExceeded):
         enumerate_patterns_invert(art.query)
+
+
+def _reference_patterns(query):
+    """Witness of the full-mask DFS: every layer, the output layer too, tries
+    all 2^fan_out masks in order and checks each prefix for feasibility."""
+    net, n = query.network, query.network.input_dim
+    zero_row = ((Fraction(0),) * n, Fraction(0))
+
+    def leaf(constraints, affine):
+        if query.threshold_pow == 0:
+            lp = LinearProgram(n)
+            lp.constraints.extend(constraints)
+            for (coeffs, const), x in zip(affine, query.target):
+                lp.constrain(coeffs, EQ, x - const)
+            return lp_feasible(lp)
+        out_dim = len(affine)
+        lp = LinearProgram(n + out_dim)
+        for con in constraints:
+            lp.constrain(con.coeffs + (0,) * out_dim, con.relation, con.rhs)
+        for k, ((coeffs, const), x) in enumerate(zip(affine, query.target)):
+            err = tuple(1 if j == n + k else 0 for j in range(n + out_dim))
+            row = tuple(coeffs) + (0,) * out_dim
+            lp.constrain([e - c for e, c in zip(err, row)], GE, const - x)
+            lp.constrain([e + c for e, c in zip(err, row)], GE, x - const)
+        lp.set_objective((0,) * n + (1,) * out_dim)
+        result = lp_minimize(lp)
+        if result is None or result[1] > query.threshold_pow:
+            return None
+        return result[0][:n]
+
+    def dfs(depth, affine, constraints):
+        if depth == net.depth:
+            return leaf(constraints, affine)
+        pre = _affine_step(net.layers[depth], affine, n)
+        for mask in range(1 << len(pre)):
+            branch = LinearProgram(n)
+            branch.constraints.extend(constraints)
+            next_affine = []
+            for j, (coeffs, const) in enumerate(pre):
+                active = mask >> j & 1
+                branch.constrain(coeffs, GE if active else LE, -const)
+                next_affine.append((coeffs, const) if active else zero_row)
+            if lp_feasible(branch) is not None:
+                found = dfs(depth + 1, next_affine, branch.constraints)
+                if found is not None:
+                    return tuple(found)
+        return None
+
+    return dfs(0, _identity_affine(n), [])
+
+
+def _assert_matches_reference(query):
+    verdict = enumerate_patterns_invert(query)
+    assert verdict.witness == _reference_patterns(query)
+    assert verdict.is_yes == (verdict.witness is not None)
+    return verdict
+
+
+def test_patterns_match_full_mask_reference_on_criterion_02():
+    decisions = set()
+    for t in range(100):  # the formulas of acceptance criterion 02
+        ts = 2 * 1_000_003 + t
+        rng = random.Random(ts)
+        n = rng.randint(1, 2)
+        m = rng.randint(1, 2)
+        k = rng.randint(1, min(2, n))
+        art = sat_to_exact_real(gen_random_ksat(n, m, k, ts))
+        decisions.add(_assert_matches_reference(art.query).decision)
+    assert decisions == {"YES", "NO"}
+
+
+def _two_layer_net(rng, n, hidden, out):
+    rows = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(hidden)
+    ]
+    bias = [Fraction(rng.randint(-2, 2)) for _ in range(hidden)]
+    rows2 = [[Fraction(rng.randint(-2, 2)) for _ in range(hidden)] for _ in range(out)]
+    bias2 = [Fraction(rng.randint(-2, 2)) for _ in range(out)]
+    return ReluNetwork(n, (layer(rows, bias), layer(rows2, bias2)))
+
+
+def test_patterns_zero_target_entries_match_reference():
+    rng = random.Random(11)
+    zeros = yes = 0
+    for _ in range(60):
+        net = _two_layer_net(rng, rng.randint(1, 2), rng.randint(1, 3), rng.randint(2, 3))
+        z = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(net.input_dim))
+        # forward images hit their target; half of them have an entry moved
+        target = list(forward(net, z))
+        if rng.random() < 0.5:
+            target[rng.randrange(len(target))] = Fraction(rng.randint(0, 2))
+        zeros += 0 in target
+        domain = LatentDomain(DOMAIN_REAL, net.input_dim)
+        query = InversionQuery(net, tuple(target), 2, Fraction(0), domain)
+        yes += _assert_matches_reference(query).is_yes
+    assert zeros > 0 and 0 < yes < 60
+
+
+def test_patterns_negative_target_is_no(monkeypatch):
+    calls = []
+    for name in ("lp_feasible", "lp_minimize"):
+        monkeypatch.setattr(oracles, name, lambda *args, name=name: calls.append(name))
+    net = _two_layer_net(random.Random(3), 2, 3, 2)
+    target = (Fraction(1), Fraction(-1, 2))
+    deep = InversionQuery(net, target, 1, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
+    for query in (identity_query(2, (-1, 0), domain=DOMAIN_REAL), deep):
+        verdict = enumerate_patterns_invert(query)
+        assert not verdict.is_yes and verdict.certificate == oracles.CERT_PATTERN
+    assert calls == []  # ReLU outputs are nonnegative: no LP is needed
+
+
+def test_patterns_thresholded_p1_match_reference():
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(30):
+        net = _two_layer_net(rng, rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2))
+        target = tuple(Fraction(rng.randint(-3, 3)) for _ in range(net.layers[-1].fan_out))
+        theta = Fraction(rng.randint(1, 4), 2)
+        query = InversionQuery(net, target, 1, theta, LatentDomain(DOMAIN_REAL, net.input_dim))
+        outcomes.add(_assert_matches_reference(query).decision)
+    assert outcomes == {"YES", "NO"}
 
 
 def test_pattern_region_covers_forward_evaluation():
