@@ -23,7 +23,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -59,6 +59,7 @@ from .oracles import (
     solve_sat_bruteforce,
     solve_vertexcover_bruteforce,
 )
+from .ratio import parse_ratio
 from .relunet import distance_pow, forward
 from .reductions import (
     ReductionArtifact,
@@ -94,13 +95,7 @@ class VerifyReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     @property
     def passed(self) -> bool:
@@ -202,10 +197,7 @@ def _tie_free_bound(g, p: int, rng: random.Random) -> Fraction:
     Achievable weights lie in (1/D)Z for D = lcm of the weight denominators,
     so an odd numerator over 2D can never tie.
     """
-    denom = 1
-    for _, _, root in g.edges:
-        w = root**p
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    denom = math.lcm(*((root**p).denominator for _, _, root in g.edges))
     total = sum((root**p for _, _, root in g.edges), Fraction(0))
     top = max(2, int(2 * denom * (total + 1)))
     return Fraction(2 * rng.randint(0, top) + 1, 2 * denom)
@@ -289,7 +281,7 @@ _CVP = Family(
 )
 _HALFCLIQUE = Family(
     parse=lambda text, args: HalfCliqueQuery(
-        parse_graph(text), Fraction(_needs(args.bound, "--bound"))
+        parse_graph(text), parse_ratio(_needs(args.bound, "--bound"))
     ),
     compile=halfclique_to_approx,
     solve=solve_halfclique_bruteforce,

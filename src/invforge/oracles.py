@@ -5,21 +5,22 @@ inversion, exact activation-pattern enumeration (with rational LP) for
 real-latent inversion, and a heuristic float falsifier that can only
 certify YES.
 
-Exactness contract: no verdict ever depends on floating point. The
-integer fast paths rescale all data to integers and guard against int64
-overflow, falling back to arbitrary-precision arithmetic when the bound
-check fails. The int64 binary scan splits the latent bits into high bits,
-fixed within a chunk, and low bits, which vary within it. It sorts the
-layer-0 units into three classes: low-only units depend on low bits
-alone, so their share of the next stage is computed once per scan from a
-subset-sum table; high-only (or constant) units give one value per
-chunk; only the mixed units are evaluated for every latent of a chunk.
-Every value it forms is a partial sum of the terms of one layer-0 row,
-of one layer-1 row, or of the nonnegative distance terms, so the same
-bound covers it (see _scan_int64). The (0,1)-CVP source oracle uses the
-same subset-sum tables under its own bound. The falsifier searches in
-float but re-verifies every candidate with exact rational forward
-evaluation before answering YES.
+Exactness contract: no verdict ever depends on floating point. Every
+exact network evaluation runs on relunet's integer view, over an exact
+common scale. The scan guards against int64 overflow and falls back to
+arbitrary-precision integers when the bound check fails. The int64
+binary scan splits the latent bits into high bits, fixed within a chunk,
+and low bits, which vary within it. It sorts the layer-0 units into
+three classes: low-only units depend on low bits alone, so their share
+of the next stage is computed once per scan from a subset-sum table;
+high-only (or constant) units give one value per chunk; only the mixed
+units are evaluated for every latent of a chunk. Every value it forms is
+a partial sum of the terms of one layer-0 row, of one layer-1 row, or of
+the nonnegative distance terms, so the same bound covers it (see
+_scan_int64). The (0,1)-CVP source oracle uses the same subset-sum
+tables under its own bound. The falsifier searches in float64 copies of
+the same view, but re-verifies every candidate with the exact forward
+pass before answering YES.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -30,14 +31,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearProgram, lp_feasible, lp_minimize
-from .relunet import ReluNetwork, as_fraction, distance_pow, float_layers, forward
+from .ratio import scaled_int
+from .relunet import ReluNetwork, distance_pow, float_layers, forward, preactivations
 from .reductions import DOMAIN_01, DOMAIN_PM1, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
@@ -101,11 +103,7 @@ class Verdict:
             if self.witness is None
             else [f"{v.numerator}/{v.denominator}" for v in self.witness],
             "certificate": self.certificate,
-            "stats": {
-                "latents_enumerated": self.stats.latents_enumerated,
-                "patterns_enumerated": self.stats.patterns_enumerated,
-                "lp_pivots": self.stats.lp_pivots,
-            },
+            "stats": asdict(self.stats),
         }
 
 
@@ -182,9 +180,9 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     """
     n = inst.num_vectors
     _check_cap("latent_bits", n, "coefficients")
-    lam = _lcm([v.denominator for v in itertools.chain(*inst.basis, inst.target)])
-    basis = [[_scaled(w, lam) for w in row] for row in inst.basis]
-    target = [_scaled(t, lam) for t in inst.target]
+    lam = math.lcm(*(v.denominator for v in itertools.chain(*inst.basis, inst.target)))
+    basis = [[scaled_int(w, lam) for w in row] for row in inst.basis]
+    target = [scaled_int(t, lam) for t in inst.target]
     row_bound = max(sum(abs(w) for w in row) + abs(t) for row, t in zip(basis, target))
     if inst.dim * row_bound**inst.p <= _INT64_SAFE:
         best_val, best_index = _cvp_scan_int64(basis, target, inst.p, n)
@@ -310,46 +308,23 @@ def solve_vertexcover_bruteforce(query: VertexCoverQuery) -> Verdict:
 # -- binary-latent inversion -------------------------------------------------
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        if v != 1:
-            out = out * v // math.gcd(out, v)
-    return out
-
-
-def _scaled(x, lam: int) -> int:
-    """x * lam as an int, for a rational x whose denominator divides lam."""
-    return x.numerator * (lam // x.denominator)
-
-
 def _integerized(query: InversionQuery):
     """Rescale layers, target and threshold so everything is an integer.
 
-    Layer l weights are scaled by lam_l and its bias by prod(lam_1..lam_l);
-    ReLU commutes with positive scaling, so the final outputs come out
-    scaled by the full product and distances by its p-th power.
+    Layer l's weights are scaled by L_l / L_(l-1) and its bias by L_l, where
+    L chains relunet.Layer.scale from integer inputs; the last L also takes
+    in the target's denominators. ReLU commutes with positive scaling, so
+    distances come out scaled by the last L to the p-th power.
     """
-    scale = 1
-    layers = []
+    scales = [1]
     for lyr in query.network.layers:
-        denoms = [w.denominator for row in lyr.weights for w in row]
-        denoms += [b.denominator // math.gcd(b.denominator, scale) for b in lyr.bias]
-        lam = _lcm(denoms)
-        weights = [[_scaled(w, lam) for w in row] for row in lyr.weights]
-        scale *= lam
-        bias = [_scaled(b, scale) for b in lyr.bias]
-        layers.append((weights, bias))
-    target_lam = _lcm([t.denominator // math.gcd(t.denominator, scale) for t in query.target])
-    if target_lam != 1:
-        # fold the target's denominator into the last layer's scale
-        weights, bias = layers[-1]
-        layers[-1] = (
-            [[w * target_lam for w in row] for row in weights],
-            [b * target_lam for b in bias],
-        )
-        scale *= target_lam
-    target = [_scaled(t, scale) for t in query.target]
+        scales.append(lyr.scale(scales[-1]))
+    scales[-1] = scale = math.lcm(scales[-1], *(t.denominator for t in query.target))
+    layers = []
+    for lyr, d, out in zip(query.network.layers, scales, scales[1:]):
+        weights = [[scaled_int(w, out // d) for w in row] for row in lyr.weights]
+        layers.append((weights, [scaled_int(b, out) for b in lyr.bias]))
+    target = [scaled_int(t, scale) for t in query.target]
     threshold_scaled = query.threshold_pow * Fraction(scale) ** query.p
     return layers, target, threshold_scaled, scale
 
@@ -606,16 +581,7 @@ class ActivationPattern:
 
 def pattern_of(net: ReluNetwork, z) -> ActivationPattern:
     """The pattern the exact forward pass induces (pre-activation 0 counts active)."""
-    current = tuple(as_fraction(v) for v in z)
-    flags = []
-    for lyr in net.layers:
-        pre = [
-            sum(w * v for w, v in zip(row, current)) + b
-            for row, b in zip(lyr.weights, lyr.bias)
-        ]
-        flags.append(tuple(v >= 0 for v in pre))
-        current = tuple(max(v, _ZERO) for v in pre)
-    return ActivationPattern(tuple(flags))
+    return ActivationPattern(tuple(tuple(v >= 0 for v in pre) for pre, _ in preactivations(net, z)))
 
 
 def _identity_affine(n: int) -> list:

@@ -6,8 +6,14 @@ from fractions import Fraction
 
 
 def parse_ratio(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into a Fraction."""
+    """Parse "num/den" (or a bare integer) into a Fraction.
+
+    Exponent notation is refused before Fraction sees it: Fraction would
+    expand "1e100000000" into a hundred-million-digit integer.
+    """
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (AttributeError, ValueError, ZeroDivisionError) as exc:  # AttributeError: not a str
         raise ValueError(f"bad rational literal: {text!r}") from exc
@@ -17,6 +23,11 @@ def format_ratio(value) -> str:
     """Canonical "num/den" form, always with an explicit denominator."""
     frac = Fraction(value)
     return f"{frac.numerator}/{frac.denominator}"
+
+
+def scaled_int(x, lam: int) -> int:
+    """x * lam as an int, for a rational x whose denominator divides lam."""
+    return x.numerator * (lam // x.denominator)
 
 
 def int_nth_root_floor(m: int, p: int) -> int:

@@ -2,9 +2,11 @@
 
 A network is a stack of layers, each applying ``ReLU(W v + b)`` elementwise
 (the last layer included). Weights, biases, inputs and outputs are
-arbitrary-precision rationals (`fractions.Fraction`), so evaluation and
-distance computation are exact; `forward_float` offers a float64 fast path
-for search heuristics and benchmarks.
+arbitrary-precision rationals (`fractions.Fraction`). Exact evaluation runs in
+integers (`preactivations`): each layer caches an integer view
+(`Layer.integer`) and, for inputs X / D, forms its pre-activations as integers
+over L = lcm(s D, t), the next layer's D. `forward` returns Fractions;
+`forward_float` is a float64 path for search heuristics.
 
 File format ("relunet-1"): a UTF-8 JSON document with fields
 
@@ -20,13 +22,15 @@ Round-tripping through serialize/deserialize is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ratio import format_ratio, parse_ratio
+from .ratio import format_ratio, parse_ratio, scaled_int
 
 NETWORK_FORMAT_VERSION = "relunet-1"
 
@@ -75,6 +79,25 @@ class Layer:
     def fan_in(self) -> int:
         return len(self.weights[0])
 
+    @cached_property
+    def integer(self) -> tuple:
+        """(rows, s, bias, t), built on first use: weights over s, biases over t.
+
+        s and t are the lcms of the weight and of the bias denominators; each
+        row lists (column, numerator) of its nonzero weights only.
+        """
+        s = math.lcm(*(w.denominator for row in self.weights for w in row))
+        t = math.lcm(*(b.denominator for b in self.bias))
+        rows = tuple(
+            tuple((j, scaled_int(w, s)) for j, w in enumerate(row) if w) for row in self.weights
+        )
+        return rows, s, tuple(scaled_int(b, t) for b in self.bias), t
+
+    def scale(self, d: int) -> int:
+        """The scale L = lcm(s d, t) of the pre-activations, for inputs over d."""
+        _, s, _, t = self.integer
+        return math.lcm(s * d, t)
+
 
 def layer(weights: Iterable[Iterable], bias: Iterable) -> Layer:
     """Build a Layer, coercing entries to Fractions."""
@@ -82,7 +105,7 @@ def layer(weights: Iterable[Iterable], bias: Iterable) -> Layer:
     return Layer(rows, tuple(as_fraction(b) for b in bias))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReluNetwork:
     """Dimension-checked layer stack. Immutable after construction."""
 
@@ -93,7 +116,7 @@ class ReluNetwork:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        self.layers = tuple(self.layers)
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("network needs at least one layer")
         fan_in = self.input_dim
@@ -122,33 +145,47 @@ class ReluNetwork:
         return sum(lyr.fan_out for lyr in self.layers)
 
 
-def forward_layers(net: ReluNetwork, z: Sequence) -> list[tuple[Fraction, ...]]:
-    """Exact forward pass returning every layer's output, in order."""
+def preactivations(net: ReluNetwork, z: Sequence) -> list[tuple[list[int], int]]:
+    """Every layer's exact pre-activations, as (integers x, scale L): value x / L."""
     if len(z) != net.input_dim:
         raise ValueError(f"input length {len(z)} != input_dim {net.input_dim}")
-    current = tuple(as_fraction(v) for v in z)
-    outputs = []
+    values = [as_fraction(v) for v in z]
+    scale = math.lcm(*(v.denominator for v in values))
+    current = [scaled_int(v, scale) for v in values]
+    out = []
     for lyr in net.layers:
-        current = tuple(
-            max(sum(w * v for w, v in zip(row, current)) + b, _ZERO)
-            for row, b in zip(lyr.weights, lyr.bias)
-        )
-        outputs.append(current)
-    return outputs
+        rows, s, bias, t = lyr.integer
+        d, scale = scale, lyr.scale(scale)
+        wf, bf = scale // (s * d), scale // t
+        pre = [sum(w * current[j] for j, w in row) * wf + b * bf for row, b in zip(rows, bias)]
+        out.append((pre, scale))
+        current = [v if v > 0 else 0 for v in pre]
+    return out
+
+
+def _relu_fractions(pre: list[int], scale: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, scale) if v > 0 else _ZERO for v in pre)
+
+
+def forward_layers(net: ReluNetwork, z: Sequence) -> list[tuple[Fraction, ...]]:
+    """Exact forward pass returning every layer's output, in order."""
+    return [_relu_fractions(pre, scale) for pre, scale in preactivations(net, z)]
 
 
 def forward(net: ReluNetwork, z: Sequence) -> tuple[Fraction, ...]:
     """Exact forward pass: ReLU after every layer, no rounding anywhere."""
-    return forward_layers(net, z)[-1]
+    return _relu_fractions(*preactivations(net, z)[-1])
 
 
 def float_layers(net: ReluNetwork) -> list[tuple[np.ndarray, np.ndarray]]:
-    """float64 copies of the weight matrices and biases."""
+    """float64 copies of the weight matrices and biases, each correctly rounded."""
     out = []
     for lyr in net.layers:
-        w = np.array([[float(v) for v in row] for row in lyr.weights], dtype=np.float64)
-        b = np.array([float(v) for v in lyr.bias], dtype=np.float64)
-        out.append((w, b))
+        rows, s, bias, t = lyr.integer
+        w = np.zeros((lyr.fan_out, lyr.fan_in), dtype=np.float64)
+        for r, row in enumerate(rows):
+            w[r, [j for j, _ in row]] = [v / s for _, v in row]
+        out.append((w, np.array([b / t for b in bias], dtype=np.float64)))
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -103,6 +104,49 @@ def test_reduce_parse_error_exit(tmp_path):
     f.write_text("p cnf 1 1\n2 0\n")
     assert run_cli("reduce", "--from", "sat", "--latent", "binary",
                    "--in", str(f), "--out", str(tmp_path / "x.json")) == 2
+
+
+HUGE = "1e100000000"  # Fraction would expand this to a hundred million digits
+
+
+def _assert_fast_usage_error(capsys, *argv):
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = run_cli(*argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "source, text, flags",
+    [
+        ("cvp", f"cvp 1 1 1\n{HUGE}\n2\n1/2\n", []),
+        ("halfclique", f"graph 2\n1 2 {HUGE}\n", ["--bound", "5"]),
+        ("halfclique", GRAPH_TEXT, ["--bound", HUGE]),
+    ],
+    ids=["cvp-entry", "graph-weight", "bound"],
+)
+def test_reduce_exponent_literal_is_fast_usage_error(tmp_path, capsys, source, text, flags):
+    src = tmp_path / "instance.txt"
+    src.write_text(text)
+    out = tmp_path / "art.json"
+    _assert_fast_usage_error(capsys, "reduce", "--from", source, "--latent", "binary",
+                             "--in", str(src), "--out", str(out), *flags)
+    assert not out.exists()
+
+
+def test_invert_exponent_weight_is_fast_usage_error(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(SAT_TEXT)
+    out = tmp_path / "art.json"
+    run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["network"]["layers"][0]["weights"][0] = HUGE
+    out.write_text(json.dumps(doc))
+    _assert_fast_usage_error(capsys, "invert", "--query", str(out), "--oracle", "brute")
 
 
 def test_cap_exit_code(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -444,6 +445,81 @@ def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
         outcomes.add(expect_yes)
     assert len(calls) == 12
     assert outcomes == {True, False}
+
+
+def _reference_integerized(query):
+    """The layer-by-layer lcm loop that _integerized replaced."""
+
+    def lcm(values):
+        out = 1
+        for v in values:
+            out = out * v // math.gcd(out, v)
+        return out
+
+    scale = 1
+    layers = []
+    for lyr in query.network.layers:
+        denoms = [w.denominator for row in lyr.weights for w in row]
+        denoms += [b.denominator // math.gcd(b.denominator, scale) for b in lyr.bias]
+        lam = lcm(denoms)
+        weights = [[w.numerator * (lam // w.denominator) for w in row] for row in lyr.weights]
+        scale *= lam
+        layers.append((weights, [b.numerator * (scale // b.denominator) for b in lyr.bias]))
+    target_lam = lcm([t.denominator // math.gcd(t.denominator, scale) for t in query.target])
+    if target_lam != 1:
+        weights, bias = layers[-1]
+        layers[-1] = (
+            [[w * target_lam for w in row] for row in weights],
+            [b * target_lam for b in bias],
+        )
+        scale *= target_lam
+    target = [t.numerator * (scale // t.denominator) for t in query.target]
+    return layers, target, query.threshold_pow * Fraction(scale) ** query.p, scale
+
+
+def test_integerized_matches_reference_on_every_family():
+    from invforge.cli import FAMILIES
+
+    checked = set()
+    for name, fam in FAMILIES.items():
+        for p in (fam.default_p, fam.default_p + 2):
+            sources = [fam.draw(random.Random(ts), ts, 4, p) for ts in range(8)]
+            if fam.boundary is not None:
+                sources.append(fam.boundary(0, p))
+            for source in sources:
+                query = fam.compile(source, p).query
+                got = _integerized(query)
+                assert got == _reference_integerized(query)
+                entries = itertools.chain(got[1], *(itertools.chain(*w, b) for w, b in got[0]))
+                assert all(type(v) is int for v in entries)
+                checked.add((name, p))
+    assert len(checked) == 2 * len(FAMILIES)
+
+
+def test_integerized_matches_reference_on_fractional_targets():
+    rng = random.Random(17)
+
+    def entry(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, 12))
+
+    folded = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        layers, fan_in = [], n
+        for _ in range(rng.randint(1, 4)):
+            fan_out = rng.randint(1, 4)
+            rows = [[entry(5) for _ in range(fan_in)] for _ in range(fan_out)]
+            layers.append(layer(rows, [entry(5) for _ in range(fan_out)]))
+            fan_in = fan_out
+        net = ReluNetwork(n, tuple(layers))
+        target = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 40)) for _ in range(fan_in))
+        theta = abs(entry(9))
+        query = InversionQuery(net, target, rng.randint(1, 3), theta, LatentDomain(DOMAIN_01, n))
+        expected = _reference_integerized(query)
+        assert _integerized(query) == expected
+        unfolded = dataclasses.replace(query, target=(Fraction(0),) * fan_in)
+        folded += expected[3] != _reference_integerized(unfolded)[3]
+    assert folded > 50
 
 
 def test_invert_binary_scan_memory_is_bounded():

@@ -27,6 +27,12 @@ def test_parse_rejects_garbage():
         parse_ratio("abc")
 
 
+@pytest.mark.parametrize("text", ["1e400", "1E5", "2.5e-3", " 3e2 ", "-1e0"])
+def test_parse_rejects_exponent_notation(text):
+    with pytest.raises(ValueError, match="bad rational literal"):
+        parse_ratio(text)
+
+
 @pytest.mark.parametrize("m,p,expected", [(0, 3, 0), (1, 5, 1), (8, 3, 2), (9, 2, 3), (26, 3, 2), (27, 3, 3)])
 def test_int_nth_root_floor(m, p, expected):
     assert int_nth_root_floor(m, p) == expected

@@ -1,15 +1,21 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from invforge.oracles import pattern_of
 from invforge.relunet import (
     Layer,
     ReluNetwork,
+    as_fraction,
     deserialize,
     distance_pow,
+    float_layers,
     forward,
     forward_float,
+    forward_layers,
     layer,
     serialize,
 )
@@ -68,8 +74,6 @@ def test_outputs_always_nonnegative():
 
 def test_piecewise_affine_within_a_region():
     # if two points share an activation pattern, the midpoint is affine
-    from invforge.oracles import pattern_of
-
     rng = random.Random(11)
     checked = 0
     while checked < 25:
@@ -156,3 +160,124 @@ def test_float_path_tracks_exact_path():
         for e, a in zip(exact, approx):
             scale = max(1.0, abs(float(e)))
             assert abs(float(e) - a) / scale <= 1e-6
+
+
+# -- the integer kernel against the Fraction loops it replaced ----------------
+
+
+def _reference_forward_layers(net, z):
+    current = tuple(as_fraction(v) for v in z)
+    outputs = []
+    for lyr in net.layers:
+        current = tuple(
+            max(sum(w * v for w, v in zip(row, current)) + b, Fraction(0))
+            for row, b in zip(lyr.weights, lyr.bias)
+        )
+        outputs.append(current)
+    return outputs
+
+
+def _reference_preactivations(net, z):
+    current = tuple(as_fraction(v) for v in z)
+    out = []
+    for lyr in net.layers:
+        pre = [
+            sum(w * v for w, v in zip(row, current)) + b for row, b in zip(lyr.weights, lyr.bias)
+        ]
+        out.append(pre)
+        current = tuple(max(v, Fraction(0)) for v in pre)
+    return out
+
+
+def _reference_pattern(net, z):
+    return tuple(tuple(v >= 0 for v in pre) for pre in _reference_preactivations(net, z))
+
+
+def _kernel_case(rng):
+    """A random network and input; some units are steered to pre-activation exactly 0."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    n = rng.randint(1, 5)
+    z = tuple(
+        Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for _ in range(n)
+    )
+    current, fan_in, layers = z, n, []
+    for _ in range(rng.randint(1, 6)):
+        fan_out = rng.randint(1, 5)
+        rows = [
+            [Fraction(0)] * fan_in if rng.random() < 0.15 else [entry() for _ in range(fan_in)]
+            for _ in range(fan_out)
+        ]
+        bias = [entry() for _ in range(fan_out)]
+        if rng.random() < 0.5:
+            r = rng.randrange(fan_out)
+            bias[r] = -sum(w * v for w, v in zip(rows[r], current))
+        lyr = layer(rows, bias)
+        current = _reference_forward_layers(ReluNetwork(fan_in, (lyr,)), current)[0]
+        layers.append(lyr)
+        fan_in = fan_out
+    return ReluNetwork(n, tuple(layers)), z
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(2024)
+    seen = {"zero_pre": 0, "zero_row": 0, "negative_input": 0, "zero_input": 0, "den_12": 0}
+    depths = set()
+    for _ in range(400):
+        net, z = _kernel_case(rng)
+        assert forward_layers(net, z) == _reference_forward_layers(net, z)
+        assert forward(net, z) == _reference_forward_layers(net, z)[-1]
+        assert pattern_of(net, z).layers == _reference_pattern(net, z)
+        for lyr, pre in zip(net.layers, _reference_preactivations(net, z)):
+            seen["zero_pre"] += pre.count(0)
+            seen["zero_row"] += sum(not any(row) for row in lyr.weights)
+            seen["den_12"] += any(w.denominator == 12 for row in lyr.weights for w in row)
+        seen["negative_input"] += any(v < 0 for v in z)
+        seen["zero_input"] += any(v == 0 for v in z)
+        seen["den_12"] += any(v.denominator == 12 for v in z)
+        depths.add(net.depth)
+    assert all(count > 0 for count in seen.values()), seen
+    assert depths == set(range(1, 7))
+
+
+def test_kernel_accepts_ints_and_strings():
+    net = ReluNetwork(2, (layer([["1/3", "-1/2"]], ["1/4"]), layer([["3/5"]], ["-1/7"])))
+    assert forward(net, (1, "2/3")) == forward(net, (Fraction(1), Fraction(2, 3)))
+    assert forward(net, (3, 0)) == _reference_forward_layers(net, (3, 0))[-1]
+
+
+def test_network_is_immutable_after_forward():
+    net = ReluNetwork(1, (layer([[2]], [0]),))
+    assert forward(net, (Fraction(1),)) == (Fraction(2),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers = (layer([[3]], [0]),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.input_dim = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[0].weights = ((Fraction(3),),)
+    assert forward(net, (Fraction(1),)) == (Fraction(2),)
+
+
+def test_float_layers_match_float_of_each_entry():
+    big = [
+        Fraction((1 << 60) + 1, (1 << 55) + 3),
+        Fraction(-(1 << 70) - 7, 3),
+        Fraction(5, (1 << 58) + 1),
+        Fraction((1 << 53) + 1),
+        Fraction(1, 3),
+        Fraction(0),
+    ]
+    rng = random.Random(9)
+    nets = [ReluNetwork(3, (layer([big[:3], big[3:]], big[1:3]), layer([big[2:4]], [big[0]])))]
+    nets += [random_net(rng, max_depth=4, max_width=8) for _ in range(40)]
+    for net in nets:
+        for (w, b), lyr in zip(float_layers(net), net.layers):
+            w_ref = np.array([[float(v) for v in row] for row in lyr.weights], dtype=np.float64)
+            b_ref = np.array([float(v) for v in lyr.bias], dtype=np.float64)
+            assert w.dtype == b.dtype == np.float64
+            assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
