@@ -36,6 +36,7 @@ from .instances import (
     VertexCoverQuery,
     assignment_satisfies,
     clique_weight,
+    cvp_distance_pow,
     gen_random_cvp,
     gen_random_graph,
     gen_random_ksat,
@@ -207,13 +208,6 @@ def _vertex_set(bits) -> frozenset:
     return frozenset(i + 1 for i, v in enumerate(bits) if v == 1)
 
 
-def _cvp_accepts(inst: CvpInstance, y, p: int) -> bool:
-    dist = Fraction(0)
-    for row, t in zip(inst.basis, inst.target):
-        dist += abs(sum(w * v for w, v in zip(row, y)) - t) ** inst.p
-    return dist <= inst.radius**inst.p
-
-
 def _halfclique_accepts(hq: HalfCliqueQuery, chosen, p: int) -> bool:
     return (
         is_clique(hq.graph, chosen)
@@ -272,7 +266,8 @@ _CVP = Family(
     compile=lambda inst, p: cvp_to_approx_binary(inst),
     solve=lambda inst, p: solve_cvp01_bruteforce(inst),
     draw=lambda rng, ts, n_max, p: _draw_cvp(rng, ts, n_max, min(5, n_max), p),
-    accepts=_cvp_accepts,
+    accepts=lambda inst, y, p: cvp_distance_pow(inst.basis, inst.target, y, inst.p)
+    <= inst.radius**inst.p,
     default_p=1,
     boundary=_boundary_cvp,
     bench=lambda n, seed: _bench_query(

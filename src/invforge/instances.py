@@ -114,10 +114,6 @@ class WeightedGraph:
     def root_weights(self) -> dict[tuple[int, int], Fraction]:
         return {(i, j): root for i, j, root in self.edges}
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
 
 def graph(num_vertices: int, edges) -> WeightedGraph:
     """Build a WeightedGraph, normalizing edge endpoints to i < j."""
@@ -332,6 +328,12 @@ def clique_weight(g: WeightedGraph, vertices, p: int) -> Fraction:
     return total
 
 
+def cvp_distance_pow(basis, target, y, p: int) -> Fraction:
+    """The (0,1)-CVP objective sum_r |(B y)_r - t_r|**p at coefficient vector y."""
+    residuals = (sum(w * v for w, v in zip(row, y)) - t for row, t in zip(basis, target))
+    return sum((abs(r) ** p for r in residuals), Fraction(0))
+
+
 def is_cover(g: WeightedGraph, vertices) -> bool:
     """Does the vertex set touch every edge?"""
     chosen = set(vertices)
@@ -381,10 +383,7 @@ def gen_random_cvp(n: int, d: int, seed: int = 0, p: int = 1, denom_max: int = 8
     basis = tuple(tuple(entry() for _ in range(n)) for _ in range(d))
     target = tuple(entry() for _ in range(d))
     anchor = [rng.randint(0, 1) for _ in range(n)]
-    dist_pow = Fraction(0)
-    for r in range(d):
-        residual = sum(basis[r][i] * anchor[i] for i in range(n)) - target[r]
-        dist_pow += abs(residual) ** p
+    dist_pow = cvp_distance_pow(basis, target, anchor, p)
     root = float(dist_pow) ** (1.0 / p) if dist_pow > 0 else 0.0
     jitter = rng.uniform(0.7, 1.3)
     radius = Fraction(max(0.0, root * jitter)).limit_denominator(denom_max)

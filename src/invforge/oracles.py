@@ -7,20 +7,21 @@ certify YES.
 
 Exactness contract: no verdict ever depends on floating point. Every
 exact network evaluation runs on relunet's integer view, over an exact
-common scale. The scan guards against int64 overflow and falls back to
-arbitrary-precision integers when the bound check fails. The int64
-binary scan splits the latent bits into high bits, fixed within a chunk,
-and low bits, which vary within it. It sorts the layer-0 units into
-three classes: low-only units depend on low bits alone, so their share
-of the next stage is computed once per scan from a subset-sum table;
-high-only (or constant) units give one value per chunk; only the mixed
-units are evaluated for every latent of a chunk. Every value it forms is
-a partial sum of the terms of one layer-0 row, of one layer-1 row, or of
-the nonnegative distance terms, so the same bound covers it (see
-_scan_int64). The (0,1)-CVP source oracle uses the same subset-sum
-tables under its own bound. The falsifier searches in float64 copies of
-the same view, but re-verifies every candidate with the exact forward
-pass before answering YES.
+common scale. Each binary scan (binary-latent inversion and the (0,1)-CVP
+source oracle) is one chunked numpy scan. Its dtype is int64 when a
+proved bound (_int_path_safe) keeps every value it forms within int64,
+and object (exact Python ints) otherwise, so both dtypes run the same
+code. The scan splits the latent bits into high bits, fixed within a
+chunk, and low bits, which vary within it. It sorts the layer-0 units
+into three classes: low-only units depend on low bits alone, so their
+share of the next stage is computed once per scan from a subset-sum
+table; high-only (or constant) units give one value per chunk; only the
+mixed units are evaluated for every latent of a chunk. Every value it
+forms is a partial sum of the terms of one layer-0 row, of one layer-1
+row, or of the nonnegative distance terms, so the same bound covers it
+(see _scan). The falsifier searches in float64 copies of the same view,
+but re-verifies every candidate with the exact forward pass before
+answering YES.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -173,40 +174,36 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     """Exhaustive over {0,1}^n coefficient vectors; exact comparison.
 
     The basis and target are scaled by lam, the lcm of their denominators.
-    When d * max_r(sum_i |B_ri| + |t_r|)^p fits in int64, the distances are
-    formed in int64 chunks (_cvp_scan_int64); otherwise the Fraction loop
-    (_cvp_scan_fraction) runs. Both return the first minimizer in index
-    order, which is the lexicographically smallest.
+    The residuals B y - t are the pre-activations of one layer with
+    weights B and bias -t, so _int_path_safe's bound on that layer, which
+    is d * max_r(sum_i |B_ri| + |t_r|)^p, picks the dtype of _cvp_scan.
+    The first minimizer in index order is the lexicographically smallest.
     """
     n = inst.num_vectors
     _check_cap("latent_bits", n, "coefficients")
     lam = math.lcm(*(v.denominator for v in itertools.chain(*inst.basis, inst.target)))
     basis = [[scaled_int(w, lam) for w in row] for row in inst.basis]
     target = [scaled_int(t, lam) for t in inst.target]
-    row_bound = max(sum(abs(w) for w in row) + abs(t) for row, t in zip(basis, target))
-    if inst.dim * row_bound**inst.p <= _INT64_SAFE:
-        best_val, best_index = _cvp_scan_int64(basis, target, inst.p, n)
-        best_val = Fraction(best_val, lam**inst.p)
-    else:
-        best_val, best_index = _cvp_scan_fraction(inst)
+    safe = _int_path_safe([(basis, [-t for t in target])], [0] * inst.dim, inst.p)
+    best_val, best_index = _cvp_scan(basis, target, inst.p, n, np.int64 if safe else object)
     stats = VerdictStats(latents_enumerated=1 << n)
-    if best_val <= inst.radius**inst.p:
+    if Fraction(best_val, lam**inst.p) <= inst.radius**inst.p:
         witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
         return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
 
 
-def _cvp_scan_int64(basis, target, p, n):
-    """(min, first minimizer) of sum_r |(B y)_r - t_r|^p over y in {0,1}^n, in int64.
+def _cvp_scan(basis, target, p, n, dtype):
+    """(min, first minimizer) of sum_r |(B y)_r - t_r|^p over y in {0,1}^n, in dtype.
 
     The low bits' subset sums of the basis columns are built once; chunk h
     adds its high bits' sum minus the target. Every residual is a partial
     sum of one row's terms, so the caller's bound covers it.
     """
-    cols = np.array(basis, dtype=np.int64).T  # row i: coefficient i's column, msb first
-    lo = _low_bits(n, len(target))
+    cols = np.array(basis, dtype=dtype).T  # row i: coefficient i's column, msb first
+    lo = _low_bits(n, len(target), dtype)
     table = _subset_sums(cols[n - lo :], pm1=False)
-    np_target = np.array(target, dtype=np.int64)
+    np_target = np.array(target, dtype=dtype)
     buf = np.empty_like(table) if lo < n else table  # a single chunk may overwrite its table
 
     def chunks():
@@ -217,26 +214,6 @@ def _cvp_scan_int64(basis, target, p, n):
             yield _pow_sum(residual, p)
 
     return _first_min(chunks(), lo)
-
-
-def _cvp_scan_fraction(inst: CvpInstance):
-    """Arbitrary-precision fallback and reference: the same minimum by a Fraction loop."""
-    n = inst.num_vectors
-    best_val: Fraction | None = None
-    best_index = None
-    for index in range(1 << n):
-        y = _bits_msb(index, n)
-        total = _ZERO
-        for r in range(inst.dim):
-            residual = -inst.target[r]
-            row = inst.basis[r]
-            for i in range(n):
-                if y[i]:
-                    residual += row[i]
-            total += abs(residual) ** inst.p
-        if best_val is None or total < best_val:
-            best_val, best_index = total, index
-    return best_val, best_index
 
 
 # -- graph problems ----------------------------------------------------------
@@ -358,13 +335,8 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
     pm1 = kind == DOMAIN_PM1
     p = query.p
 
-    if _int_path_safe(layers, target, p):
-        best_val, best_index = _scan_int64(layers, target, p, n, pm1)
-        best_val = Fraction(int(best_val))
-    else:
-        best_val, best_index = _scan_bigint(layers, target, p, n, pm1)
-        best_val = Fraction(best_val)
-
+    dtype = np.int64 if _int_path_safe(layers, target, p) else object
+    best_val, best_index = _scan(layers, target, p, n, pm1, dtype)
     stats = VerdictStats(latents_enumerated=1 << n)
     if best_val <= threshold_scaled:
         bits = _bits_msb(best_index, n)
@@ -376,9 +348,11 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
 
 
-def _low_bits(n: int, width: int) -> int:
-    """Latent bits that vary within a chunk: 2^lo rows of `width` fit in _CHUNK_ELEMENTS."""
-    return min(n, max(0, (_CHUNK_ELEMENTS // width).bit_length() - 1))
+def _low_bits(n: int, width: int, dtype) -> int:
+    """Latent bits that vary within a chunk: 2^lo rows of `width` fit in the dtype's chunk."""
+    # an object element points to a Python int of several words, so take an eighth
+    elements = _CHUNK_ELEMENTS if dtype is np.int64 else _CHUNK_ELEMENTS // 8
+    return min(n, max(0, (elements // width).bit_length() - 1))
 
 
 def _subset_sums(cols, pm1: bool):
@@ -389,7 +363,7 @@ def _subset_sums(cols, pm1: bool):
     the {0,1} sum of r's set bits less that of its clear bits, which is
     row r of the reversed table.
     """
-    table = np.zeros((1 << len(cols), cols.shape[1]), dtype=np.int64)
+    table = np.zeros((1 << len(cols), cols.shape[1]), dtype=cols.dtype)
     for j, col in enumerate(cols[::-1]):
         k = 1 << j
         np.add(table[:k], col, out=table[k : 2 * k])
@@ -404,14 +378,15 @@ def _high_sums(cols, base, pm1: bool):
         return
     for h in range(1 << hi):
         bits = _bits_msb(h, hi)
-        yield base + np.array([2 * b - 1 for b in bits] if pm1 else bits, dtype=np.int64) @ cols
+        yield base + np.array([2 * b - 1 for b in bits] if pm1 else bits, dtype=cols.dtype) @ cols
 
 
 def _pow_sum(values, p: int):
     """Row sums of values**p, overwriting values; for odd p they must be >= 0.
 
     einsum sums each row in integers like .sum(axis=1), and is several
-    times faster on the narrow arrays the scans make.
+    times faster on the narrow arrays the scans make. It takes object
+    arrays from numpy 1.25 on.
     """
     if p == 2:
         return np.einsum("ij,ij->i", values, values)
@@ -462,8 +437,8 @@ def _distance(acts, target, p: int):
     return _pow_sum(acts, p)
 
 
-def _scan_int64(layers, target, p, n, pm1):
-    """int64 scan in chunks; only the mixed layer-0 units are evaluated per chunk.
+def _scan(layers, target, p, n, pm1, dtype):
+    """Scan in chunks of dtype; only the mixed layer-0 units are evaluated per chunk.
 
     Split: of the n latent bits, the `hi` high bits are fixed within a
     chunk and the `lo` low bits vary within it. Layer-0 units fall into
@@ -485,22 +460,24 @@ def _scan_int64(layers, target, p, n, pm1):
     or a sum of shares, is a sum of some of one layer-1 row's terms; every
     distance formed is a sum of some of the nonnegative distance terms. So
     each magnitude stays within a bound `_int_path_safe` checked, and the
-    later layers are the same int64 arithmetic that bound covers.
+    later layers are the same arithmetic that bound covers. The caller
+    passes np.int64 when that bound fits int64, else object, whose Python
+    ints cannot overflow.
 
     Memory: lo is the largest value with 2^lo rows of the widest layer
-    within _CHUNK_ELEMENTS, so every table, the chunk buffer and each later
-    layer's output hold at most max(_CHUNK_ELEMENTS, width) int64 values,
+    within the dtype's chunk (_low_bits), so every table, the chunk buffer
+    and each later layer's output hold at most max(chunk, width) values,
     whatever n is. The low-only table is freed before the mixed one is
     built.
 
     Order: see _first_min.
     """
     (w0, b0), rest = layers[0], layers[1:]
-    cols = np.array(w0, dtype=np.int64).T  # row i: latent bit i's column, msb first
-    bias0 = np.array(b0, dtype=np.int64)
-    np_rest = [(np.array(w, dtype=np.int64).T, np.array(b, dtype=np.int64)) for w, b in rest]
-    np_target = np.array(target, dtype=np.int64)
-    lo = _low_bits(n, max(len(b) for _, b in layers))
+    cols = np.array(w0, dtype=dtype).T  # row i: latent bit i's column, msb first
+    bias0 = np.array(b0, dtype=dtype)
+    np_rest = [(np.array(w, dtype=dtype).T, np.array(b, dtype=dtype)) for w, b in rest]
+    np_target = np.array(target, dtype=dtype)
+    lo = _low_bits(n, max(len(b) for _, b in layers), dtype)
     hi = n - lo
     mixed, low_only = len(b0), 0
     if hi:  # reorder the units so each class is a slice; the function is unchanged
@@ -548,25 +525,6 @@ def _scan_int64(layers, target, p, n, pm1):
             yield total
 
     return _first_min(chunks(), lo)
-
-
-def _scan_bigint(layers, target, p, n, pm1):
-    """Arbitrary-precision fallback; same scan in pure Python integers."""
-    best_val = None
-    best_index = -1
-    for index in range(1 << n):
-        bits = _bits_msb(index, n)
-        acts = [2 * b - 1 for b in bits] if pm1 else list(bits)
-        for weights, bias in layers:
-            acts = [
-                max(sum(w * a for w, a in zip(row, acts)) + b, 0)
-                for row, b in zip(weights, bias)
-            ]
-        val = sum(abs(a - t) ** p for a, t in zip(acts, target))
-        if best_val is None or val < best_val:
-            best_val = val
-            best_index = index
-    return best_val, best_index
 
 
 # -- activation patterns and real-latent inversion ---------------------------

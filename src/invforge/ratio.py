@@ -38,12 +38,14 @@ def int_nth_root_floor(m: int, p: int) -> int:
         raise ValueError("p must be positive")
     if m < 2 or p == 1:
         return m
-    r = int(round(m ** (1.0 / p)))
-    while r > 0 and r**p > m:
-        r -= 1
-    while (r + 1) ** p <= m:
-        r += 1
-    return r
+    # Integer Newton from above: r**p > m at the start. By AM-GM no step
+    # falls below the root, and every step from above the root falls.
+    r = 1 << -(-m.bit_length() // p)
+    while True:
+        s = ((p - 1) * r + m // r ** (p - 1)) // p
+        if s >= r:
+            return r
+        r = s
 
 
 def int_root_ceil(value, p: int) -> int:

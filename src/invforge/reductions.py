@@ -95,7 +95,6 @@ class ReductionArtifact:
     query: InversionQuery
     constants: dict = field(default_factory=dict)
     witness_map: dict = field(default_factory=dict)
-    source: object | None = None
 
 
 # -- constant choosers ----------------------------------------------------
@@ -213,9 +212,7 @@ def sat_to_exact_binary(formula: CnfFormula) -> ReductionArtifact:
     query = InversionQuery(
         net, (_ZERO,), 1, _ZERO, LatentDomain(DOMAIN_PM1, formula.num_vars)
     )
-    return ReductionArtifact(
-        query, constants={}, witness_map={"kind": "sat-pm1"}, source=formula
-    )
+    return ReductionArtifact(query, constants={}, witness_map={"kind": "sat-pm1"})
 
 
 def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
@@ -265,9 +262,7 @@ def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
     query = InversionQuery(
         net, (_ZERO, Fraction(n)), 1, _ZERO, LatentDomain(DOMAIN_REAL, n)
     )
-    return ReductionArtifact(
-        query, constants={}, witness_map={"kind": "sat-real"}, source=formula
-    )
+    return ReductionArtifact(query, constants={}, witness_map={"kind": "sat-real"})
 
 
 # -- lattice instances, binary latents ------------------------------------
@@ -335,7 +330,6 @@ def cvp_to_approx_binary(inst: CvpInstance) -> ReductionArtifact:
         query,
         constants={"alpha": alpha, "radius": inst.radius},
         witness_map={"kind": "cvp-pairs", "n": n},
-        source=inst,
     )
 
 
@@ -458,7 +452,6 @@ def binarization_gadget(inner: ReductionArtifact, delta, mode: str) -> Reduction
         query,
         constants=constants,
         witness_map={"kind": "binarized", "scale": clamp_hi, "inner": inner.witness_map},
-        source=inner.source,
     )
 
 
@@ -558,7 +551,6 @@ def halfclique_to_approx(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
             "bound": query.bound,
         },
         witness_map={"kind": "clique-indicator"},
-        source=query,
     )
 
 
@@ -628,7 +620,6 @@ def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:
             "edge_count": edge_count,
         },
         witness_map={"kind": "cover-complement"},
-        source=query,
     )
 
 

@@ -212,15 +212,15 @@ class DistancePow:
 
 
 def distance_pow(y: Sequence, x: Sequence, p: int) -> DistancePow:
-    """Exact sum of |y_i - x_i|**p."""
+    """Exact sum of |y_i - x_i|**p, summed in integers over one common denominator."""
     if len(y) != len(x):
         raise ValueError(f"length mismatch: {len(y)} vs {len(x)}")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    total = _ZERO
-    for a, b in zip(y, x):
-        total += abs(as_fraction(a) - as_fraction(b)) ** p
-    return DistancePow(total, p)
+    pairs = [(as_fraction(a), as_fraction(b)) for a, b in zip(y, x)]
+    scale = math.lcm(*(v.denominator for pair in pairs for v in pair))
+    total = sum(abs(scaled_int(a, scale) - scaled_int(b, scale)) ** p for a, b in pairs)
+    return DistancePow(Fraction(total, scale**p), p)
 
 
 def serialize(net: ReluNetwork) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from invforge import cli
+from invforge import cli, oracles
 from invforge.cli import FAMILIES, main, run_bench, run_verify, write_bench_csv
 from invforge.instances import CvpInstance
 from invforge.reductions import artifact_from_json
@@ -147,6 +147,20 @@ def test_invert_exponent_weight_is_fast_usage_error(tmp_path, capsys):
     doc["network"]["layers"][0]["weights"][0] = HUGE
     out.write_text(json.dumps(doc))
     _assert_fast_usage_error(capsys, "invert", "--query", str(out), "--oracle", "brute")
+
+
+def test_reduce_halfclique_huge_bound_inverts_exactly(tmp_path, monkeypatch):
+    """A bound past float range: the constants take exact integer roots, the scan object ints."""
+    src = tmp_path / "g.txt"
+    src.write_text(GRAPH_TEXT)
+    out = tmp_path / "art.json"
+    assert run_cli("reduce", "--from", "halfclique", "--latent", "binary",
+                   "--bound", "1" + "0" * 400, "--in", str(src), "--out", str(out)) == 0
+    dtypes = []
+    scan = oracles._scan
+    monkeypatch.setattr(oracles, "_scan", lambda *args: dtypes.append(args[-1]) or scan(*args))
+    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert dtypes == [object]
 
 
 def test_cap_exit_code(tmp_path, monkeypatch):

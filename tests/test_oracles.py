@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from invforge import oracles
@@ -26,8 +27,7 @@ from invforge.oracles import (
     _identity_affine,
     _int_path_safe,
     _integerized,
-    _scan_bigint,
-    _scan_int64,
+    _scan,
     count_sat_assignments,
     enumerate_patterns_invert,
     falsify_real,
@@ -95,7 +95,10 @@ def test_cvp_bruteforce_examples():
 
 
 def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
-    """Several chunks per scan, and small entries, so minimizers tie across chunk borders."""
+    """Several chunks per scan, and small entries, so minimizers tie across chunk borders.
+
+    Both dtypes scan each instance with the same split into chunks.
+    """
     rng = random.Random(29)
 
     def entry():
@@ -104,22 +107,26 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
     outcomes = set()
     split_ties = 0
     for _ in range(100):
-        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", rng.choice((1, 2, 4, 8, 16)))
+        chunk = rng.choice((1, 2, 4, 8, 16))
         n, d, p = rng.randint(1, 10), rng.randint(1, 3), rng.randint(1, 3)
         basis = tuple(tuple(entry() for _ in range(n)) for _ in range(d))
         inst = CvpInstance(basis, tuple(entry() for _ in range(d)), entry() + 2, p)
-        best, index = oracles._cvp_scan_fraction(inst)
+        distances = [_cvp_distance(inst, i) for i in range(1 << n)]
+        best = min(distances)
+        index = distances.index(best)
         lam = math.lcm(*(v.denominator for row in basis for v in row + inst.target))
         int_basis = [[int(v * lam) for v in row] for row in basis]
         int_target = [int(t * lam) for t in inst.target]
-        assert oracles._cvp_scan_int64(int_basis, int_target, p, n) == (best * lam**p, index)
+        for dtype, elements in ((np.int64, chunk), (object, 8 * chunk)):
+            monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", elements)
+            scanned = oracles._cvp_scan(int_basis, int_target, p, n, dtype)
+            assert scanned == (best * lam**p, index)
         verdict = solve_cvp01_bruteforce(inst)
         assert verdict.is_yes == (best <= inst.radius**p)
         assert verdict.witness == (_msb_bits(index, n) if verdict.is_yes else None)
         assert verdict.stats.latents_enumerated == 1 << n
         outcomes.add(verdict.is_yes)
-        ties = [i for i in range(1 << n) if _cvp_distance(inst, i) == best]
-        assert ties[0] == index
+        ties = [i for i, v in enumerate(distances) if v == best]
         split_ties += ties[-1] - index >= 16  # 16 apart: never in one chunk
     assert outcomes == {True, False}
     assert split_ties >= 10
@@ -133,11 +140,17 @@ def _cvp_distance(inst, index):
     return sum((abs(r) ** inst.p for r in residuals), Fraction(0))
 
 
+def _spy_dtypes(monkeypatch, name):
+    """Record the dtype argument of every call to the scan `name`."""
+    dtypes = []
+    scan = getattr(oracles, name)
+    monkeypatch.setattr(oracles, name, lambda *args: dtypes.append(args[-1]) or scan(*args))
+    return dtypes
+
+
 def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
-    """Entries near 2^62 overflow the int64 bound, so the Fraction loop decides."""
-    calls = []
-    loop = oracles._cvp_scan_fraction
-    monkeypatch.setattr(oracles, "_cvp_scan_fraction", lambda i: calls.append(i) or loop(i))
+    """Entries near 2^62 overflow the int64 bound, so the object scan decides."""
+    dtypes = _spy_dtypes(monkeypatch, "_cvp_scan")
     big = 1 << 62
     basis = (
         (Fraction(big), Fraction(big - 3), Fraction(-big, 3)),
@@ -146,12 +159,11 @@ def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
     target = (Fraction(2 * big - 3), Fraction(big + 3))
     inst = CvpInstance(basis, target, Fraction(1), 1)
     verdict = solve_cvp01_bruteforce(inst)
-    assert len(calls) == 1
     distances = [_cvp_distance(inst, i) for i in range(8)]
     assert min(distances) == 1 and distances.index(1) == 0b110  # y = (1, 1, 0)
     assert verdict.witness == _msb_bits(0b110, 3)
     assert not solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(1, 2), 1)).is_yes
-    assert len(calls) == 2
+    assert dtypes == [object, object]
 
 
 def test_halfclique_bruteforce_examples():
@@ -359,8 +371,9 @@ def _sparse_rows(rng, fan_out, n, hi):
 def test_scan_int64_chunks_match_bigint(monkeypatch):
     """Many chunks per scan, and small weights, so minimizers tie across chunk borders.
 
-    The second half uses sparse layer-0 rows, so that low-only, high-only
-    (or constant) and mixed units all occur in one scan.
+    Both dtypes scan each case with the same split into chunks. The second
+    half uses sparse layer-0 rows, so that low-only, high-only (or
+    constant) and mixed units all occur in one scan.
     """
     rng = random.Random(41)
     split_ties = 0
@@ -376,7 +389,7 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         widths = [
             rng.randint(3, 8) if sparse and not i else rng.randint(1, 4) for i in range(depth)
         ]
-        hi = n - oracles._low_bits(n, max(widths))
+        hi = n - oracles._low_bits(n, max(widths), np.int64)
         layers = []
         fan_in = n
         for fan_out in widths:
@@ -392,9 +405,10 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         assert _int_path_safe(layers, target, p)
         values = _all_distances(layers, target, p, n, pm1)
         best = min(values)
-        scanned = _scan_int64(layers, target, p, n, pm1)
-        assert scanned == _scan_bigint(layers, target, p, n, pm1)
-        assert scanned == (best, values.index(best))
+        assert _scan(layers, target, p, n, pm1, np.int64) == (best, values.index(best))
+        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", 8 * chunk)
+        assert n - oracles._low_bits(n, max(widths), object) == hi
+        assert _scan(layers, target, p, n, pm1, object) == (best, values.index(best))
         ties = [i for i, v in enumerate(values) if v == best]
         split_ties += ties[-1] - ties[0] >= 16  # 16 apart: never in one chunk
         classes = set()
@@ -409,10 +423,8 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
 
 
 def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
-    """Depth-2 queries with ~2^40 weights overflow int64 and take the bigint scan."""
-    calls = []
-    bigint = oracles._scan_bigint
-    monkeypatch.setattr(oracles, "_scan_bigint", lambda *args: calls.append(args) or bigint(*args))
+    """Depth-2 queries with ~2^40 weights overflow int64 and take the object scan."""
+    dtypes = _spy_dtypes(monkeypatch, "_scan")
     big = 1 << 40
     rng = random.Random(7)
     outcomes = set()
@@ -443,7 +455,7 @@ def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
         assert verdict.is_yes == expect_yes
         assert verdict.witness == (best_z if expect_yes else None)
         outcomes.add(expect_yes)
-    assert len(calls) == 12
+    assert dtypes == [object] * 12
     assert outcomes == {True, False}
 
 
@@ -535,6 +547,41 @@ def test_invert_binary_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 10**6
+
+
+def test_invert_binary_object_scan_memory_is_bounded(monkeypatch):
+    """A 12-bit query with ~2^40 weights takes the object scan; its arrays stay chunk-sized.
+
+    The chunk and the bound are both cut 64-fold from the int64 test's, to
+    keep the run short: one object table of all 2^12 latents peaks near 4 MB.
+    """
+    dtypes = _spy_dtypes(monkeypatch, "_scan")
+    monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", oracles._CHUNK_ELEMENTS >> 6)
+    rng = random.Random(5)
+    big = 1 << 40
+    n, width = 12, 24
+
+    def rows(fan_out, fan_in):
+        return [[rng.randint(-3, 3) * big + rng.randint(-2, 2) for _ in range(fan_in)]
+                for _ in range(fan_out)]
+
+    net = ReluNetwork(
+        n,
+        (
+            layer(rows(width, n), [rng.randint(-3, 3) * big for _ in range(width)]),
+            layer(rows(4, width), [rng.randint(-3, 3) * big for _ in range(4)]),
+        ),
+    )
+    target = tuple(Fraction(rng.randint(0, 3) * big * big) for _ in range(4))
+    query = InversionQuery(net, target, 2, Fraction(0), LatentDomain(DOMAIN_01, n))
+    tracemalloc.start()
+    try:
+        invert_binary_bruteforce(query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dtypes == [object]
+    assert peak < (64 * 10**6) >> 6
 
 
 # -- pattern enumeration -----------------------------------------------------

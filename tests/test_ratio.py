@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invforge.ratio import (
     format_ratio,
@@ -36,6 +38,13 @@ def test_parse_rejects_exponent_notation(text):
 @pytest.mark.parametrize("m,p,expected", [(0, 3, 0), (1, 5, 1), (8, 3, 2), (9, 2, 3), (26, 3, 2), (27, 3, 3)])
 def test_int_nth_root_floor(m, p, expected):
     assert int_nth_root_floor(m, p) == expected
+
+
+@given(st.integers(min_value=0, max_value=1 << 5000), st.integers(min_value=1, max_value=8))
+def test_int_nth_root_floor_brackets_large_m(m, p):
+    """Exact far past float range: a float first guess overflows at m >= 2^1024."""
+    r = int_nth_root_floor(m, p)
+    assert r**p <= m < (r + 1) ** p
 
 
 def test_int_root_ceil():

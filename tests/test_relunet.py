@@ -105,9 +105,42 @@ def test_distance_pow_zero_iff_equal():
         assert (d.value == 0) == (y == x)
 
 
+def _reference_distance_pow(y, x, p):
+    """The per-coordinate Fraction loop that distance_pow replaced."""
+    total = Fraction(0)
+    for a, b in zip(y, x):
+        total += abs(as_fraction(a) - as_fraction(b)) ** p
+    return total
+
+
+def test_distance_pow_matches_fraction_reference():
+    rng = random.Random(17)
+    kinds = set()
+
+    def entry():
+        kind = rng.choice(("int", "str", "fraction"))
+        kinds.add(kind)
+        num, den = rng.randint(-30, 30), rng.randint(1, 12)
+        if kind == "int":
+            return num
+        return f"{num}/{den}" if kind == "str" else Fraction(num, den)
+
+    for _ in range(400):
+        k = rng.randint(0, 6)
+        y = [entry() for _ in range(k)]
+        x = [entry() for _ in range(k)]
+        p = rng.randint(1, 5)
+        d = distance_pow(y, x, p)
+        assert d.value == _reference_distance_pow(y, x, p)
+        assert d.exponent == p and isinstance(d.value, Fraction)
+    assert kinds == {"int", "str", "fraction"}
+
+
 def test_distance_pow_length_mismatch():
     with pytest.raises(ValueError):
         distance_pow((Fraction(1),), (Fraction(1), Fraction(2)), 1)
+    with pytest.raises(ValueError):
+        distance_pow((Fraction(1),), (Fraction(1),), 0)
 
 
 def test_serialize_roundtrip_identity():
