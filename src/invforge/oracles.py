@@ -21,7 +21,11 @@ forms is a partial sum of the terms of one layer-0 row, of one layer-1
 row, or of the nonnegative distance terms, so the same bound covers it
 (see _scan). The falsifier searches in float64 copies of the same view,
 but re-verifies every candidate with the exact forward pass before
-answering YES.
+answering YES. It checks the seeds whose float distance is near the
+threshold before it descends (a corner of the latent cube as its exact
+point), and descends only when none of them is a witness: with
+2^N <= restarts and corner levels {0, clamp_hi}, every YES of a gadget
+query is found at a seed.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -683,6 +687,9 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
 # -- float falsifier ---------------------------------------------------------
 
 
+_LADDER = (1, 2, 4, 8, 16, 64, 256, 4096, 1 << 16)  # denominators a float point is rounded to
+
+
 def falsify_real(
     query: InversionQuery,
     restarts: int = 10_000,
@@ -692,10 +699,16 @@ def falsify_real(
     """Multi-start float search; YES only after exact rational re-verification.
 
     Seeds every {lo,hi}-corner of the latent cube first (up to the restart
-    budget), then random points, and runs a batched coordinate descent.
-    Candidates near or below the threshold are rationalized with bounded
-    denominators and checked exactly, each distinct point once; a NO answer
-    is explicitly non-certifying.
+    budget), then random points. Seeds whose float distance is near or
+    below the threshold are checked exactly at once: a corner as the exact
+    point of corner_levels, a random seed rationalized with bounded
+    denominators. Only when none passes does a batched coordinate descent
+    run, after which the best points and those near the threshold are
+    rationalized and checked. Each distinct rational point is checked once,
+    and a NO answer is explicitly non-certifying. With 2^N <= restarts and
+    corner levels {0, clamp_hi}, every YES of a gadget query is found at a
+    seed, since forward_witness scales the binary witness by clamp_hi.
+    A query whose constants overflow float64 answers NO at once.
     """
     if query.domain.kind != DOMAIN_REAL:
         raise ValueError("the falsifier searches real latent domains only")
@@ -704,66 +717,84 @@ def falsify_real(
     if restarts <= 0:
         return Verdict(NO, None, CERT_FALSIFIER, stats)
 
-    lo, hi = float(corner_levels[0]), float(corner_levels[1])
-    net_layers = float_layers(query.network)
-    target = np.array([float(v) for v in query.target])
-    theta = float(query.threshold_pow)
-    p = query.p
-
-    def dist(points):
-        acts = points
-        for w, b in net_layers:
-            acts = np.maximum(acts @ w.T + b, 0.0)
-        return (np.abs(acts - target) ** p).sum(axis=1)
-
-    blocks = []
     corner_count = min(1 << n, restarts) if n <= 20 else 0
-    if corner_count:
-        idx = np.arange(corner_count, dtype=np.int64)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        blocks.append(lo + bits * (hi - lo))
-    remaining = restarts - corner_count
-    if remaining > 0:
-        rng = np.random.default_rng(seed)
+    bits = (np.arange(corner_count)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    try:
+        lo, hi = float(corner_levels[0]), float(corner_levels[1])
+        net_layers = [(np.ascontiguousarray(w.T), b) for w, b in float_layers(query.network)]
+        target = np.array([float(v) for v in query.target])
+        theta = float(query.threshold_pow)
         span = max(hi - lo, 1.0)
-        blocks.append(
-            rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(remaining, n))
+        randoms = np.random.default_rng(seed).uniform(
+            lo - 0.5 * span, hi + 0.5 * span, size=(restarts - corner_count, n)
         )
-    points = np.vstack(blocks)
-    values = dist(points)
-    stats.latents_enumerated += len(points)
+        points = np.vstack([lo + bits * (hi - lo), randoms])
+    except OverflowError:  # the float search cannot represent this query
+        return Verdict(NO, None, CERT_FALSIFIER, stats)
+    p = query.p
+    acts_out = [np.empty((len(points), w.shape[1])) for w, _ in net_layers]
+    power_out = np.empty_like(acts_out[-1])
 
-    step = max(hi - lo, 1.0) / 2.0
-    for _ in range(4):
-        for j in range(n):
-            for direction in (step, -step):
-                candidate = points.copy()
-                candidate[:, j] += direction
-                cand_values = dist(candidate)
-                stats.latents_enumerated += len(points)
-                better = cand_values < values
-                points[better] = candidate[better]
-                values[better] = cand_values[better]
-        step /= 2.0
+    def dist(batch):
+        acts = batch
+        for (w, b), out in zip(net_layers, acts_out):
+            np.matmul(acts, w, out=out)
+            out += b
+            acts = np.maximum(out, 0.0, out=out)
+        acts -= target
+        np.abs(acts, out=acts)
+        np.copyto(power_out, acts)
+        for _ in range(p - 1):
+            np.multiply(power_out, acts, out=power_out)
+        return power_out.sum(axis=1)
 
-    order = np.argsort(values, kind="stable")
-    shortlist = [int(i) for i in order[:16]]
-    shortlist += [
-        int(i) for i in np.nonzero(values <= theta * (1 + 1e-9) + 1e-9)[0][:64]
-    ]
-    seen: set[int] = set()
-    checked: set[tuple] = set()  # rationalized points already found too far
-    for i in shortlist:
-        if i in seen:
-            continue
-        seen.add(i)
-        for denom in (1, 2, 4, 8, 16, 64, 256, 4096, 1 << 16):
-            z = tuple(Fraction(float(v)).limit_denominator(denom) for v in points[i])
+    checked: set[tuple] = set()  # rational points already found too far
+
+    def first_hit(candidates):
+        for z in candidates:
             if z in checked:
                 continue
             checked.add(z)
             exact = distance_pow(forward(query.network, z), query.target, p)
             if exact.value <= query.threshold_pow:
-                return Verdict(YES, z, CERT_FALSIFIER, stats)
-    return Verdict(NO, None, CERT_FALSIFIER, stats)
+                return z
+        return None
+
+    def rationalized(i):
+        exact = [Fraction(float(v)) for v in points[i]]
+        for denom in _LADDER:
+            yield tuple(v.limit_denominator(denom) for v in exact)
+
+    levels = (Fraction(corner_levels[0]), Fraction(corner_levels[1]))
+
+    def seed_candidates(i):
+        if i < corner_count:  # an unmoved corner is exactly a point of corner_levels
+            return [tuple(levels[b] for b in bits[i])]
+        return rationalized(i)
+
+    def near(values):
+        return [int(i) for i in np.nonzero(values <= theta * (1 + 1e-9) + 1e-9)[0][:64]]
+
+    values = dist(points)
+    stats.latents_enumerated += len(points)
+    z = first_hit(z for i in near(values) for z in seed_candidates(i))
+    if z is not None:
+        return Verdict(YES, z, CERT_FALSIFIER, stats)
+
+    step = span / 2.0
+    candidate = points.copy()
+    for _ in range(4):
+        for j in range(n):
+            for direction in (step, -step):
+                np.add(points[:, j], direction, out=candidate[:, j])
+                cand_values = dist(candidate)
+                stats.latents_enumerated += len(points)
+                better = cand_values < values
+                np.copyto(points[:, j], candidate[:, j], where=better)
+                np.copyto(values, cand_values, where=better)
+                candidate[:, j] = points[:, j]
+        step /= 2.0
+
+    shortlist = [int(i) for i in np.argsort(values, kind="stable")[:16]] + near(values)
+    z = first_hit(z for i in dict.fromkeys(shortlist) for z in rationalized(i))
+    return Verdict(NO if z is None else YES, z, CERT_FALSIFIER, stats)

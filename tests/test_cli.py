@@ -301,6 +301,21 @@ def test_falsify_bad_clamp_hi_is_usage_error(tmp_path, capsys, clamp_hi):
     assert "clamp_hi" in captured.err
 
 
+def test_falsify_past_float_range_is_non_certifying_no(tmp_path, capsys):
+    """A valid artifact whose constants overflow float64: the heuristic cannot run, so NO."""
+    src = tmp_path / "g.txt"
+    src.write_text("graph 4\n1 2 1\n2 3 1\n3 4 1\n")
+    out = tmp_path / "art.json"
+    assert run_cli("reduce", "--from", "halfclique", "--latent", "real",
+                   "--bound", "1" + "0" * 400, "--in", str(src), "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "50") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdict = json.loads(captured.out)
+    assert verdict["decision"] == "NO" and verdict["certificate"] == "falsifier-only"
+
+
 @pytest.mark.parametrize("latent", ["binary", "real"])
 def test_reduce_cvp_even_p_is_refused(tmp_path, capsys, latent):
     src = tmp_path / "inst.cvp"

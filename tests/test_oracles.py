@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from invforge import oracles
+from invforge.cli import FAMILIES
 from invforge.instances import (
     CnfFormula,
     CvpInstance,
@@ -45,11 +46,12 @@ from invforge.reductions import (
     DOMAIN_REAL,
     InversionQuery,
     LatentDomain,
+    backward_witness,
     sat_to_exact_binary,
     sat_to_exact_real,
     vertexcover_to_approx,
 )
-from invforge.relunet import ReluNetwork, distance_pow, forward, layer
+from invforge.relunet import ReluNetwork, distance_pow, float_layers, forward, layer
 
 
 def identity_query(n, target, theta=Fraction(0), domain=DOMAIN_01, p=1):
@@ -784,18 +786,162 @@ def test_falsify_finds_corner_witness():
     assert d.value <= art.query.threshold_pow
 
 
-def test_falsify_yes_always_reverifies():
+def test_falsify_yes_always_reverifies(monkeypatch):
+    # Every YES, from the seed stage or after the descent, follows an exact
+    # distance_pow of exactly that witness's image, at or below the threshold.
+    exact_checks = []
+    exact_distance = oracles.distance_pow
+
+    def spy(y, x, p):
+        d = exact_distance(y, x, p)
+        exact_checks.append((tuple(y), d.value))
+        return d
+
+    monkeypatch.setattr(oracles, "distance_pow", spy)
     rng = random.Random(13)
-    for seed in range(10):
+    restarts = 300
+    stages = set()
+    for seed in range(30):
         n = rng.randint(1, 3)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(2)]
         net = ReluNetwork(n, (layer(rows, [Fraction(rng.randint(-2, 2)) for _ in range(2)]),))
-        target = tuple(Fraction(rng.randint(0, 3)) for _ in range(2))
-        q = InversionQuery(net, target, 2, Fraction(1, 2), LatentDomain(DOMAIN_REAL, n))
-        verdict = falsify_real(q, restarts=300, seed=seed)
+        target = tuple(Fraction(rng.randint(0, 6), 2) for _ in range(2))
+        theta = rng.choice((Fraction(0), Fraction(1, 2)))
+        q = InversionQuery(net, target, 2, theta, LatentDomain(DOMAIN_REAL, n))
+        exact_checks.clear()
+        verdict = falsify_real(q, restarts=restarts, seed=seed)
         if verdict.is_yes:
-            d = distance_pow(forward(net, verdict.witness), target, 2)
-            assert d.value <= q.threshold_pow
+            image, value = exact_checks[-1]
+            assert image == forward(net, verdict.witness) and value <= theta
+            stages.add("seed" if verdict.stats.latents_enumerated == restarts else "descent")
+    assert stages == {"seed", "descent"}
+
+
+# Seeded gadget routes of the falsifier: (verify family, p). N <= 8 for each.
+GADGET_ROUTES = [("halfclique-real", 2), ("cvp-real", 1), ("cvp-real", 3)]
+
+
+def _gadget_cases(name, p, want_yes, count):
+    """The first `count` seeded (source, artifact) pairs of a route whose source answer is want_yes."""
+    family = FAMILIES[name]
+    cases = []
+    for ts in itertools.count():
+        source = family.draw(random.Random(ts), ts, 3, p)
+        if family.solve(source, p).is_yes == want_yes:
+            artifact = family.compile(source, p)
+            assert artifact.query.domain.dim <= 8
+            cases.append((source, artifact))
+            if len(cases) == count:
+                return cases
+
+
+@pytest.mark.parametrize("name, p", GADGET_ROUTES)
+def test_falsify_yes_is_found_at_a_seed(name, p):
+    # forward_witness scales the source indicator by clamp_hi, so with every
+    # corner seeded the seed stage answers and no descent pass runs.
+    family = FAMILIES[name]
+    for source, artifact in _gadget_cases(name, p, True, 8):
+        n = artifact.query.domain.dim
+        hi = artifact.constants["clamp_hi"]
+        verdict = falsify_real(artifact.query, restarts=1 << n, seed=0, corner_levels=(0, hi))
+        assert verdict.is_yes and verdict.stats.latents_enumerated == 1 << n
+        assert set(verdict.witness) <= {0, hi}
+        assert family.accepts(source, backward_witness(artifact, verdict.witness), p)
+
+
+def _reference_falsify(query, restarts, seed, corner_levels):
+    """The falsifier before its seed stage: descend first, then check the shortlist.
+
+    It calls forward and distance_pow through the oracles module, so a spy
+    patched there sees both falsifiers' exact checks.
+    """
+    n = query.domain.dim
+    stats = oracles.VerdictStats()
+    lo, hi = float(corner_levels[0]), float(corner_levels[1])
+    net_layers = float_layers(query.network)
+    target = np.array([float(v) for v in query.target])
+    theta = float(query.threshold_pow)
+    p = query.p
+
+    def dist(points):
+        acts = points
+        for w, b in net_layers:
+            acts = np.maximum(acts @ w.T + b, 0.0)
+        return (np.abs(acts - target) ** p).sum(axis=1)
+
+    blocks = []
+    corner_count = min(1 << n, restarts) if n <= 20 else 0
+    if corner_count:
+        idx = np.arange(corner_count, dtype=np.int64)
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        blocks.append(lo + bits * (hi - lo))
+    remaining = restarts - corner_count
+    if remaining > 0:
+        rng = np.random.default_rng(seed)
+        span = max(hi - lo, 1.0)
+        blocks.append(rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(remaining, n)))
+    points = np.vstack(blocks)
+    values = dist(points)
+    stats.latents_enumerated += len(points)
+
+    step = max(hi - lo, 1.0) / 2.0
+    for _ in range(4):
+        for j in range(n):
+            for direction in (step, -step):
+                candidate = points.copy()
+                candidate[:, j] += direction
+                cand_values = dist(candidate)
+                stats.latents_enumerated += len(points)
+                better = cand_values < values
+                points[better] = candidate[better]
+                values[better] = cand_values[better]
+        step /= 2.0
+
+    order = np.argsort(values, kind="stable")
+    shortlist = [int(i) for i in order[:16]]
+    shortlist += [int(i) for i in np.nonzero(values <= theta * (1 + 1e-9) + 1e-9)[0][:64]]
+    seen: set[int] = set()
+    checked: set[tuple] = set()
+    for i in shortlist:
+        if i in seen:
+            continue
+        seen.add(i)
+        for denom in (1, 2, 4, 8, 16, 64, 256, 4096, 1 << 16):
+            z = tuple(Fraction(float(v)).limit_denominator(denom) for v in points[i])
+            if z in checked:
+                continue
+            checked.add(z)
+            exact = oracles.distance_pow(oracles.forward(query.network, z), query.target, p)
+            if exact.value <= query.threshold_pow:
+                return oracles.Verdict(oracles.YES, z, CERT_FALSIFIER, stats)
+    return oracles.Verdict(oracles.NO, None, CERT_FALSIFIER, stats)
+
+
+def test_falsify_descent_matches_reference(monkeypatch):
+    # On NO queries both falsifiers run every descent pass. For p <= 2 the
+    # in-place float arithmetic is bitwise the reference's, so they check the
+    # same candidates in the same order; for p = 3 the cube is a product, not
+    # a pow, and only the decisions must agree.
+    checked = []
+    exact_forward = oracles.forward
+    monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
+    for name, p in GADGET_ROUTES:
+        for ts, (_, artifact) in enumerate(_gadget_cases(name, p, False, 14)):
+            n = artifact.query.domain.dim
+            kwargs = dict(restarts=(1 << n) + 100, seed=ts,
+                          corner_levels=(0, artifact.constants["clamp_hi"]))
+            runs = []
+            for falsify in (_reference_falsify, falsify_real):
+                checked.clear()
+                verdict = falsify(artifact.query, **kwargs)
+                runs.append((verdict.decision, verdict.stats.latents_enumerated, list(checked)))
+            (ref_decision, ref_points, ref_checked), (decision, points, now_checked) = runs
+            assert ref_decision == decision == oracles.NO
+            assert points == ref_points
+            assert ref_checked  # the shortlist was checked exactly
+            if p <= 2:
+                assert now_checked == ref_checked
 
 
 def test_falsify_rejects_binary_domain():
