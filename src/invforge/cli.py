@@ -408,7 +408,7 @@ def _check(family: Family, source, artifact: ReductionArtifact, verdict: Verdict
     if (
         verdict.certificate == CERT_FALSIFIER
         and query.p == 1
-        and query.network.hidden_units <= oracles.resolve_cap("pattern_units")
+        and oracles.branching_units(query) <= oracles.resolve_cap("pattern_units")
     ):
         certified = enumerate_patterns_invert(query)
         detail["pattern"] = certified.decision

@@ -27,6 +27,12 @@ point), and descends only when none of them is a witness: with
 2^N <= restarts and corner levels {0, clamp_hi}, every YES of a gadget
 query is found at a seed.
 
+The pattern enumeration branches on one ReLU unit at a time, in the order
+of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
+exact point of its region (the zero vector at the root); a child whose
+row that point satisfies needs no LP, so only the other child calls
+lp_feasible, and the leaves and witnesses are those of one LP per mask.
+
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
 """
@@ -42,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
-from .lp import GE, LE, EQ, LinearProgram, lp_feasible, lp_minimize
+from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
 from .ratio import scaled_int
 from .relunet import ReluNetwork, distance_pow, float_layers, forward, preactivations
 from .reductions import DOMAIN_01, DOMAIN_PM1, DOMAIN_REAL, InversionQuery
@@ -588,16 +594,26 @@ def pattern_region(net: ReluNetwork, pattern: ActivationPattern):
     return lp, affine
 
 
+def branching_units(query: InversionQuery) -> int:
+    """The units the pattern DFS branches on, which the pattern_units cap counts.
+
+    With threshold 0 the target fixes the output layer's mask.
+    """
+    net = query.network
+    return net.hidden_units - (net.output_dim if query.threshold_pow == 0 else 0)
+
+
 def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     """Exact real-latent decision by activation-pattern enumeration.
 
     Supported: threshold 0 with any p (range membership), or p = 1 with any
-    threshold (per-region L1 minimization is an LP). The DFS walks layer
-    sign-vectors and prunes prefixes whose constraint systems are already
-    infeasible, which enumerates a subset of the full 2^H pattern space with
-    identical verdict. With threshold 0 the target fixes the output layer's
-    mask (units with target > 0 active, the rest inactive), so that layer
-    tries one mask and goes straight to its leaf LP.
+    threshold (per-region L1 minimization is an LP). The DFS decides one
+    unit at a time (a layer's highest unit first, inactive before active)
+    and extends only feasible prefixes, so it enumerates a subset of the
+    2^H patterns with identical verdict. A child whose row the node's
+    carried point satisfies needs no LP; the other child's lp_feasible
+    gives its point. With threshold 0 the target fixes the output layer's
+    mask (units with target > 0 active), so those units have one choice.
     """
     if query.domain.kind != DOMAIN_REAL:
         raise ValueError("pattern enumeration needs a real latent domain")
@@ -605,7 +621,7 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     if not exact and query.p != 1:
         raise ValueError("thresholded pattern enumeration supports p = 1 only")
     net = query.network
-    _check_cap("pattern_units", net.hidden_units, "units")
+    _check_cap("pattern_units", branching_units(query), "branching units")
 
     n = net.input_dim
     stats = VerdictStats()
@@ -639,42 +655,45 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
             return tuple(point[:n])
         return None
 
-    def dfs(layer_idx, affine, constraints):
+    zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
+
+    def dfs(layer_idx, affine, constraints, point):
         if layer_idx == net.depth:
             return leaf(constraints, affine)
-        lyr = net.layers[layer_idx]
-        pre = _affine_step(lyr, affine, n)
-        zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
-        fixed = exact and layer_idx == net.depth - 1
-        if fixed:
+        pre = _affine_step(net.layers[layer_idx], affine, n)
+        rows = [(LinearConstraint(c, LE, -b), LinearConstraint(c, GE, -b)) for c, b in pre]
+        if exact and layer_idx == net.depth - 1:
             # Output unit k equals target_k >= 0: it must be active when
             # target_k > 0. Activating a target-0 unit as well only adds
             # pre_k >= 0 to its leaf's pre_k == 0, a subset of this region,
-            # and such masks come later in the full loop, so this one mask
-            # finds the same first witness.
-            masks = [sum(1 << k for k, x in enumerate(query.target) if x > 0)]
+            # and such masks come later, so one choice per unit finds the
+            # same first witness. The leaf LP holds its rows: no LP here.
+            choices = [(x > 0,) for x in query.target]
         else:
-            masks = range(1 << lyr.fan_out)
-        for mask in masks:
-            branch = LinearProgram(n)
-            branch.constraints.extend(constraints)
-            next_affine = []
-            for j, (coeffs, const) in enumerate(pre):
-                if mask >> j & 1:
-                    branch.constrain(coeffs, GE, -const)
-                    next_affine.append((coeffs, const))
-                else:
-                    branch.constrain(coeffs, LE, -const)
-                    next_affine.append(zero_row)
-            if not fixed and lp_feasible(branch, lp_stats) is None:
-                continue  # the fixed mask's leaf LP holds this branch's rows
-            found = dfs(layer_idx + 1, next_affine, branch.constraints)
-            if found is not None:
-                return found
-        return None
+            choices = [(False, True)] * len(pre)
+
+        def branch(j, decided, point):
+            # `decided` holds the rows chosen for the units above j, highest first
+            if j < 0:
+                decided = decided[::-1]
+                next_affine = [u if r.relation == GE else zero_row for u, r in zip(pre, decided)]
+                return dfs(layer_idx + 1, next_affine, constraints + decided, point)
+            for active in choices[j]:
+                row, child = rows[j][active], point
+                if len(choices[j]) > 1 and not row.holds(point):
+                    child = lp_feasible(LinearProgram(n, constraints + decided + [row]), lp_stats)
+                    if child is None:
+                        continue
+                found = branch(j - 1, decided + [row], child)
+                if found is not None:
+                    return found
+            return None
+
+        return branch(len(pre) - 1, [], point)
 
     # ReLU outputs are nonnegative, so a negative target entry has no pattern
-    witness = None if exact and min(query.target) < 0 else dfs(0, _identity_affine(n), [])
+    negative = exact and min(query.target) < 0
+    witness = None if negative else dfs(0, _identity_affine(n), [], zero_row[0])
     stats.lp_pivots = lp_stats.get("pivots", 0)
     if witness is None:
         return Verdict(NO, None, CERT_PATTERN, stats)

@@ -676,23 +676,75 @@ def _reference_patterns(query):
 
 
 def _assert_matches_reference(query):
-    verdict = enumerate_patterns_invert(query)
+    leaves = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("lp_feasible", "lp_minimize"):
+            solver = getattr(oracles, name)
+
+            def spy(lp, stats=None, solver=solver, name=name):
+                if name == "lp_minimize" or any(c.relation == EQ for c in lp.constraints):
+                    leaves.append(lp)
+                return solver(lp, stats)
+
+            mp.setattr(oracles, name, spy)
+        verdict = enumerate_patterns_invert(query)
+    assert len(leaves) == verdict.stats.patterns_enumerated
+    # Only feasible prefixes are extended. A leaf LP ends in 2 rows per output
+    # unit: the target's, and in exact mode the fixed output layer's.
+    out = 2 * len(query.target)
+    for lp in leaves:
+        assert lp_feasible(LinearProgram(lp.num_vars, lp.constraints[:-out])) is not None
     assert verdict.witness == _reference_patterns(query)
     assert verdict.is_yes == (verdict.witness is not None)
     return verdict
 
 
-def test_patterns_match_full_mask_reference_on_criterion_02():
-    decisions = set()
-    for t in range(100):  # the formulas of acceptance criterion 02
+def _criterion_02_queries():
+    """The sat-real queries of acceptance criterion 02's 100 formulas."""
+    for t in range(100):
         ts = 2 * 1_000_003 + t
         rng = random.Random(ts)
         n = rng.randint(1, 2)
         m = rng.randint(1, 2)
         k = rng.randint(1, min(2, n))
-        art = sat_to_exact_real(gen_random_ksat(n, m, k, ts))
-        decisions.add(_assert_matches_reference(art.query).decision)
+        yield sat_to_exact_real(gen_random_ksat(n, m, k, ts)).query
+
+
+# every 2-clause over two variables: unsatisfiable, 14 units, 128 leaves
+_UNSAT_2_4 = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+
+
+def test_patterns_match_full_mask_reference_on_criterion_02():
+    decisions = {_assert_matches_reference(query).decision for query in _criterion_02_queries()}
     assert decisions == {"YES", "NO"}
+    verdict = _assert_matches_reference(sat_to_exact_real(parse_dimacs(_UNSAT_2_4)).query)
+    assert not verdict.is_yes and verdict.stats.patterns_enumerated == 128
+
+
+def test_patterns_lp_work_on_criterion_02(monkeypatch):
+    # A loop that solves one LP per mask made 7,847 solves and 51,977
+    # pivots here; branching one unit at a time with a carried point must
+    # at least halve both and reach the same 779 leaves.
+    solves = []
+    for name in ("lp_feasible", "lp_minimize"):
+        solver = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *a, solver=solver: solves.append(1) or solver(*a))
+    pivots = leaves = 0
+    for query in _criterion_02_queries():
+        stats = enumerate_patterns_invert(query).stats
+        pivots += stats.lp_pivots
+        leaves += stats.patterns_enumerated
+    assert leaves == 779
+    assert len(solves) <= 7847 // 2 and pivots <= 51977 // 2
+
+
+def test_patterns_cap_counts_branching_units_only(monkeypatch):
+    monkeypatch.delenv("INVFORGE_CAP", raising=False)
+    # n = 3: 20 units, of which the target fixes the 2 output units
+    text = "p cnf 3 6\n1 2 0\n1 -2 0\n-1 3 0\n-1 -3 0\n2 3 0\n-2 -3 0\n"
+    query = sat_to_exact_real(parse_dimacs(text)).query
+    assert query.network.hidden_units == 20 and oracles.branching_units(query) == 18
+    assert not enumerate_patterns_invert(query).is_yes
 
 
 def _two_layer_net(rng, n, hidden, out):
@@ -705,9 +757,34 @@ def _two_layer_net(rng, n, hidden, out):
     return ReluNetwork(n, (layer(rows, bias), layer(rows2, bias2)))
 
 
+def _zero_bias(net, depth):
+    """net with its first `depth` layers' biases set to 0. The DFS's root point
+    0 then lies on every first-layer unit's hyperplane, and with depth 2 the
+    second layer's too, so both children of those units are taken without an LP."""
+    layers = [
+        layer(lyr.weights, [0] * lyr.fan_out) if i < depth else lyr
+        for i, lyr in enumerate(net.layers)
+    ]
+    return ReluNetwork(net.input_dim, tuple(layers))
+
+
+def test_patterns_point_on_hyperplane_takes_both_children_free(monkeypatch):
+    # Both first-layer units have pre-activation 0 at the root point 0, so
+    # every first-layer mask is feasible without an LP: only the leaves solve.
+    net = ReluNetwork(2, (layer([[1, 0], [0, 1]], [0, 0]), layer([[1, 1]], [0])))
+    query = InversionQuery(net, (Fraction(1),), 1, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
+    solves = []
+    solver = oracles.lp_feasible
+    monkeypatch.setattr(oracles, "lp_feasible", lambda *a: solves.append(1) or solver(*a))
+    verdict = _assert_matches_reference(query)
+    assert verdict.witness == (Fraction(1), Fraction(0))
+    assert len(solves) == verdict.stats.patterns_enumerated == 2
+
+
 def test_patterns_zero_target_entries_match_reference():
     rng = random.Random(11)
     zeros = yes = 0
+    drawn = []
     for _ in range(60):
         net = _two_layer_net(rng, rng.randint(1, 2), rng.randint(1, 3), rng.randint(2, 3))
         z = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(net.input_dim))
@@ -719,7 +796,16 @@ def test_patterns_zero_target_entries_match_reference():
         domain = LatentDomain(DOMAIN_REAL, net.input_dim)
         query = InversionQuery(net, tuple(target), 2, Fraction(0), domain)
         yes += _assert_matches_reference(query).is_yes
+        drawn.append((net, z))
     assert zeros > 0 and 0 < yes < 60
+    outcomes = set()
+    for net, z in drawn[:20]:
+        domain = LatentDomain(DOMAIN_REAL, net.input_dim)
+        for flat in (_zero_bias(net, 1), _zero_bias(net, 2)):
+            for target in (forward(flat, z), (Fraction(1),) * net.output_dim):
+                query = InversionQuery(flat, target, 2, Fraction(0), domain)
+                outcomes.add(_assert_matches_reference(query).decision)
+    assert outcomes == {"YES", "NO"}
 
 
 def test_patterns_negative_target_is_no(monkeypatch):
@@ -744,6 +830,8 @@ def test_patterns_thresholded_p1_match_reference():
         theta = Fraction(rng.randint(1, 4), 2)
         query = InversionQuery(net, target, 1, theta, LatentDomain(DOMAIN_REAL, net.input_dim))
         outcomes.add(_assert_matches_reference(query).decision)
+        for flat in (_zero_bias(net, 1), _zero_bias(net, 2)):
+            _assert_matches_reference(dataclasses.replace(query, network=flat))
     assert outcomes == {"YES", "NO"}
 
 
