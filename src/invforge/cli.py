@@ -525,18 +525,17 @@ def run_bench(family: str, n_from: int, n_to: int, trials: int, seed: int = 0):
     return records
 
 
-def write_bench_csv(records, path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(f"{r.family},{r.n},{r.trials},{r.median_ms:.3f},{r.states}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_bench_csv(records, path) -> list[str]:
+    """Write the header and one row per record to path; return the rows."""
+    rows = [f"{r.family},{r.n},{r.trials},{r.median_ms:.3f},{r.states}" for r in records]
+    Path(path).write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+    return rows
 
 
 def cmd_bench(args) -> int:
     records = run_bench(args.family, args.n_from, args.n_to, args.trials, seed=args.seed)
-    write_bench_csv(records, args.out)
-    for r in records:
-        print(f"{r.family},{r.n},{r.trials},{r.median_ms:.3f},{r.states}")
+    for row in write_bench_csv(records, args.out):
+        print(row)
     return EXIT_YES
 
 

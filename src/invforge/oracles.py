@@ -7,25 +7,26 @@ certify YES.
 
 Exactness contract: no verdict ever depends on floating point. Every
 exact network evaluation runs on relunet's integer view, over an exact
-common scale. Each binary scan (binary-latent inversion and the (0,1)-CVP
-source oracle) is one chunked numpy scan. Its dtype is int64 when a
-proved bound (_int_path_safe) keeps every value it forms within int64,
-and object (exact Python ints) otherwise, so both dtypes run the same
-code. The scan splits the latent bits into high bits, fixed within a
-chunk, and low bits, which vary within it. It sorts the layer-0 units
-into three classes: low-only units depend on low bits alone, so their
-share of the next stage is computed once per scan from a subset-sum
-table; high-only (or constant) units give one value per chunk; only the
-mixed units are evaluated for every latent of a chunk. Every value it
-forms is a partial sum of the terms of one layer-0 row, of one layer-1
-row, or of the nonnegative distance terms, so the same bound covers it
-(see _scan). The falsifier searches in float64 copies of the same view,
-but re-verifies every candidate with the exact forward pass before
-answering YES. It checks the seeds whose float distance is near the
-threshold before it descends (a corner of the latent cube as its exact
-point), and descends only when none of them is a witness: with
-2^N <= restarts and corner levels {0, clamp_hi}, every YES of a gadget
-query is found at a seed.
+common scale. One chunked numpy scan (_scan) serves both exhaustive
+binary oracles, binary-latent inversion and the (0,1)-CVP source oracle,
+through one helper (_binary_verdict). Its dtype is int64 when a proved
+bound (_int_path_safe) keeps every value it forms within int64, and
+object (exact Python ints) otherwise, so both dtypes run the same code.
+The scan splits the latent bits into high bits, fixed within a chunk,
+and low bits, which vary within it. It sorts the layer-0 units into
+three classes: low-only units depend on low bits alone, so their share
+of the next stage is computed once per scan from a subset-sum table;
+high-only (or constant) units give one value per chunk; only the mixed
+units are evaluated for every latent of a chunk. Every value it forms is
+a partial sum of the terms of one layer-0 row, of one layer-1 row, or of
+the nonnegative distance terms, so the same bound covers it (see _scan).
+The falsifier searches in float64 copies of the same view, but
+re-verifies every candidate with the exact forward pass before answering
+YES. It checks the seeds whose float distance is near the threshold
+before it descends (a corner of the latent cube as its exact point), and
+descends only when none of them is a witness: with 2^N <= restarts and
+corner levels {0, clamp_hi}, every YES of a gadget query is found at a
+seed.
 
 The pattern enumeration branches on one ReLU unit at a time, in the order
 of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
@@ -50,7 +51,7 @@ import numpy as np
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
 from .ratio import scaled_int
-from .relunet import ReluNetwork, distance_pow, float_layers, forward, preactivations
+from .relunet import distance_pow, float_layers, forward
 from .reductions import DOMAIN_01, DOMAIN_PM1, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
@@ -184,46 +185,21 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     """Exhaustive over {0,1}^n coefficient vectors; exact comparison.
 
     The basis and target are scaled by lam, the lcm of their denominators.
-    The residuals B y - t are the pre-activations of one layer with
-    weights B and bias -t, so _int_path_safe's bound on that layer, which
-    is d * max_r(sum_i |B_ri| + |t_r|)^p, picks the dtype of _cvp_scan.
-    The first minimizer in index order is the lexicographically smallest.
+    As |r|^p = ReLU(r)^p + ReLU(-r)^p, the distance is that of one layer,
+    weights [B; -B] and bias [-t; t], to target 0, and _int_path_safe's
+    bound on it is 2d * max_r(sum_i |B_ri| + |t_r|)^p. The oracle builds
+    that layer itself, not through reductions, to stay independent of the
+    constructions it checks. The first minimizer is the lex smallest.
     """
     n = inst.num_vectors
     _check_cap("latent_bits", n, "coefficients")
     lam = math.lcm(*(v.denominator for v in itertools.chain(*inst.basis, inst.target)))
     basis = [[scaled_int(w, lam) for w in row] for row in inst.basis]
     target = [scaled_int(t, lam) for t in inst.target]
-    safe = _int_path_safe([(basis, [-t for t in target])], [0] * inst.dim, inst.p)
-    best_val, best_index = _cvp_scan(basis, target, inst.p, n, np.int64 if safe else object)
-    stats = VerdictStats(latents_enumerated=1 << n)
-    if Fraction(best_val, lam**inst.p) <= inst.radius**inst.p:
-        witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
-        return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
-    return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
-
-
-def _cvp_scan(basis, target, p, n, dtype):
-    """(min, first minimizer) of sum_r |(B y)_r - t_r|^p over y in {0,1}^n, in dtype.
-
-    The low bits' subset sums of the basis columns are built once; chunk h
-    adds its high bits' sum minus the target. Every residual is a partial
-    sum of one row's terms, so the caller's bound covers it.
-    """
-    cols = np.array(basis, dtype=dtype).T  # row i: coefficient i's column, msb first
-    lo = _low_bits(n, len(target), dtype)
-    table = _subset_sums(cols[n - lo :], pm1=False)
-    np_target = np.array(target, dtype=dtype)
-    buf = np.empty_like(table) if lo < n else table  # a single chunk may overwrite its table
-
-    def chunks():
-        for offset in _high_sums(cols[: n - lo], -np_target, pm1=False):
-            residual = np.add(table, offset, out=buf)
-            if p % 2:
-                np.abs(residual, out=residual)
-            yield _pow_sum(residual, p)
-
-    return _first_min(chunks(), lo)
+    weights = basis + [[-w for w in row] for row in basis]
+    bias = [-t for t in target] + target
+    threshold = inst.radius**inst.p * lam**inst.p
+    return _binary_verdict([(weights, bias)], [0] * len(bias), inst.p, n, False, threshold)
 
 
 # -- graph problems ----------------------------------------------------------
@@ -342,13 +318,15 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
     n = query.domain.dim
     _check_cap("latent_bits", n, "latent bits")
     layers, target, threshold_scaled, _ = _integerized(query)
-    pm1 = kind == DOMAIN_PM1
-    p = query.p
+    return _binary_verdict(layers, target, query.p, n, kind == DOMAIN_PM1, threshold_scaled)
 
+
+def _binary_verdict(layers, target, p, n, pm1, threshold) -> Verdict:
+    """The exhaustive verdict of integer layers over n binary latents against a scaled threshold."""
     dtype = np.int64 if _int_path_safe(layers, target, p) else object
     best_val, best_index = _scan(layers, target, p, n, pm1, dtype)
     stats = VerdictStats(latents_enumerated=1 << n)
-    if best_val <= threshold_scaled:
+    if best_val <= threshold:
         bits = _bits_msb(best_index, n)
         if pm1:
             witness = tuple(Fraction(2 * b - 1) for b in bits)
@@ -540,18 +518,6 @@ def _scan(layers, target, p, n, pm1, dtype):
 # -- activation patterns and real-latent inversion ---------------------------
 
 
-@dataclass(frozen=True)
-class ActivationPattern:
-    """Active/inactive flag for every unit, layer by layer."""
-
-    layers: tuple[tuple[bool, ...], ...]
-
-
-def pattern_of(net: ReluNetwork, z) -> ActivationPattern:
-    """The pattern the exact forward pass induces (pre-activation 0 counts active)."""
-    return ActivationPattern(tuple(tuple(v >= 0 for v in pre) for pre, _ in preactivations(net, z)))
-
-
 def _identity_affine(n: int) -> list:
     return [(tuple(_ONE if j == i else _ZERO for j in range(n)), _ZERO) for i in range(n)]
 
@@ -572,26 +538,6 @@ def _affine_step(lyr, affine, n: int) -> list:
                     coeffs[j] += w * acoeffs[j]
         pre.append((tuple(coeffs), const))
     return pre
-
-
-def pattern_region(net: ReluNetwork, pattern: ActivationPattern):
-    """(constraints, output affine map) for a fixed activation pattern.
-
-    Constraints are non-strict on both sides, so neighbouring regions share
-    their boundary and no solution can fall between regions. The affine map
-    is a list of (coeffs, const) rows giving the network output on the region.
-    """
-    n = net.input_dim
-    affine = _identity_affine(n)
-    zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
-    lp = LinearProgram(n)
-    for lyr, flags in zip(net.layers, pattern.layers):
-        next_affine = []
-        for (coeffs, const), active in zip(_affine_step(lyr, affine, n), flags):
-            lp.constrain(coeffs, GE if active else LE, -const)
-            next_affine.append((coeffs, const) if active else zero_row)
-        affine = next_affine
-    return lp, affine
 
 
 def branching_units(query: InversionQuery) -> int:

@@ -1,4 +1,4 @@
-"""Rational parsing/formatting and exact integer-root helpers."""
+"""Rational and integer parsing, formatting and exact integer-root helpers."""
 
 from __future__ import annotations
 
@@ -17,6 +17,14 @@ def parse_ratio(text: str) -> Fraction:
         return Fraction(text.strip())
     except (AttributeError, ValueError, ZeroDivisionError) as exc:  # AttributeError: not a str
         raise ValueError(f"bad rational literal: {text!r}") from exc
+
+
+def json_int(doc, key: str) -> int:
+    """doc[key] if it is a JSON integer; a bool, float or string is refused, not truncated."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
 
 
 def format_ratio(value) -> str:

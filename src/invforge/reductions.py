@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
-from .ratio import format_ratio, int_root_ceil, parse_ratio, pth_power_split, rational_root_ceil
+from .ratio import format_ratio, int_root_ceil, json_int, parse_ratio, pth_power_split, rational_root_ceil
 from .relunet import (
     Layer,
     ReluNetwork,
@@ -806,9 +806,9 @@ def artifact_from_json(text: str | bytes) -> ReductionArtifact:
     try:
         net = network_from_dict(doc["network"])
         target = tuple(parse_ratio(v) for v in doc["target"])
-        p = int(doc["p"])
+        p = json_int(doc, "p")
         theta = parse_ratio(doc["threshold_pow"])
-        domain = LatentDomain(doc["domain"]["kind"], int(doc["domain"]["dim"]))
+        domain = LatentDomain(doc["domain"]["kind"], json_int(doc["domain"], "dim"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed artifact document: {exc}") from exc
     query = InversionQuery(net, target, p, theta, domain)

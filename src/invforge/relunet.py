@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ratio import format_ratio, parse_ratio, scaled_int
+from .ratio import format_ratio, json_int, parse_ratio, scaled_int
 
 NETWORK_FORMAT_VERSION = "relunet-1"
 
@@ -258,14 +258,14 @@ def network_from_dict(doc) -> ReluNetwork:
     if doc.get("version") != NETWORK_FORMAT_VERSION:
         raise ValueError(f"unsupported network version: {doc.get('version')!r}")
     try:
-        input_dim = int(doc["input_dim"])
+        input_dim = json_int(doc, "input_dim")
         raw_layers = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
     layers = []
     for index, raw in enumerate(raw_layers):
         try:
-            rows, cols = int(raw["rows"]), int(raw["cols"])
+            rows, cols = json_int(raw, "rows"), json_int(raw, "cols")
             flat = [parse_ratio(w) for w in raw["weights"]]
             bias = [parse_ratio(b) for b in raw["bias"]]
         except (KeyError, TypeError, ValueError) as exc:

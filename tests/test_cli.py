@@ -205,6 +205,16 @@ def test_bench_csv_schema(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[1] for r in rows] == ["4", "5", "6"]
     assert [int(r[4]) for r in rows] == [16, 32, 64]  # states exactly 2^n
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines[1:])
+
+
+def test_bench_csv_bytes(tmp_path):
+    out = tmp_path / "bench.csv"
+    records = [cli.BenchRecord("sat", 4, 2, 1.23456, 16), cli.BenchRecord("cvp", 3, 1, 0.0, 64)]
+    rows = write_bench_csv(records, out)
+    assert rows == ["sat,4,2,1.235,16", "cvp,3,1,0.000,64"]
+    assert out.read_text() == "family,n,trials,median_ms,states\n" + "".join(row + "\n" for row in rows)
+    assert write_bench_csv([], out) == [] and out.read_text() == "family,n,trials,median_ms,states\n"
 
 
 def test_bench_states_monotone():
@@ -262,9 +272,19 @@ def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha2
         (("witness_map",), []),
         (("domain", "dim"), 5),
         (("domain", "dim"), 2),
+        # an integer field takes only a JSON integer: int() would read 1.9 or true as 1
+        (("p",), 1.9),
+        (("p",), True),
+        (("p",), "1"),
+        (("domain", "dim"), 3.0),
+        (("domain", "dim"), True),
+        (("network", "input_dim"), 3.5),
+        (("network", "layers", 0, "rows"), 3.0),
+        (("network", "layers", 0, "cols"), "3"),
     ],
     ids=["numeric-weight", "numeric-target", "null-threshold", "string-constants",
-         "list-witness-map", "dim-above-input", "dim-below-input"],
+         "list-witness-map", "dim-above-input", "dim-below-input", "p-float", "p-bool",
+         "p-string", "dim-float", "dim-bool", "input-dim-float", "rows-float", "cols-string"],
 )
 def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value):
     cnf = tmp_path / "f.cnf"

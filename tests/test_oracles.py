@@ -33,8 +33,6 @@ from invforge.oracles import (
     enumerate_patterns_invert,
     falsify_real,
     invert_binary_bruteforce,
-    pattern_of,
-    pattern_region,
     solve_cvp01_bruteforce,
     solve_halfclique_bruteforce,
     solve_sat_bruteforce,
@@ -51,7 +49,7 @@ from invforge.reductions import (
     sat_to_exact_real,
     vertexcover_to_approx,
 )
-from invforge.relunet import ReluNetwork, distance_pow, float_layers, forward, layer
+from invforge.relunet import ReluNetwork, distance_pow, float_layers, forward, layer, preactivations
 
 
 def identity_query(n, target, theta=Fraction(0), domain=DOMAIN_01, p=1):
@@ -99,9 +97,12 @@ def test_cvp_bruteforce_examples():
 def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
     """Several chunks per scan, and small entries, so minimizers tie across chunk borders.
 
-    Both dtypes scan each instance with the same split into chunks.
+    Both dtypes scan each instance through solve_cvp01_bruteforce with the
+    same split into chunks; an _INT64_SAFE of -1 forces object.
     """
     rng = random.Random(29)
+    scans = _spy_scans(monkeypatch)
+    int64_safe = oracles._INT64_SAFE
 
     def entry():
         return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
@@ -117,12 +118,13 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
         best = min(distances)
         index = distances.index(best)
         lam = math.lcm(*(v.denominator for row in basis for v in row + inst.target))
-        int_basis = [[int(v * lam) for v in row] for row in basis]
-        int_target = [int(t * lam) for t in inst.target]
-        for dtype, elements in ((np.int64, chunk), (object, 8 * chunk)):
+        verdicts = []
+        for dtype, elements, safe in ((np.int64, chunk, int64_safe), (object, 8 * chunk, -1)):
             monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", elements)
-            scanned = oracles._cvp_scan(int_basis, int_target, p, n, dtype)
-            assert scanned == (best * lam**p, index)
+            monkeypatch.setattr(oracles, "_INT64_SAFE", safe)
+            verdicts.append(solve_cvp01_bruteforce(inst).to_dict())
+            assert scans.pop() == (dtype, (best * lam**p, index))
+        assert verdicts[0] == verdicts[1]
         verdict = solve_cvp01_bruteforce(inst)
         assert verdict.is_yes == (best <= inst.radius**p)
         assert verdict.witness == (_msb_bits(index, n) if verdict.is_yes else None)
@@ -142,17 +144,23 @@ def _cvp_distance(inst, index):
     return sum((abs(r) ** inst.p for r in residuals), Fraction(0))
 
 
-def _spy_dtypes(monkeypatch, name):
-    """Record the dtype argument of every call to the scan `name`."""
-    dtypes = []
-    scan = getattr(oracles, name)
-    monkeypatch.setattr(oracles, name, lambda *args: dtypes.append(args[-1]) or scan(*args))
-    return dtypes
+def _spy_scans(monkeypatch):
+    """Record (dtype, (min, first minimizer)) for every call to the binary scan."""
+    scans = []
+    scan = oracles._scan
+
+    def spy(*args):
+        result = scan(*args)
+        scans.append((args[-1], result))
+        return result
+
+    monkeypatch.setattr(oracles, "_scan", spy)
+    return scans
 
 
 def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
     """Entries near 2^62 overflow the int64 bound, so the object scan decides."""
-    dtypes = _spy_dtypes(monkeypatch, "_cvp_scan")
+    scans = _spy_scans(monkeypatch)
     big = 1 << 62
     basis = (
         (Fraction(big), Fraction(big - 3), Fraction(-big, 3)),
@@ -165,7 +173,28 @@ def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
     assert min(distances) == 1 and distances.index(1) == 0b110  # y = (1, 1, 0)
     assert verdict.witness == _msb_bits(0b110, 3)
     assert not solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(1, 2), 1)).is_yes
-    assert dtypes == [object, object]
+    assert [dtype for dtype, _ in scans] == [object, object]
+
+
+def test_cvp_bruteforce_band_takes_object(monkeypatch):
+    """d * c^p fits int64 but 2d * c^p does not, so the stacked [B; -B] layer takes object.
+
+    c is the largest row bound sum_i |B_ri| + |t_r|, which _int_path_safe
+    computes; the stacked layer has 2d rows, each with the bound of its mirror.
+    """
+    scans = _spy_scans(monkeypatch)
+    c = 1_300_000
+    basis = ((Fraction(c // 2), Fraction(c // 4), Fraction(-c // 8)), (Fraction(5), Fraction(-7), Fraction(c // 2)))
+    target = (Fraction(c // 2 - c // 8 + 1), Fraction(c // 2 + 4))
+    bound = max(sum(abs(v) for v in row) + abs(t) for row, t in zip(basis, target))
+    assert 2 * bound**3 <= oracles._INT64_SAFE < 4 * bound**3
+    distances = [_cvp_distance(CvpInstance(basis, target, Fraction(0), 3), i) for i in range(8)]
+    assert min(distances) == 2 and distances.index(2) == 0b101
+    for radius, decision in ((1, "NO"), (2, "YES")):
+        verdict = solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(radius), 3))
+        assert verdict.decision == decision
+        assert verdict.witness == (_msb_bits(0b101, 3) if radius == 2 else None)
+    assert scans == [(object, (2, 0b101))] * 2
 
 
 def test_halfclique_bruteforce_examples():
@@ -426,7 +455,7 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
 
 def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
     """Depth-2 queries with ~2^40 weights overflow int64 and take the object scan."""
-    dtypes = _spy_dtypes(monkeypatch, "_scan")
+    scans = _spy_scans(monkeypatch)
     big = 1 << 40
     rng = random.Random(7)
     outcomes = set()
@@ -457,7 +486,7 @@ def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
         assert verdict.is_yes == expect_yes
         assert verdict.witness == (best_z if expect_yes else None)
         outcomes.add(expect_yes)
-    assert dtypes == [object] * 12
+    assert [dtype for dtype, _ in scans] == [object] * 12
     assert outcomes == {True, False}
 
 
@@ -557,7 +586,7 @@ def test_invert_binary_object_scan_memory_is_bounded(monkeypatch):
     The chunk and the bound are both cut 64-fold from the int64 test's, to
     keep the run short: one object table of all 2^12 latents peaks near 4 MB.
     """
-    dtypes = _spy_dtypes(monkeypatch, "_scan")
+    scans = _spy_scans(monkeypatch)
     monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", oracles._CHUNK_ELEMENTS >> 6)
     rng = random.Random(5)
     big = 1 << 40
@@ -582,7 +611,7 @@ def test_invert_binary_object_scan_memory_is_bounded(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dtypes == [object]
+    assert [dtype for dtype, _ in scans] == [object]
     assert peak < (64 * 10**6) >> 6
 
 
@@ -835,6 +864,25 @@ def test_patterns_thresholded_p1_match_reference():
     assert outcomes == {"YES", "NO"}
 
 
+def _pattern_region(net, z):
+    """(constraints, output affine map) of z's activation region, built through _affine_step.
+
+    A unit is active when the kernel's pre-activation at z is >= 0. The
+    constraints are non-strict on both sides, so neighbouring regions share
+    their boundary; the affine map gives the network output on the region.
+    """
+    n = net.input_dim
+    affine = _identity_affine(n)
+    zero_row = (tuple(Fraction(0) for _ in range(n)), Fraction(0))
+    lp = LinearProgram(n)
+    for lyr, (pre, _) in zip(net.layers, preactivations(net, z)):
+        rows = _affine_step(lyr, affine, n)
+        for (coeffs, const), value in zip(rows, pre):
+            lp.constrain(coeffs, GE if value >= 0 else LE, -const)
+        affine = [row if value >= 0 else zero_row for row, value in zip(rows, pre)]
+    return lp, affine
+
+
 def test_pattern_region_covers_forward_evaluation():
     rng = random.Random(5)
     for _ in range(1000):
@@ -845,8 +893,7 @@ def test_pattern_region_covers_forward_evaluation():
         rows2 = [[Fraction(rng.randint(-3, 3)) for _ in range(fan_out)]]
         net = ReluNetwork(n, (layer(rows, bias), layer(rows2, [Fraction(1)])))
         z = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(n))
-        pattern = pattern_of(net, z)
-        lp, affine = pattern_region(net, pattern)
+        lp, affine = _pattern_region(net, z)
         assert lp.satisfied_by(z)
         reproduced = tuple(
             sum(c * v for c, v in zip(coeffs, z)) + const for coeffs, const in affine

@@ -1,0 +1,184 @@
+"""Every oracle output on a fixed corpus, pinned as one digest per entry.
+
+An entry is one oracle call: its decision, witness, certificate and stats
+(none of which depend on timing), and, for a query oracle, the sha256 of the
+artifact it decided. The corpus is drawn from invforge's own generators:
+`run_verify` for every family (cvp and cvp-real also at p = 3), logged
+through wrapped `FAMILIES` entries, plus direct calls of the two exhaustive
+binary oracles on a fixed set that includes queries beyond int64.
+
+A change that moves an output on purpose re-records the pins and names the
+moved entries in CHANGES.md. To re-record:
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py
+"""
+
+import dataclasses
+import hashlib
+import itertools
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from invforge import cli, oracles
+from invforge.instances import (
+    CvpInstance,
+    HalfCliqueQuery,
+    VertexCoverQuery,
+    gen_random_cvp,
+    gen_random_graph,
+    gen_random_ksat,
+)
+from invforge.oracles import invert_binary_bruteforce, solve_cvp01_bruteforce
+from invforge.reductions import (
+    DOMAIN_01,
+    DOMAIN_PM1,
+    InversionQuery,
+    LatentDomain,
+    artifact_to_json,
+    cvp_to_approx_binary,
+    halfclique_to_approx,
+    sat_to_exact_binary,
+    vertexcover_to_approx,
+)
+from invforge.relunet import ReluNetwork, forward, layer
+
+PINS = Path(__file__).with_name("pinned_outputs.json")
+
+VERIFY_SEEDS = (1, 2)
+# (family, n_max, trials, p)
+VERIFY_RUNS = (
+    ("sat", 4, 30, None),
+    ("sat-real", 2, 30, None),
+    ("cvp", 4, 30, None),
+    ("cvp", 4, 30, 3),
+    ("cvp-real", 3, 30, None),
+    ("cvp-real", 3, 20, 3),
+    ("halfclique", 8, 30, None),
+    ("halfclique-real", 4, 20, None),
+    ("vertexcover", 6, 30, None),
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _verify_entries(log):
+    for (name, n_max, trials, p), seed in itertools.product(VERIFY_RUNS, VERIFY_SEEDS):
+        prefix = f"verify/{name}/p={p}/seed={seed}"
+        fam = cli.FAMILIES[name]
+        label = []
+
+        def invert(artifact, restarts, trial, fam=fam, prefix=prefix, label=label):
+            label[:] = [trial]
+            verdict = fam.invert(artifact, restarts, trial)
+            log(f"{prefix}/{trial}/invert", artifact=_sha(artifact_to_json(artifact)), **verdict.to_dict())
+            return verdict
+
+        def solve(source, p, fam=fam, prefix=prefix, label=label):
+            verdict = fam.solve(source, p)
+            log(f"{prefix}/{label[0]}/solve", **verdict.to_dict())
+            return verdict
+
+        cli.FAMILIES[name] = dataclasses.replace(fam, invert=invert, solve=solve)
+        try:
+            report = cli.run_verify(name, n_max, trials, seed, p=p).to_dict()
+        finally:
+            cli.FAMILIES[name] = fam
+        del report["wall_time_s"]
+        log(f"{prefix}/report", **report)
+
+
+def _layer_query(rng, n, domain, scale):
+    """A two-layer query with entries up to `scale`; most targets are the output at some latent."""
+
+    def entry():
+        return Fraction(rng.randint(-scale, scale), rng.randint(1, 3))
+
+    width = rng.randint(1, 3)
+    first = layer([[entry() for _ in range(n)] for _ in range(width)], [entry() for _ in range(width)])
+    net = ReluNetwork(n, (first, layer([[entry() for _ in range(width)]], [entry()])))
+    levels = (-1, 1) if domain == DOMAIN_PM1 else (0, 1)
+    target = forward(net, [Fraction(rng.choice(levels)) for _ in range(n)])
+    if rng.random() < 0.3:
+        target = (target[0] + rng.randint(1, 3),)
+    theta = Fraction(rng.choice((0, 1, 2)))
+    return InversionQuery(net, target, rng.choice((1, 2, 3)), theta, LatentDomain(domain, n))
+
+
+def _binary_queries():
+    for seed in range(4):
+        formula = gen_random_ksat(6 + seed, 2 * (6 + seed), 3, seed)
+        yield f"sat/{seed}", sat_to_exact_binary(formula).query
+        yield f"cvp/{seed}", cvp_to_approx_binary(gen_random_cvp(3 + seed % 2, 2, seed, p=1 + 2 * (seed % 2))).query
+        g = gen_random_graph(6, 0.6, seed=seed)
+        bound = cli._tie_free_bound(g, 2, random.Random(seed))
+        yield f"halfclique/{seed}", halfclique_to_approx(HalfCliqueQuery(g, bound), 2).query
+        yield f"vertexcover/{seed}", vertexcover_to_approx(VertexCoverQuery(gen_random_graph(6, 0.5, seed=seed), 3), 2).query
+    rng = random.Random(16)
+    for index in range(12):
+        scale = (1 << 62) if index % 2 else 40
+        domain = (DOMAIN_01, DOMAIN_PM1)[index // 2 % 2]
+        yield f"layers/{index}", _layer_query(rng, rng.randint(1, 7), domain, scale)
+
+
+def _cvp_instances():
+    for seed in range(12):
+        n, d, p = 2 + seed % 6, 1 + seed % 3, (1, 3, 5)[seed % 3]
+        inst = gen_random_cvp(n, d, seed, p=p)
+        yield f"random/{seed}", inst
+        for shift in (29, 60):  # near the int64 boundary and far beyond it
+            factor = 1 << shift
+            scaled = CvpInstance(
+                tuple(tuple(v * factor for v in row) for row in inst.basis),
+                tuple(t * factor for t in inst.target),
+                inst.radius * factor,
+                inst.p,
+            )
+            yield f"random/{seed}/x2^{shift}", scaled
+    # d * c^p <= 2^63 - 1 < 2 * d * c^p, for c the largest sum_i |B_ri| + |t_r|
+    big = 1 << 61
+    basis = ((Fraction(big), Fraction(big - 5), Fraction(3)),)
+    for radius in (0, 1, 2):  # the nearest point, y = (1, 0, 1), is at distance 1
+        yield f"band/p1/{radius}", CvpInstance(basis, (Fraction(big + 4),), Fraction(radius), 1)
+    c = 1_300_000
+    basis = ((Fraction(c // 2), Fraction(c // 4), Fraction(-c // 8)), (Fraction(5), Fraction(-7), Fraction(c // 2)))
+    target = (Fraction(c // 2 - c // 8 + 1), Fraction(c // 2 + 4))
+    for radius in (0, 1, 2):  # the nearest point, y = (1, 0, 1), is at distance^3 2
+        yield f"band/p3/{radius}", CvpInstance(basis, target, Fraction(radius), 3)
+
+
+def collect() -> dict:
+    """Every corpus entry, in order: key -> the sha256 of its record."""
+    entries = {}
+
+    def log(key, **record):
+        assert key not in entries, key
+        entries[key] = _sha(json.dumps(record, sort_keys=True))
+
+    _verify_entries(log)
+    default = oracles._CHUNK_ELEMENTS
+    for chunk in (default, 64):  # 64 elements: most scans take several chunks
+        oracles._CHUNK_ELEMENTS = chunk
+        try:
+            for key, query in _binary_queries():
+                log(f"binary/{chunk}/{key}", **invert_binary_bruteforce(query).to_dict())
+            for key, inst in _cvp_instances():
+                log(f"cvp01/{chunk}/{key}", **solve_cvp01_bruteforce(inst).to_dict())
+        finally:
+            oracles._CHUNK_ELEMENTS = default
+    return entries
+
+
+def test_outputs_are_pinned():
+    pinned = json.loads(PINS.read_text())
+    current = collect()
+    for key, digest in pinned.items():
+        assert current.get(key) == digest, f"first moved entry: {key}"
+    assert list(current) == list(pinned), "the corpus gained entries the pins lack"
+
+
+if __name__ == "__main__":
+    PINS.write_text(json.dumps(collect(), indent=1) + "\n")
