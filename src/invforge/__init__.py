@@ -40,7 +40,6 @@ from .reductions import (
     choose_alpha_cvp,
     choose_alpha_halfclique,
     choose_alpha_vc,
-    choose_beta,
     choose_c,
     constants_valid,
     cvp_to_approx_binary,

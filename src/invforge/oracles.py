@@ -9,9 +9,10 @@ Exactness contract: no verdict ever depends on floating point. Every
 exact network evaluation runs on relunet's integer view, over an exact
 common scale. One chunked numpy scan (_scan) serves both exhaustive
 binary oracles, binary-latent inversion and the (0,1)-CVP source oracle,
-through one helper (_binary_verdict). Its dtype is int64 when a proved
-bound (_int_path_safe) keeps every value it forms within int64, and
-object (exact Python ints) otherwise, so both dtypes run the same code.
+through one helper (_binary_verdict), on {0,1} latents: a {-1,1} query
+is folded into a {0,1} one first (z = 2y - 1). Its dtype is int64 when a
+proved bound (_int_path_safe, on the folded layer) keeps every value it
+forms within int64, and object (exact Python ints) otherwise.
 The scan splits the latent bits into high bits, fixed within a chunk,
 and low bits, which vary within it. It sorts the layer-0 units into
 three classes: low-only units depend on low bits alone, so their share
@@ -50,9 +51,9 @@ import numpy as np
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
-from .ratio import scaled_int
+from .ratio import format_ratio, scaled_int
 from .relunet import distance_pow, float_layers, forward
-from .reductions import DOMAIN_01, DOMAIN_PM1, DOMAIN_REAL, InversionQuery
+from .reductions import DOMAIN_01, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
 CERT_EXHAUSTIVE = "exhaustive"
@@ -111,9 +112,7 @@ class Verdict:
     def to_dict(self) -> dict:
         return {
             "decision": self.decision,
-            "witness": None
-            if self.witness is None
-            else [f"{v.numerator}/{v.denominator}" for v in self.witness],
+            "witness": None if self.witness is None else [format_ratio(v) for v in self.witness],
             "certificate": self.certificate,
             "stats": asdict(self.stats),
         }
@@ -199,7 +198,7 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     weights = basis + [[-w for w in row] for row in basis]
     bias = [-t for t in target] + target
     threshold = inst.radius**inst.p * lam**inst.p
-    return _binary_verdict([(weights, bias)], [0] * len(bias), inst.p, n, False, threshold)
+    return _binary_verdict([(weights, bias)], [0] * len(bias), inst.p, n, threshold)
 
 
 # -- graph problems ----------------------------------------------------------
@@ -311,6 +310,8 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
 
     YES iff the minimum p-th-powered distance is <= the threshold; the
     witness is the lexicographically smallest minimizer (-1 < 1, 0 < 1).
+    A {-1,1} query is folded into a {0,1} one first: z = 2y - 1 turns
+    W z + b into 2W y + (b - W 1), and y's order is z's.
     """
     kind = query.domain.kind
     if kind == DOMAIN_REAL:
@@ -318,20 +319,23 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
     n = query.domain.dim
     _check_cap("latent_bits", n, "latent bits")
     layers, target, threshold_scaled, _ = _integerized(query)
-    return _binary_verdict(layers, target, query.p, n, kind == DOMAIN_PM1, threshold_scaled)
+    if kind == DOMAIN_01:
+        return _binary_verdict(layers, target, query.p, n, threshold_scaled)
+    (w0, b0), rest = layers[0], layers[1:]
+    folded = ([[2 * w for w in row] for row in w0], [b - sum(row) for row, b in zip(w0, b0)])
+    verdict = _binary_verdict([folded] + rest, target, query.p, n, threshold_scaled)
+    if verdict.is_yes:
+        verdict.witness = tuple(_ONE if y else -_ONE for y in verdict.witness)
+    return verdict
 
 
-def _binary_verdict(layers, target, p, n, pm1, threshold) -> Verdict:
-    """The exhaustive verdict of integer layers over n binary latents against a scaled threshold."""
+def _binary_verdict(layers, target, p, n, threshold) -> Verdict:
+    """The exhaustive verdict of integer layers over n {0,1} latents against a scaled threshold."""
     dtype = np.int64 if _int_path_safe(layers, target, p) else object
-    best_val, best_index = _scan(layers, target, p, n, pm1, dtype)
+    best_val, best_index = _scan(layers, target, p, n, dtype)
     stats = VerdictStats(latents_enumerated=1 << n)
     if best_val <= threshold:
-        bits = _bits_msb(best_index, n)
-        if pm1:
-            witness = tuple(Fraction(2 * b - 1) for b in bits)
-        else:
-            witness = tuple(Fraction(b) for b in bits)
+        witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
         return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
 
@@ -343,30 +347,23 @@ def _low_bits(n: int, width: int, dtype) -> int:
     return min(n, max(0, (elements // width).bit_length() - 1))
 
 
-def _subset_sums(cols, pm1: bool):
+def _subset_sums(cols):
     """Row r: sum over i of bit_i(r) * cols[i], cols[0] the most significant bit.
 
     Built by doubling in place from the least significant bit, no matmul:
-    table[:2k] = [table[:k], table[:k] + col]. With {-1,1} bits, row r is
-    the {0,1} sum of r's set bits less that of its clear bits, which is
-    row r of the reversed table.
+    table[:2k] = [table[:k], table[:k] + col].
     """
     table = np.zeros((1 << len(cols), cols.shape[1]), dtype=cols.dtype)
     for j, col in enumerate(cols[::-1]):
         k = 1 << j
         np.add(table[:k], col, out=table[k : 2 * k])
-    return table - table[::-1] if pm1 else table
+    return table
 
 
-def _high_sums(cols, base, pm1: bool):
-    """base + high @ cols for every setting of the high bits, in ascending order: one per chunk."""
-    hi = len(cols)
-    if not hi:  # a single chunk
-        yield base
-        return
-    for h in range(1 << hi):
-        bits = _bits_msb(h, hi)
-        yield base + np.array([2 * b - 1 for b in bits] if pm1 else bits, dtype=cols.dtype) @ cols
+def _high_sums(cols, base):
+    """base + high @ cols per setting of the high bits, ascending: one per chunk (one if none)."""
+    for h in range(1 << len(cols)):
+        yield base + np.array(_bits_msb(h, len(cols)), dtype=cols.dtype) @ cols
 
 
 def _pow_sum(values, p: int):
@@ -425,7 +422,7 @@ def _distance(acts, target, p: int):
     return _pow_sum(acts, p)
 
 
-def _scan(layers, target, p, n, pm1, dtype):
+def _scan(layers, target, p, n, dtype):
     """Scan in chunks of dtype; only the mixed layer-0 units are evaluated per chunk.
 
     Split: of the n latent bits, the `hi` high bits are fixed within a
@@ -444,7 +441,7 @@ def _scan(layers, target, p, n, pm1, dtype):
 
     Exactness: every table entry, every partial sum met while building it
     and every layer-0 pre-activation is a sum of some of one layer-0 row's
-    terms (bias, w_j or -w_j). Every layer-1 value formed, a class's share
+    terms (the bias and the w_j). Every layer-1 value formed, a class's share
     or a sum of shares, is a sum of some of one layer-1 row's terms; every
     distance formed is a sum of some of the nonnegative distance terms. So
     each magnitude stays within a bound `_int_path_safe` checked, and the
@@ -487,15 +484,15 @@ def _scan(layers, target, p, n, pm1, dtype):
         return _distance(acts, np_target[units], p)
 
     if low_only:
-        acts = _subset_sums(cols[hi:, units_l], pm1)
+        acts = _subset_sums(cols[hi:, units_l])
         acts += bias0[units_l]
         low_share = share(np.maximum(acts, 0, out=acts), units_l)
         del acts
-    table = _subset_sums(cols[hi:, units_m], pm1)
+    table = _subset_sums(cols[hi:, units_m])
     buf = np.empty_like(table) if hi else table  # a single chunk may overwrite its table
 
     def chunks():
-        for offset in _high_sums(cols[:hi], bias0, pm1):
+        for offset in _high_sums(cols[:hi], bias0):
             acts = np.add(table, offset[units_m], out=buf)
             total = share(np.maximum(acts, 0, out=acts), units_m)
             if low_only:

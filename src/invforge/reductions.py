@@ -9,9 +9,13 @@ Conventions shared by every construction here:
 
   * All queries are non-strict: YES iff some latent reaches p-th-powered
     distance <= threshold_pow.
-  * "+/- stacking": a 1-layer network [W; -W], [b; -b] satisfies
-    ||ReLU(stacked)||_p^p == sum_rows |W_r z + b_r|^p exactly, because for
-    each row exactly the positive or the negative copy fires.
+  * "+/- stacking" (_stacked_query, the cvp and both graph routes): a
+    1-layer network [W; -W], [b; -b] satisfies ||ReLU(stacked)||_p^p ==
+    sum_rows |W_r z + b_r|^p exactly: per row one of the two copies fires.
+  * Pair rows (_pair_rows): both graph routes charge each vertex pair
+    2s(z_i + z_j) - s, then the subset size.
+  * Per-coordinate rows (_diagonal): row i has a weight in column i only;
+    they build the clamp and |v - c| stages of sat-real and the gadget.
   * Semantic clamp/abs stages are realized with ReLU pairs whose additive
     constants cancel exactly, so the networks obey the one uniform rule
     "ReLU after every layer" without changing any quantitative claim.
@@ -19,6 +23,7 @@ Conventions shared by every construction here:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +32,6 @@ from typing import Callable
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .ratio import format_ratio, int_root_ceil, json_int, parse_ratio, pth_power_split, rational_root_ceil
 from .relunet import (
-    Layer,
     ReluNetwork,
     as_fraction,
     forward_layers,
@@ -130,19 +134,13 @@ def choose_alpha_vc() -> Fraction:
     return _ONE
 
 
-def choose_beta(threshold_pow, p: int) -> Fraction:
-    """Subset-size penalty, returned as its p-th power.
-
-    Picked as the p-th power of the smallest integer whose power exceeds
-    the threshold, so the penalty row itself stays rational. Validity:
-    beta_pow > threshold_pow.
-    """
-    root = beta_root(threshold_pow, p)
-    return Fraction(root) ** p
-
-
 def beta_root(threshold_pow, p: int) -> int:
-    """The integer actually placed in the size-penalty row."""
+    """Subset-size penalty beta, the integer placed in the size-penalty row.
+
+    The smallest integer whose p-th power exceeds the threshold, so the
+    penalty row itself stays rational. Validity: beta_pow = beta**p >
+    threshold_pow.
+    """
     threshold_pow = as_fraction(threshold_pow)
     if threshold_pow < 0:
         raise ValueError("threshold must be nonnegative")
@@ -160,6 +158,48 @@ def choose_c(delta) -> int:
     need = 2 + 1 / delta  # smallest integer >= this
     c0 = -((-need.numerator) // need.denominator)
     return c0 + 1
+
+
+# -- the shared blocks ------------------------------------------------------
+
+
+def _stacked_query(rows, bias, p: int, theta, metadata: dict) -> InversionQuery:
+    """The one-layer {0,1}-latent query of [W; -W], [b; -b] against target 0 (+/- stacking)."""
+    net = ReluNetwork(
+        len(rows[0]),
+        (layer(rows + [[-w for w in r] for r in rows], bias + [-b for b in bias]),),
+        metadata=metadata,
+    )
+    return InversionQuery(
+        net, (_ZERO,) * net.output_dim, p, theta, LatentDomain(DOMAIN_01, net.input_dim)
+    )
+
+
+def _pair_rows(n: int, scales, beta: Fraction, picked: Fraction):
+    """Pair rows, then the size row, over latents z in {0,1}^n: (rows, bias).
+
+    Each vertex pair i < j gets one row 2s(z_i + z_j) - s per scale s in
+    scales(i, j): |.| is 3s when both of the pair are picked and s
+    otherwise. A scale of 0 gives an all-zero row with bias 0. The size row
+    beta * (sum z - picked) is 0 exactly when `picked` latents are set.
+    """
+    rows: list[list[Fraction]] = []
+    bias: list[Fraction] = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for s in scales(i, j):
+            row = [_ZERO] * n
+            row[i - 1] = 2 * s
+            row[j - 1] = 2 * s
+            rows.append(row)
+            bias.append(-s)
+    rows.append([beta] * n)
+    bias.append(-picked * beta)
+    return rows, bias
+
+
+def _diagonal(count: int, weight, width: int) -> list[list]:
+    """The per-coordinate rows: row i holds weight in column i and 0 in the other width - 1."""
+    return [[weight if j == i else _ZERO for j in range(width)] for i in range(count)]
 
 
 # -- satisfiability, binary latents ---------------------------------------
@@ -228,23 +268,17 @@ def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
     clause_rows, clause_bias = _clause_matrix(formula)
     m = len(clause_rows)
 
-    layer1 = layer([[1 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n)
-    layer2 = layer([[-1 if i == j else 0 for j in range(n)] for i in range(n)], [2] * n)
+    layer1 = layer(_diagonal(n, 1, n), [1] * n)
+    layer2 = layer(_diagonal(n, -1, n), [2] * n)
 
     # Layer 2 outputs bv with semantic v = 1 - bv; fold that affine change
     # into layer 3.
-    rows3: list[list[Fraction]] = []
-    bias3: list[Fraction] = []
-    for row, b in zip(clause_rows, clause_bias):
-        rows3.append([-w for w in row])
-        bias3.append(sum(row, _ZERO) + b)
-    for i in range(n):  # ReLU(v_i) = ReLU(1 - bv_i)
-        rows3.append([Fraction(-1) if j == i else _ZERO for j in range(n)])
-        bias3.append(_ONE)
-    for i in range(n):  # ReLU(-v_i) = ReLU(bv_i - 1)
-        rows3.append([_ONE if j == i else _ZERO for j in range(n)])
-        bias3.append(Fraction(-1))
-    layer3 = Layer(tuple(tuple(r) for r in rows3), tuple(bias3))
+    layer3 = layer(
+        [[-w for w in row] for row in clause_rows]
+        + _diagonal(n, -1, n)  # ReLU(v_i) = ReLU(1 - bv_i)
+        + _diagonal(n, 1, n),  # ReLU(-v_i) = ReLU(bv_i - 1)
+        [sum(row, _ZERO) + b for row, b in zip(clause_rows, clause_bias)] + [1] * n + [-1] * n,
+    )
 
     out_clause = [1] * m + [0] * (2 * n)
     out_abs = [0] * m + [1] * (2 * n)
@@ -266,16 +300,6 @@ def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
 
 
 # -- lattice instances, binary latents ------------------------------------
-
-
-def _stack(rows: list[list[Fraction]], bias: list[Fraction]) -> Layer:
-    """[W; -W], [b; -b]: the post-ReLU l_p^p norm equals the affine residual norm."""
-    stacked_rows = [list(r) for r in rows] + [[-w for w in r] for r in rows]
-    stacked_bias = list(bias) + [-b for b in bias]
-    return Layer(
-        tuple(tuple(r) for r in stacked_rows),
-        tuple(stacked_bias),
-    )
 
 
 def cvp_to_approx_binary(inst: CvpInstance) -> ReductionArtifact:
@@ -309,23 +333,12 @@ def cvp_to_approx_binary(inst: CvpInstance) -> ReductionArtifact:
         rows.append(row)
         bias.append(-alpha)
 
-    net = ReluNetwork(
-        N,
-        (_stack(rows, bias),),
-        metadata={
-            "construction": "cvp-approx-binary",
-            "lattice_rows": d,
-            "pair_rows": n,
-        },
-    )
-    theta = inst.radius**inst.p
-    query = InversionQuery(
-        net,
-        tuple([_ZERO] * net.output_dim),
-        inst.p,
-        theta,
-        LatentDomain(DOMAIN_01, N),
-    )
+    metadata = {
+        "construction": "cvp-approx-binary",
+        "lattice_rows": d,
+        "pair_rows": n,
+    }
+    query = _stacked_query(rows, bias, inst.p, inst.radius**inst.p, metadata)
     return ReductionArtifact(
         query,
         constants={"alpha": alpha, "radius": inst.radius},
@@ -382,43 +395,29 @@ def binarization_gadget(inner: ReductionArtifact, delta, mode: str) -> Reduction
         raise ValueError(f"unknown gadget mode {mode!r}")
     half = clamp_hi / 2
 
-    eye = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-    neg_eye = [[-1 if i == j else 0 for j in range(N)] for i in range(N)]
-    layer1 = layer(eye, [0] * N)
-    layer2 = layer(neg_eye, [clamp_hi] * N)
+    layer1 = layer(_diagonal(N, 1, N), [0] * N)
+    layer2 = layer(_diagonal(N, -1, N), [clamp_hi] * N)
 
     # Layer 2 outputs bv with semantic v = clamp_hi - bv.
-    rows3: list[list[Fraction]] = []
-    bias3: list[Fraction] = []
-    for i in range(N):  # collapse score ReLU(collapse_bias - v_i)
-        rows3.append([_ONE if j == i else _ZERO for j in range(N)])
-        bias3.append(collapse_bias - clamp_hi)
-    for i in range(N):  # ReLU(v_i - half)
-        rows3.append([Fraction(-1) if j == i else _ZERO for j in range(N)])
-        bias3.append(half)
-    for i in range(N):  # ReLU(half - v_i)
-        rows3.append([_ONE if j == i else _ZERO for j in range(N)])
-        bias3.append(-half)
-    layer3 = Layer(tuple(tuple(r) for r in rows3), tuple(bias3))
+    layer3 = layer(
+        _diagonal(N, 1, N)  # collapse score ReLU(collapse_bias - v_i)
+        + _diagonal(N, -1, N)  # ReLU(v_i - half)
+        + _diagonal(N, 1, N),  # ReLU(half - v_i)
+        [collapse_bias - clamp_hi] * N + [half] * N + [-half] * N,
+    )
 
-    rows4: list[list[Fraction]] = []
-    bias4: list[Fraction] = []
-    for i in range(N):  # hard collapse: 1 when v_i is high, 0 when low
-        row = [_ZERO] * (3 * N)
-        row[i] = -slope
-        rows4.append(row)
-        bias4.append(_ONE)
     deviation_row = [_ZERO] * N + [_ONE] * (2 * N)
-    rows4.append(deviation_row)
-    bias4.append(_ZERO)
-    layer4 = Layer(tuple(tuple(r) for r in rows4), tuple(bias4))
+    layer4 = layer(
+        _diagonal(N, -slope, 3 * N)  # hard collapse: 1 when v_i is high, 0 when low
+        + [deviation_row],
+        [_ONE] * N + [_ZERO],
+    )
 
     inner_layer = inner_net.layers[0]
-    rows5 = [list(row) + [_ZERO] for row in inner_layer.weights]
-    bias5 = list(inner_layer.bias)
-    rows5.append([_ZERO] * N + [_ONE])
-    bias5.append(_ZERO)
-    layer5 = Layer(tuple(tuple(r) for r in rows5), tuple(bias5))
+    layer5 = layer(
+        [row + (_ZERO,) for row in inner_layer.weights] + [[_ZERO] * N + [_ONE]],
+        inner_layer.bias + (_ZERO,),
+    )
 
     tail = Fraction(N) * clamp_hi / 2
     net = ReluNetwork(
@@ -469,10 +468,6 @@ def cvp_to_approx_real(inst: CvpInstance) -> ReductionArtifact:
 # -- graph queries, even p ------------------------------------------------
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
 def halfclique_to_approx(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
     """One-layer network accepting exactly the light half-cliques.
 
@@ -494,8 +489,7 @@ def halfclique_to_approx(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
     g = query.graph
     n = g.num_vertices
     roots = g.root_weights()
-    pairs = _all_pairs(n)
-    nonedge_count = len(pairs) - len(roots)
+    nonedge_count = n * (n - 1) // 2 - len(roots)
     total_weight = sum((root**p for root in roots.values()), _ZERO)
 
     alpha_pow = choose_alpha_halfclique(p, total_weight, query.bound)
@@ -510,34 +504,16 @@ def halfclique_to_approx(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
         raise ValueError("bound so small the threshold would be negative")
     beta = Fraction(beta_root(theta, p))
 
-    rows: list[list[Fraction]] = []
-    bias: list[Fraction] = []
-    for i, j in pairs:
-        if (i, j) in roots:
-            scales = [roots[(i, j)]]
-        else:
-            scales = [alpha_root] * copies
-        for s in scales:
-            row = [_ZERO] * n
-            row[i - 1] = 2 * s
-            row[j - 1] = 2 * s
-            rows.append(row)
-            bias.append(-s)
-    rows.append([beta] * n)
-    bias.append(-Fraction(n, 2) * beta)
+    def scales(i, j):
+        return [roots[(i, j)]] if (i, j) in roots else [alpha_root] * copies
 
-    net = ReluNetwork(
-        n,
-        (_stack(rows, bias),),
-        metadata={
-            "construction": "halfclique-approx",
-            "nonedge_copies": copies,
-            "pair_rows": len(rows) - 1,
-        },
-    )
-    inv_query = InversionQuery(
-        net, tuple([_ZERO] * net.output_dim), p, theta, LatentDomain(DOMAIN_01, n)
-    )
+    rows, bias = _pair_rows(n, scales, beta, Fraction(n, 2))
+    metadata = {
+        "construction": "halfclique-approx",
+        "nonedge_copies": copies,
+        "pair_rows": len(rows) - 1,
+    }
+    inv_query = _stacked_query(rows, bias, p, theta, metadata)
     return ReductionArtifact(
         inv_query,
         constants={
@@ -588,29 +564,14 @@ def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:
     theta = Fraction(edge_count) * alpha**p
     beta = Fraction(beta_root(theta, p))
 
-    rows: list[list[Fraction]] = []
-    bias: list[Fraction] = []
-    for i, j in _all_pairs(n):
-        row = [_ZERO] * n
-        if (i, j) in edge_set:
-            row[i - 1] = 2 * alpha
-            row[j - 1] = 2 * alpha
-            rows.append(row)
-            bias.append(-alpha)
-        else:
-            rows.append(row)
-            bias.append(_ZERO)
-    rows.append([beta] * n)
-    bias.append(-Fraction(n - query.size) * beta)
-
-    net = ReluNetwork(
+    rows, bias = _pair_rows(
         n,
-        (_stack(rows, bias),),
-        metadata={"construction": "vertexcover-approx", "edge_count": edge_count},
+        lambda i, j: [alpha] if (i, j) in edge_set else [_ZERO],
+        beta,
+        Fraction(n - query.size),
     )
-    inv_query = InversionQuery(
-        net, tuple([_ZERO] * net.output_dim), p, theta, LatentDomain(DOMAIN_01, n)
-    )
+    metadata = {"construction": "vertexcover-approx", "edge_count": edge_count}
+    inv_query = _stacked_query(rows, bias, p, theta, metadata)
     return ReductionArtifact(
         inv_query,
         constants={

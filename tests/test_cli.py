@@ -230,6 +230,7 @@ def test_unknown_flag_is_usage_error():
 SAT3_TEXT = "p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"
 CVP2_TEXT = "cvp 2 2 1\n1 1/2\n0 2\n3/2 2\n1/2\n"
 GRAPH4_TEXT = "graph 4\n1 2 1/1\n3 4 2/1\n1 3 1/4\n2 4 9/1\n"
+GRAPH1_TEXT = "graph 4\n1 2 1/1\n"
 
 
 @pytest.mark.parametrize(
@@ -248,6 +249,17 @@ GRAPH4_TEXT = "graph 4\n1 2 1/1\n3 4 2/1\n1 3 1/4\n2 4 9/1\n"
         ("vertexcover", "binary", GRAPH4_TEXT, ["--size", "2"],
          "7f05badeeed687ac50a694ab43457a9711add88c7a37147a266222691f474cd9"),
         ("vertexcover", "real", GRAPH4_TEXT, ["--size", "2"], None),
+        # alpha_pow = 6 + 1 + 1 = 8 = 2 * 2^2: each non-edge takes two row copies
+        ("halfclique", "binary", GRAPH1_TEXT, ["--bound", "6"],
+         "7fb253c680647288bd028c376ef3eb8f568edbb94ed364926b0e7a64d1931794"),
+        ("halfclique", "real", GRAPH1_TEXT, ["--bound", "6"],
+         "89a4e2597967785d1aa0cc013e6a4aca3f4805f71b6f70e6ca17eada8a43793d"),
+        ("halfclique", "binary", GRAPH4_TEXT, ["--bound", "5", "--p", "4"],
+         "b4fbdf2582ef1e85553a4c62d0669882e50a2fb4a5921f62f8637ef85d30c09d"),
+        ("halfclique", "real", GRAPH4_TEXT, ["--bound", "5", "--p", "4"],
+         "d5236b5b1f9a84f8b411124e800b1441697c83308480b96a3b7a1194cf18be11"),
+        ("vertexcover", "binary", GRAPH4_TEXT, ["--size", "2", "--p", "4"],
+         "0105886df870fd574588fbcaa0577fb347e133f1c3f0e3eb5600d1a1083ecb98"),
     ],
 )
 def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha256):

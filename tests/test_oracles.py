@@ -399,12 +399,20 @@ def _sparse_rows(rng, fan_out, n, hi):
     return rows
 
 
+def _fold_pm1(layers):
+    """Layer 0 over {0,1} bits y of a query over {-1,1} bits z = 2y - 1: weights 2W, bias b - W 1."""
+    (rows, bias), rest = layers[0], layers[1:]
+    return [([[2 * w for w in r] for r in rows], [b - sum(r) for r, b in zip(rows, bias)])] + rest
+
+
 def test_scan_int64_chunks_match_bigint(monkeypatch):
     """Many chunks per scan, and small weights, so minimizers tie across chunk borders.
 
     Both dtypes scan each case with the same split into chunks. The second
     half uses sparse layer-0 rows, so that low-only, high-only (or
-    constant) and mixed units all occur in one scan.
+    constant) and mixed units all occur in one scan. The scan takes {0,1}
+    bits; a {-1,1} case scans its folded layers against the reference's
+    own {-1,1} evaluation of the unfolded ones.
     """
     rng = random.Random(41)
     split_ties = 0
@@ -433,13 +441,15 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         target = [rng.randint(-2, 2) for _ in range(fan_in)]
         p = rng.choice((1, 2, 3))
         pm1 = rng.random() < 0.5
-        assert _int_path_safe(layers, target, p)
         values = _all_distances(layers, target, p, n, pm1)
+        if pm1:
+            layers = _fold_pm1(layers)
+        assert _int_path_safe(layers, target, p)
         best = min(values)
-        assert _scan(layers, target, p, n, pm1, np.int64) == (best, values.index(best))
+        assert _scan(layers, target, p, n, np.int64) == (best, values.index(best))
         monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", 8 * chunk)
         assert n - oracles._low_bits(n, max(widths), object) == hi
-        assert _scan(layers, target, p, n, pm1, object) == (best, values.index(best))
+        assert _scan(layers, target, p, n, object) == (best, values.index(best))
         ties = [i for i, v in enumerate(values) if v == best]
         split_ties += ties[-1] - ties[0] >= 16  # 16 apart: never in one chunk
         classes = set()
@@ -451,6 +461,74 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
     assert split_ties >= 25
     assert sum(three_classes.values()) >= 20
     assert min(three_classes.values()) >= 5  # at depth 1 and at depth 2
+
+
+def _pm1_query(layers, target, p, theta):
+    n = len(layers[0][0][0])
+    net = ReluNetwork(n, tuple(layer(rows, bias) for rows, bias in layers))
+    target = tuple(Fraction(t) for t in target)
+    return InversionQuery(net, target, p, Fraction(theta), LatentDomain(DOMAIN_PM1, n))
+
+
+def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
+    """{-1,1} queries at several chunk sizes: the folded scan keeps the verdict and the witness.
+
+    Integer weights keep _integerized's scale at 1, so _all_distances' own
+    {-1,1} evaluation of the query's layers is the reference distance.
+    """
+    scans = _spy_scans(monkeypatch)
+    rng = random.Random(43)
+    yes = 0
+    for case in range(60):
+        n = rng.randint(4, 9)
+        fan_in, layers = n, []
+        for fan_out in [rng.randint(1, 5) for _ in range(rng.randint(1, 2))]:
+            rows = [[rng.randint(-3, 3) for _ in range(fan_in)] for _ in range(fan_out)]
+            layers.append((rows, [rng.randint(-3, 3) for _ in range(fan_out)]))
+            fan_in = fan_out
+        target = [rng.randint(-2, 2) for _ in range(fan_in)]
+        p = rng.choice((1, 2, 3))
+        values = _all_distances(layers, target, p, n, True)
+        best = min(values)
+        theta = max(best - rng.randint(0, 1), 0)
+        query = _pm1_query(layers, target, p, theta)
+        for chunk in (4, 16, 64, 1 << 21):
+            monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
+            verdict = invert_binary_bruteforce(query)
+            assert verdict.is_yes == (best <= theta)
+            if verdict.is_yes:
+                bits = _msb_bits(values.index(best), n)
+                assert verdict.witness == tuple(2 * b - 1 for b in bits)
+            assert scans[-1] == (np.int64, (best, values.index(best)))
+        yes += verdict.is_yes
+    assert 15 <= yes <= 45
+
+
+def test_invert_binary_pm1_fold_band_takes_object(monkeypatch):
+    """A {-1,1} query whose bound fits int64 unfolded but not folded: the object scan decides.
+
+    Layer 0's bound is sum |w| + |b| on {-1,1} bits and 2 sum |w| + |b - sum w|
+    once folded onto {0,1} bits; with one layer, p = 1 and target (1, 1) the
+    distance bound is the layer's plus the target's 1, summed over its two units.
+    """
+    scans = _spy_scans(monkeypatch)
+    c = 1 << 60
+    rows = [[c, c, -c], [c - 1, 3, c + 5]]
+    bias = [2, -c]
+    layers = [(rows, bias)]
+    unfolded = 2 * (max(sum(abs(w) for w in r) + abs(b) for r, b in zip(rows, bias)) + 1)
+    folded = 2 * (max(2 * sum(abs(w) for w in r) + abs(b - sum(r)) for r, b in zip(rows, bias)) + 1)
+    assert unfolded <= oracles._INT64_SAFE < folded
+    assert _int_path_safe(layers, [1, 1], 1)
+    values = _all_distances(layers, [1, 1], 1, 3, True)
+    best = min(values)
+    assert best >= 1
+    for theta, decision in ((best - 1, "NO"), (best, "YES")):
+        verdict = invert_binary_bruteforce(_pm1_query(layers, [1, 1], 1, theta))
+        assert verdict.decision == decision
+        if verdict.is_yes:
+            assert verdict.witness == tuple(2 * b - 1 for b in _msb_bits(values.index(best), 3))
+    assert scans == [(object, (best, values.index(best)))] * 2
 
 
 def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):

@@ -32,11 +32,11 @@ from invforge.reductions import (
     artifact_from_json,
     artifact_to_json,
     backward_witness,
+    beta_root,
     binarization_gadget,
     choose_alpha_cvp,
     choose_alpha_halfclique,
     choose_alpha_vc,
-    choose_beta,
     choose_c,
     constants_valid,
     cvp_to_approx_binary,
@@ -376,8 +376,8 @@ def test_vertexcover_rejects_odd_p():
 def test_choosers():
     assert choose_alpha_cvp(Fraction(1, 2)) == Fraction(3, 2)
     assert choose_alpha_vc() == 1
-    assert choose_beta(Fraction(53), 2) == 64  # 8**2, smallest integer power > 53
-    assert choose_beta(Fraction(53), 2) > 53
+    assert beta_root(Fraction(53), 2) == 8  # 8**2 = 64, the smallest integer square > 53
+    assert beta_root(Fraction(64), 2) == 9  # beta_pow must exceed the threshold
     assert choose_c(Fraction(1, 2)) == 5
     assert choose_c(Fraction(2)) == 4
 
