@@ -37,7 +37,6 @@ from .reductions import (
     artifact_from_json,
     artifact_to_json,
     binarization_gadget,
-    choose_alpha_cvp,
     choose_alpha_halfclique,
     choose_alpha_vc,
     choose_c,

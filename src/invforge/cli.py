@@ -60,7 +60,7 @@ from .oracles import (
     solve_sat_bruteforce,
     solve_vertexcover_bruteforce,
 )
-from .ratio import parse_ratio
+from .ratio import check_p, parse_ratio
 from .relunet import distance_pow, forward
 from .reductions import (
     ReductionArtifact,
@@ -351,7 +351,7 @@ def _build_artifact(args) -> ReductionArtifact:
         )
     family = FAMILIES[name]
     source = family.parse(Path(args.in_file).read_text(), args)
-    artifact = family.compile(source, family.default_p if args.p is None else args.p)
+    artifact = family.compile(source, family.default_p if args.p is None else check_p(args.p))
     if args.p not in (None, artifact.query.p):
         raise UnsupportedReduction(
             f"--p {args.p} does not apply: this route fixes p = {artifact.query.p}"
@@ -444,7 +444,7 @@ def run_verify(
     if family not in FAMILIES:
         raise ValueError(f"unknown verify family {family!r}")
     fam = FAMILIES[family]
-    p = fam.default_p if p is None else p
+    p = fam.default_p if p is None else check_p(p)
     report = VerifyReport(family=family, trials=0, agreements=0)
 
     def trial(label, source, must_be_yes: bool = False):
@@ -504,7 +504,7 @@ def cmd_verify(args) -> int:
 
 
 def run_bench(family: str, n_from: int, n_to: int, trials: int, seed: int = 0):
-    """Time the exhaustive oracles; state counts are exact (2^n or 2^{2n})."""
+    """Time the exhaustive oracles; state counts are exact: 2^n for every family, CVP included."""
     bench = FAMILIES[family].bench if family in FAMILIES else None
     if bench is None:
         raise ValueError(f"unknown bench family {family!r}")

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratio import format_ratio, parse_ratio
+from .ratio import check_p, format_ratio, parse_ratio
 from .relunet import as_fraction
 
 
@@ -71,8 +71,7 @@ class CvpInstance:
             raise ValueError("target length must equal basis row count")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        if self.p < 1:
-            raise ValueError("p must be a positive integer")
+        check_p(self.p)
         if self.gap is not None and self.gap < 0:
             raise ValueError("gap must be nonnegative")
 

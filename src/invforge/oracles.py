@@ -70,7 +70,7 @@ DEFAULT_CAPS = {
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INT64_SAFE = (1 << 63) - 1  # rigorous bound: no intermediate may exceed this
-_CHUNK_ELEMENTS = 1 << 21  # int64 elements in one binary-scan chunk array (16 MiB)
+_CHUNK_ELEMENTS = 1 << 21  # int64 elements a binary scan's table and buffer share (16 MiB)
 _SAT_CHUNK_BITS = 16  # the SAT source oracle filters 2^16 assignments at a time
 
 
@@ -186,9 +186,10 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     The basis and target are scaled by lam, the lcm of their denominators.
     As |r|^p = ReLU(r)^p + ReLU(-r)^p, the distance is that of one layer,
     weights [B; -B] and bias [-t; t], to target 0, and _int_path_safe's
-    bound on it is 2d * max_r(sum_i |B_ri| + |t_r|)^p. The oracle builds
-    that layer itself, not through reductions, to stay independent of the
-    constructions it checks. The first minimizer is the lex smallest.
+    bound on it is 2d * max_r(sum_i |B_ri| + |t_r|)^p. The first minimizer
+    is the lex smallest. The oracle builds that layer itself; as it is the
+    layer cvp_to_approx_binary compiles, tests check these decisions
+    against a plain Fraction loop over {0,1}^n, not another network.
     """
     n = inst.num_vectors
     _check_cap("latent_bits", n, "coefficients")
@@ -341,10 +342,10 @@ def _binary_verdict(layers, target, p, n, threshold) -> Verdict:
 
 
 def _low_bits(n: int, width: int, dtype) -> int:
-    """Latent bits that vary within a chunk: 2^lo rows of `width` fit in the dtype's chunk."""
+    """Latent bits that vary within a chunk: 2^lo rows of 2 * `width` fit in the dtype's chunk."""
     # an object element points to a Python int of several words, so take an eighth
     elements = _CHUNK_ELEMENTS if dtype is np.int64 else _CHUNK_ELEMENTS // 8
-    return min(n, max(0, (elements // width).bit_length() - 1))
+    return min(n, max(0, (elements // (2 * width)).bit_length() - 1))
 
 
 def _subset_sums(cols):
@@ -449,11 +450,11 @@ def _scan(layers, target, p, n, dtype):
     passes np.int64 when that bound fits int64, else object, whose Python
     ints cannot overflow.
 
-    Memory: lo is the largest value with 2^lo rows of the widest layer
-    within the dtype's chunk (_low_bits), so every table, the chunk buffer
-    and each later layer's output hold at most max(chunk, width) values,
-    whatever n is. The low-only table is freed before the mixed one is
-    built.
+    Memory: lo is the largest value with 2^lo rows of twice the widest
+    layer within the dtype's chunk (_low_bits), so the mixed table and the
+    chunk buffer, which are held together, fit in one chunk between them
+    (one row each if a row alone is wider), whatever n is. The low-only
+    table is freed before the mixed one is built.
 
     Order: see _first_min.
     """

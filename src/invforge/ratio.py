@@ -5,6 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+P_MAX = 64  # the largest norm exponent accepted; a constant, not an enumeration cap
+
+
+def check_p(p: int) -> int:
+    """p if 1 <= p <= P_MAX, else a ValueError naming p, before any input is raised to p."""
+    if not 1 <= p <= P_MAX:
+        raise ValueError(f"p = {p} is outside [1, {P_MAX}]")
+    return p
+
+
 def parse_ratio(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer) into a Fraction.
 

@@ -9,6 +9,8 @@ Conventions shared by every construction here:
 
   * All queries are non-strict: YES iff some latent reaches p-th-powered
     distance <= threshold_pow.
+  * Latent-tight: a source of size n (variables, coefficients, vertices)
+    compiles to n latents, so a 2^n bound in n is one in the latent size.
   * "+/- stacking" (_stacked_query, the cvp and both graph routes): a
     1-layer network [W; -W], [b; -b] satisfies ||ReLU(stacked)||_p^p ==
     sum_rows |W_r z + b_r|^p exactly: per row one of the two copies fires.
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
-from .ratio import format_ratio, int_root_ceil, json_int, parse_ratio, pth_power_split, rational_root_ceil
+from .ratio import check_p, format_ratio, int_root_ceil, json_int, parse_ratio, pth_power_split, rational_root_ceil
 from .relunet import (
     ReluNetwork,
     as_fraction,
@@ -84,8 +86,7 @@ class InversionQuery:
     def __post_init__(self):
         if len(self.target) != self.network.output_dim:
             raise ValueError("target length != network output dimension")
-        if self.p < 1:
-            raise ValueError("p must be a positive integer")
+        check_p(self.p)
         if self.threshold_pow < 0:
             raise ValueError("threshold must be nonnegative")
         if self.domain.dim != self.network.input_dim:
@@ -106,14 +107,6 @@ class ReductionArtifact:
 # The constructions need "sufficiently large" penalty constants; these
 # choosers pick deterministic values and each value carries a validity
 # predicate checked by constants_valid().
-
-
-def choose_alpha_cvp(radius) -> Fraction:
-    """Pair penalty for the lattice reduction; valid iff alpha > radius."""
-    radius = as_fraction(radius)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return radius + 1
 
 
 def choose_alpha_halfclique(p: int, total_weight, bound) -> Fraction:
@@ -305,45 +298,21 @@ def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
 def cvp_to_approx_binary(inst: CvpInstance) -> ReductionArtifact:
     """One-layer network matching binary lattice combinations within the radius.
 
-    Latents live in {0,1}^(2n), coordinates paired: a valid latent has
-    exactly one of z_{2i}, z_{2i+1} set, encoding y_i = z_{2i}. The lattice
-    rows reproduce By - t on valid latents; the pair rows charge alpha > r
-    for any invalid pair, pushing those latents past the threshold r^p.
+    Latents are the coefficient vectors y in {0,1}^n themselves, one latent
+    per basis vector. The +/- stacked rows of B with bias -t give
+    ||ReLU([B; -B] y - [t; -t])||_p^p == ||By - t||_p^p exactly, so the
+    query accepts y iff the lattice point By lies within the radius of t
+    (threshold r^p). No penalty constant is needed.
 
     Built for every p >= 1. The paper uses it for odd p; `invforge reduce`
     refuses even p, which goes through the half-clique and vertex-cover
     routes instead.
     """
-    n, d = inst.num_vectors, inst.dim
-    N = 2 * n
-    alpha = choose_alpha_cvp(inst.radius)
-
-    rows: list[list[Fraction]] = []
-    bias: list[Fraction] = []
-    for r in range(d):
-        row = [_ZERO] * N
-        for i in range(n):
-            row[2 * i] = inst.basis[r][i]
-        rows.append(row)
-        bias.append(-inst.target[r])
-    for i in range(n):
-        row = [_ZERO] * N
-        row[2 * i] = alpha
-        row[2 * i + 1] = alpha
-        rows.append(row)
-        bias.append(-alpha)
-
-    metadata = {
-        "construction": "cvp-approx-binary",
-        "lattice_rows": d,
-        "pair_rows": n,
-    }
-    query = _stacked_query(rows, bias, inst.p, inst.radius**inst.p, metadata)
-    return ReductionArtifact(
-        query,
-        constants={"alpha": alpha, "radius": inst.radius},
-        witness_map={"kind": "cvp-pairs", "n": n},
+    metadata = {"construction": "cvp-approx-binary", "lattice_rows": inst.dim}
+    query = _stacked_query(
+        list(inst.basis), [-t for t in inst.target], inst.p, inst.radius**inst.p, metadata
     )
+    return ReductionArtifact(query, witness_map={"kind": "cvp-01"})
 
 
 # -- the binarization gadget ----------------------------------------------
@@ -607,23 +576,10 @@ def _clamped_pm1_back(latent) -> tuple:
     return tuple(v == 1 for v in clamped)
 
 
-def _pairs(coefficients, dim: int) -> tuple:
-    out = []
-    for y in coefficients:
-        if y not in (0, 1):
-            raise ValueError("lattice coefficients must be 0/1")
-        out.extend((Fraction(y), _ONE - y))
-    return tuple(out)
-
-
-def _pairs_back(latent) -> tuple:
-    out = []
-    for i in range(0, len(latent), 2):
-        a, b = latent[i], latent[i + 1]
-        if {a, b} != {_ZERO, _ONE}:
-            raise ValueError(f"pair ({a},{b}) is not exclusive")
-        out.append(int(a))
-    return tuple(out)
+def _zero_one(values, what: str) -> tuple:
+    if any(v not in (0, 1) for v in values):
+        raise ValueError(f"{what} is not a 0/1 vector")
+    return tuple(values)
 
 
 def _indicator(vertices, dim: int, inside: Fraction) -> tuple:
@@ -632,9 +588,7 @@ def _indicator(vertices, dim: int, inside: Fraction) -> tuple:
 
 
 def _indicated(latent, inside: Fraction) -> frozenset:
-    if any(v not in (_ZERO, _ONE) for v in latent):
-        raise ValueError("latent is not an indicator vector")
-    return frozenset(i + 1 for i, v in enumerate(latent) if v == inside)
+    return frozenset(i + 1 for i, v in enumerate(_zero_one(latent, "latent")) if v == inside)
 
 
 def _clique_constants_valid(consts, p, theta) -> bool:
@@ -649,8 +603,9 @@ def _clique_constants_valid(consts, p, theta) -> bool:
 WITNESS_KINDS = {
     "sat-pm1": WitnessKind(_pm1, lambda latent: tuple(v > 0 for v in latent)),
     "sat-real": WitnessKind(_pm1, _clamped_pm1_back),
-    "cvp-pairs": WitnessKind(
-        _pairs, _pairs_back, lambda consts, p, theta: consts["alpha"] > consts["radius"]
+    "cvp-01": WitnessKind(
+        lambda y, dim: tuple(Fraction(v) for v in _zero_one(y, "coefficient vector")),
+        lambda latent: tuple(int(v) for v in _zero_one(latent, "latent")),
     ),
     "clique-indicator": WitnessKind(
         lambda vertices, dim: _indicator(vertices, dim, _ONE),
@@ -713,9 +668,8 @@ def backward_witness(artifact: ReductionArtifact, latent) -> object:
     latent = tuple(as_fraction(v) for v in latent)
     if gadget is not None:
         # Read the exactly-collapsed 0/1 coordinates out of layer 4.
-        latent = forward_layers(artifact.query.network, latent)[3][: artifact.query.domain.dim]
-        if any(v not in (_ZERO, _ONE) for v in latent):
-            raise ValueError("latent does not collapse to binary coordinates")
+        collapsed = forward_layers(artifact.query.network, latent)[3][: artifact.query.domain.dim]
+        latent = _zero_one(collapsed, "collapsed latent")
     return kind.backward(latent)
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ratio import format_ratio, json_int, parse_ratio, scaled_int
+from .ratio import check_p, format_ratio, json_int, parse_ratio, scaled_int
 
 NETWORK_FORMAT_VERSION = "relunet-1"
 
@@ -215,8 +215,7 @@ def distance_pow(y: Sequence, x: Sequence, p: int) -> DistancePow:
     """Exact sum of |y_i - x_i|**p, summed in integers over one common denominator."""
     if len(y) != len(x):
         raise ValueError(f"length mismatch: {len(y)} vs {len(x)}")
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    check_p(p)
     pairs = [(as_fraction(a), as_fraction(b)) for a, b in zip(y, x)]
     scale = math.lcm(*(v.denominator for pair in pairs for v in pair))
     total = sum(abs(scaled_int(a, scale) - scaled_int(b, scale)) ** p for a, b in pairs)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -118,24 +119,35 @@ def _assert_fast_usage_error(capsys, *argv):
     assert code == 2 and elapsed < 1.0
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.mark.parametrize(
-    "source, text, flags",
+    "source, text, flags, message",
     [
-        ("cvp", f"cvp 1 1 1\n{HUGE}\n2\n1/2\n", []),
-        ("halfclique", f"graph 2\n1 2 {HUGE}\n", ["--bound", "5"]),
-        ("halfclique", GRAPH_TEXT, ["--bound", HUGE]),
+        ("cvp", f"cvp 1 1 1\n{HUGE}\n2\n1/2\n", [], "bad rational literal"),
+        ("halfclique", f"graph 2\n1 2 {HUGE}\n", ["--bound", "5"], "bad rational literal"),
+        ("halfclique", GRAPH_TEXT, ["--bound", HUGE], "bad rational literal"),
+        # a p past ratio.P_MAX would raise the entries to billion-digit powers
+        ("cvp", "cvp 1 1 1000000001\n1\n1\n3/7\n", [], "p = 1000000001"),
+        ("halfclique", GRAPH_TEXT, ["--bound", "5", "--p", "1000000000"], "p = 1000000000"),
     ],
-    ids=["cvp-entry", "graph-weight", "bound"],
+    ids=["cvp-entry", "graph-weight", "bound", "cvp-header-p", "flag-p"],
 )
-def test_reduce_exponent_literal_is_fast_usage_error(tmp_path, capsys, source, text, flags):
+def test_reduce_exponent_literal_is_fast_usage_error(tmp_path, capsys, source, text, flags, message):
     src = tmp_path / "instance.txt"
     src.write_text(text)
     out = tmp_path / "art.json"
-    _assert_fast_usage_error(capsys, "reduce", "--from", source, "--latent", "binary",
-                             "--in", str(src), "--out", str(out), *flags)
+    err = _assert_fast_usage_error(capsys, "reduce", "--from", source, "--latent", "binary",
+                                   "--in", str(src), "--out", str(out), *flags)
+    assert message in err
     assert not out.exists()
+
+
+def test_verify_huge_p_is_fast_usage_error(capsys):
+    err = _assert_fast_usage_error(capsys, "verify", "--family", "halfclique", "--n-max", "4",
+                                   "--trials", "1", "--p", "1000000000")
+    assert "p = 1000000000" in err
 
 
 def test_invert_exponent_weight_is_fast_usage_error(tmp_path, capsys):
@@ -220,7 +232,7 @@ def test_bench_csv_bytes(tmp_path):
 def test_bench_states_monotone():
     records = run_bench("cvp", 1, 3, trials=1)
     states = [r.states for r in records]
-    assert states == [4, 16, 64]  # 2^(2n)
+    assert states == [2, 4, 8]  # 2^n: one latent per coefficient
 
 
 def test_unknown_flag_is_usage_error():
@@ -238,10 +250,10 @@ GRAPH1_TEXT = "graph 4\n1 2 1/1\n"
     [
         ("sat", "binary", SAT3_TEXT, [], "986e9640f884599526794651e09f4e385858fa91853425ebd31e160d9473f8e6"),
         ("sat", "real", SAT3_TEXT, [], "f45688f635fb1bc529a4e5eb9320831a3a6c785170f65510148348de2ae1248b"),
-        ("cvp", "binary", CVP2_TEXT, [], "44d168aba3bd896df313d3d31e1f76adde3d83ef2baafccc55eff2e3db6105cc"),
-        ("cvp", "real", CVP2_TEXT, [], "ae02c8a66a7d81ec9be3cb294c1e537445189df95d5c077062b5cb91f38fcd08"),
+        ("cvp", "binary", CVP2_TEXT, [], "a27b613c100440ddbfeec0e0fce5b4dbde2c8168d1112a017ddd8cea0c7ee626"),
+        ("cvp", "real", CVP2_TEXT, [], "18f2bde5541f6569cdcbbfe60892e8fe6cfd882dde386534b144c538a2925a8e"),
         ("cvp", "real", "cvp 1 1 1\n1\n1\n1/8\n", [],
-         "1b1008fd70ec99fb755d9237a5255b93f7978ff1f57b8a799629ed4fe92fb6c1"),
+         "cea09140188d48af69d3e8202dd2ca9cb5550929b8c5b2a88ab1e2b623065368"),
         ("halfclique", "binary", GRAPH4_TEXT, ["--bound", "5"],
          "564c3e4c5054cfcf5b2b7f8af6f0272df705ccbe180050ac2125dc3f63721eff"),
         ("halfclique", "real", GRAPH4_TEXT, ["--bound", "5"],
@@ -293,10 +305,12 @@ def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha2
         (("network", "input_dim"), 3.5),
         (("network", "layers", 0, "rows"), 3.0),
         (("network", "layers", 0, "cols"), "3"),
+        (("p",), 1000000001),  # past ratio.P_MAX: refused before any power is taken
     ],
     ids=["numeric-weight", "numeric-target", "null-threshold", "string-constants",
          "list-witness-map", "dim-above-input", "dim-below-input", "p-float", "p-bool",
-         "p-string", "dim-float", "dim-bool", "input-dim-float", "rows-float", "cols-string"],
+         "p-string", "dim-float", "dim-bool", "input-dim-float", "rows-float", "cols-string",
+         "p-huge"],
 )
 def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value):
     cnf = tmp_path / "f.cnf"
@@ -421,3 +435,24 @@ def test_verify_boundary_trial_must_be_yes(monkeypatch):
     assert report.trials == 5
     assert [d["seed"] for d in report.disagreements] == ["boundary"]
     assert report.disagreements[0]["source"] == report.disagreements[0]["query"] == "NO"
+
+
+SOURCE_SIZE = {
+    "sat": lambda formula: formula.num_vars,
+    "cvp": lambda inst: inst.num_vectors,
+    "halfclique": lambda query: query.graph.num_vertices,
+    "vertexcover": lambda query: query.graph.num_vertices,
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_every_route_is_latent_tight(name):
+    """A source of size n compiles to n latents, so a 2^n bound in n is one in the latent size."""
+    fam = FAMILIES[name]
+    size = SOURCE_SIZE[name.removesuffix(cli.REAL_SUFFIX)]
+    sizes = set()
+    for ts in range(40):
+        source = fam.draw(random.Random(ts), ts, 6, fam.default_p)
+        assert fam.compile(source, fam.default_p).query.domain.dim == size(source)
+        sizes.add(size(source))
+    assert len(sizes) > 1 or name == "halfclique-real"  # halfclique-real always draws n = 4

@@ -45,6 +45,7 @@ from invforge.reductions import (
     InversionQuery,
     LatentDomain,
     backward_witness,
+    cvp_to_approx_binary,
     sat_to_exact_binary,
     sat_to_exact_real,
     vertexcover_to_approx,
@@ -98,7 +99,10 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
     """Several chunks per scan, and small entries, so minimizers tie across chunk borders.
 
     Both dtypes scan each instance through solve_cvp01_bruteforce with the
-    same split into chunks; an _INT64_SAFE of -1 forces object.
+    same split into chunks; an _INT64_SAFE of -1 forces object. The CVP
+    route's query scans the very layer the source oracle builds, so both
+    are checked against the Fraction loop, not against each other: the
+    route's decision and its backward-mapped witness must be the loop's.
     """
     rng = random.Random(29)
     scans = _spy_scans(monkeypatch)
@@ -124,6 +128,12 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
             monkeypatch.setattr(oracles, "_INT64_SAFE", safe)
             verdicts.append(solve_cvp01_bruteforce(inst).to_dict())
             assert scans.pop() == (dtype, (best * lam**p, index))
+            artifact = cvp_to_approx_binary(inst)
+            route = invert_binary_bruteforce(artifact.query)
+            assert scans.pop() == (dtype, (best * lam**p, index))
+            assert route.is_yes == (best <= inst.radius**p)
+            if route.is_yes:
+                assert backward_witness(artifact, route.witness) == tuple(map(int, _msb_bits(index, n)))
         assert verdicts[0] == verdicts[1]
         verdict = solve_cvp01_bruteforce(inst)
         assert verdict.is_yes == (best <= inst.radius**p)

@@ -8,16 +8,19 @@ through wrapped `FAMILIES` entries, plus direct calls of the two exhaustive
 binary oracles on a fixed set that includes queries beyond int64.
 
 A change that moves an output on purpose re-records the pins and names the
-moved entries in CHANGES.md. To re-record:
+moved entries in CHANGES.md. To re-record, and first print how many entries
+moved per key pattern (numeric path parts and seeds read as *):
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 """
 
+import collections
 import dataclasses
 import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,13 +175,28 @@ def collect() -> dict:
     return entries
 
 
+def _pattern(key: str) -> str:
+    """The key with its numeric path parts and seeds read as *."""
+    return "/".join("*" if part.isdigit() else re.sub(r"^seed=\d+$", "seed=*", part) for part in key.split("/"))
+
+
+def moved(pinned: dict, current: dict) -> collections.Counter:
+    """Entries that moved, appeared or vanished, counted per key pattern."""
+    keys = pinned.keys() | current.keys()
+    return collections.Counter(_pattern(k) for k in keys if pinned.get(k) != current.get(k))
+
+
 def test_outputs_are_pinned():
     pinned = json.loads(PINS.read_text())
     current = collect()
+    count = sum(moved(pinned, current).values())
     for key, digest in pinned.items():
-        assert current.get(key) == digest, f"first moved entry: {key}"
+        assert current.get(key) == digest, f"{count} of {len(pinned)} entries moved; first: {key}"
     assert list(current) == list(pinned), "the corpus gained entries the pins lack"
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps(collect(), indent=1) + "\n")
+    current = collect()
+    for pattern, count in sorted(moved(json.loads(PINS.read_text()), current).items()):
+        print(f"{count:6d}  {pattern}")
+    PINS.write_text(json.dumps(current, indent=1) + "\n")

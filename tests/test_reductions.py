@@ -8,6 +8,7 @@ from invforge.instances import (
     CvpInstance,
     HalfCliqueQuery,
     VertexCoverQuery,
+    cvp_distance_pow,
     gen_random_cvp,
     gen_random_ksat,
     graph,
@@ -34,7 +35,6 @@ from invforge.reductions import (
     backward_witness,
     beta_root,
     binarization_gadget,
-    choose_alpha_cvp,
     choose_alpha_halfclique,
     choose_alpha_vc,
     choose_c,
@@ -119,14 +119,17 @@ def test_sat_real_yes_via_patterns():
 def test_cvp_binary_shape_and_examples():
     inst = CvpInstance(((ONE,),), (Fraction(2),), Fraction(1, 2), 1)
     art = cvp_to_approx_binary(inst)
-    assert art.query.network.width == 4  # 2 * (d + n)
-    assert art.query.domain == art.query.domain.__class__(DOMAIN_01, 2)
+    assert art.query.network.width == 2  # 2 * d: one +/- pair per lattice row
+    assert art.query.domain == art.query.domain.__class__(DOMAIN_01, 1)  # one latent per coefficient
+    assert art.query.network.layers[0].weights == ((ONE,), (-ONE,))
+    assert art.query.network.layers[0].bias == (Fraction(-2), Fraction(2))
+    assert art.constants == {}
     assert not invert_binary_bruteforce(art.query).is_yes
 
     exact_hit = CvpInstance(((ONE,),), (ONE,), ZERO, 1)
     verdict = invert_binary_bruteforce(cvp_to_approx_binary(exact_hit).query)
     assert verdict.is_yes
-    assert verdict.witness == (ONE, ZERO)
+    assert verdict.witness == (ONE,)
 
 
 def test_cvp_compilers_build_even_p():
@@ -147,24 +150,28 @@ def test_cvp_stacking_identity_exact():
         stacked = art.query.network.layers[0]
         inner_rows = stacked.weights[: len(stacked.weights) // 2]
         inner_bias = stacked.bias[: len(stacked.bias) // 2]
-        for index in range(1 << (2 * n)):
-            z = tuple(Fraction((index >> (2 * n - 1 - i)) & 1) for i in range(2 * n))
+        assert art.query.domain.dim == n
+        for index in range(1 << n):
+            z = tuple(Fraction((index >> (n - 1 - i)) & 1) for i in range(n))
             lhs = distance_pow(forward(art.query.network, z), art.query.target, p).value
             rhs = sum(
                 abs(sum(w * v for w, v in zip(row, z)) + b) ** p
                 for row, b in zip(inner_rows, inner_bias)
             )
-            assert lhs == rhs
+            assert lhs == rhs == cvp_distance_pow(inst.basis, inst.target, z, p)
 
 
 def test_cvp_witness_translation_both_ways():
     inst = CvpInstance(((ONE, Fraction(2)),), (Fraction(2),), ZERO, 1)
     art = cvp_to_approx_binary(inst)
     latent = forward_witness(art, (0, 1))
-    assert latent == (ZERO, ONE, ONE, ZERO)
+    assert latent == (ZERO, ONE)
     assert backward_witness(art, latent) == (0, 1)
+    assert all(type(y) is int for y in backward_witness(art, latent))
     with pytest.raises(ValueError):
-        backward_witness(art, (ONE, ONE, ZERO, ONE))  # non-exclusive pair
+        backward_witness(art, (ONE, Fraction(1, 2)))  # not a 0/1 latent
+    with pytest.raises(ValueError):
+        forward_witness(art, (0, 2))  # not a 0/1 coefficient vector
 
 
 # -- binarization gadget ------------------------------------------------------
@@ -232,13 +239,14 @@ def test_gadget_witness_forwarding_and_backtranslation():
 
 def test_gadget_accepted_latents_collapse_to_binary():
     # perturb a witness inside the acceptance ball: layer-4 bits stay exactly 0/1
-    inst = CvpInstance(((ONE,),), (ONE,), Fraction(1, 8), 1)
+    inst = CvpInstance(((ONE, ONE),), (ONE,), Fraction(1, 8), 1)
     art = cvp_to_approx_real(inst)
     eps = Fraction(1, 100)
     z = (ONE - eps, ZERO + eps)
     outs = forward_layers(art.query.network, z)
     bits = outs[3][: art.query.domain.dim]
-    assert set(bits) <= {ZERO, ONE}
+    assert bits == (ONE, ZERO)
+    assert backward_witness(art, z) == (1, 0)
 
 
 # -- half-clique reduction ----------------------------------------------------
@@ -374,7 +382,6 @@ def test_vertexcover_rejects_odd_p():
 
 
 def test_choosers():
-    assert choose_alpha_cvp(Fraction(1, 2)) == Fraction(3, 2)
     assert choose_alpha_vc() == 1
     assert beta_root(Fraction(53), 2) == 8  # 8**2 = 64, the smallest integer square > 53
     assert beta_root(Fraction(64), 2) == 9  # beta_pow must exceed the threshold
