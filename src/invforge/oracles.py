@@ -10,17 +10,17 @@ exact network evaluation runs on relunet's integer view, over an exact
 common scale. One chunked numpy scan (_scan) serves both exhaustive
 binary oracles, binary-latent inversion and the (0,1)-CVP source oracle,
 through one helper (_binary_verdict), on {0,1} latents: a {-1,1} query
-is folded into a {0,1} one first (z = 2y - 1). Its dtype is int64 when a
-proved bound (_int_path_safe, on the folded layer) keeps every value it
-forms within int64, and object (exact Python ints) otherwise.
-The scan splits the latent bits into high bits, fixed within a chunk,
-and low bits, which vary within it. It sorts the layer-0 units into
-three classes: low-only units depend on low bits alone, so their share
-of the next stage is computed once per scan from a subset-sum table;
-high-only (or constant) units give one value per chunk; only the mixed
-units are evaluated for every latent of a chunk. Every value it forms is
-a partial sum of the terms of one layer-0 row, of one layer-1 row, or of
-the nonnegative distance terms, so the same bound covers it (see _scan).
+is folded into a {0,1} one first (z = 2y - 1). Every value the scan
+forms is an integer partial sum of the terms of one layer-0 row, of one
+layer-1 row, or of the nonnegative distance terms, so one proved bound
+on such sums (_scan_dtype, on the folded layer) picks its dtype: float32
+up to 2^24, where every integer is a float and every sum or product
+formed is exact in any order; int64 up to 2^63 - 1; else object (exact
+Python ints). Powers are taken by multiplication, never np.power, since
+libm's pow need not be exact. The latent bits split into high bits,
+fixed within a chunk, and low bits, which vary within it. A layer-0 unit
+with low weights belongs to the group of its high support S; where room
+allows, a group's share is tabulated once per setting of S (see _scan).
 The falsifier searches in float64 copies of the same view, but
 re-verifies every candidate with the exact forward pass before answering
 YES. It checks the seeds whose float distance is near the threshold
@@ -69,8 +69,9 @@ DEFAULT_CAPS = {
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24, and no larger set
 _INT64_SAFE = (1 << 63) - 1  # rigorous bound: no intermediate may exceed this
-_CHUNK_ELEMENTS = 1 << 21  # int64 elements a binary scan's table and buffer share (16 MiB)
+_CHUNK_ELEMENTS = 1 << 21  # elements a binary scan's arrays share (8 MiB in float32, 16 in int64)
 _SAT_CHUNK_BITS = 16  # the SAT source oracle filters 2^16 assignments at a time
 
 
@@ -277,7 +278,8 @@ def _integerized(query: InversionQuery):
     Layer l's weights are scaled by L_l / L_(l-1) and its bias by L_l, where
     L chains relunet.Layer.scale from integer inputs; the last L also takes
     in the target's denominators. ReLU commutes with positive scaling, so
-    distances come out scaled by the last L to the p-th power.
+    distances come out scaled by the last L to the p-th power. The layers
+    are read off the sparse view Layer.integer, numerators over s and t.
     """
     scales = [1]
     for lyr in query.network.layers:
@@ -285,25 +287,32 @@ def _integerized(query: InversionQuery):
     scales[-1] = scale = math.lcm(scales[-1], *(t.denominator for t in query.target))
     layers = []
     for lyr, d, out in zip(query.network.layers, scales, scales[1:]):
-        weights = [[scaled_int(w, out // d) for w in row] for row in lyr.weights]
-        layers.append((weights, [scaled_int(b, out) for b in lyr.bias]))
+        rows, s, bias, t = lyr.integer
+        wf, bf = out // (d * s), out // t
+        weights = [[d.get(j, 0) * wf for j in range(lyr.fan_in)] for d in map(dict, rows)]
+        layers.append((weights, [num * bf for num in bias]))
     target = [scaled_int(t, scale) for t in query.target]
     threshold_scaled = query.threshold_pow * Fraction(scale) ** query.p
     return layers, target, threshold_scaled, scale
 
 
-def _int_path_safe(layers, target, p: int) -> bool:
-    bound = 1  # max |input coordinate|
+def _scan_dtype(layers, target, p: int):
+    """The narrowest dtype in which every value the scan forms is exact (see _scan).
+
+    The bound covers every layer's rows, sum |w| * (input bound) + |b| from
+    inputs in [0, 1], and the distance, len(target) * (bound + max |t|)^p:
+    float32 up to 2^24, int64 up to 2^63 - 1, object beyond.
+    """
+    bound = peak = 1  # max |input coordinate|
     for weights, bias in layers:
-        row_bound = 0
-        for row, b in zip(weights, bias):
-            row_bound = max(row_bound, sum(abs(w) for w in row) * bound + abs(b))
-        bound = row_bound
+        bound = max(sum(abs(w) for w in row) * bound + abs(b) for row, b in zip(weights, bias))
         if bound > _INT64_SAFE:
-            return False
-    coord = bound + max((abs(t) for t in target), default=0)
-    total = len(target) * coord**p
-    return total <= _INT64_SAFE
+            return object
+        peak = max(peak, bound)
+    peak = max(peak, len(target) * (bound + max(abs(t) for t in target)) ** p)
+    if peak > _INT64_SAFE:
+        return object
+    return np.float32 if peak <= _FLOAT32_EXACT else np.int64
 
 
 def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
@@ -332,8 +341,7 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
 
 def _binary_verdict(layers, target, p, n, threshold) -> Verdict:
     """The exhaustive verdict of integer layers over n {0,1} latents against a scaled threshold."""
-    dtype = np.int64 if _int_path_safe(layers, target, p) else object
-    best_val, best_index = _scan(layers, target, p, n, dtype)
+    best_val, best_index = _scan(layers, target, p, n, _scan_dtype(layers, target, p))
     stats = VerdictStats(latents_enumerated=1 << n)
     if best_val <= threshold:
         witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
@@ -341,11 +349,14 @@ def _binary_verdict(layers, target, p, n, threshold) -> Verdict:
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
 
 
+def _chunk_elements(dtype) -> int:
+    # an object element points to a Python int of several words, so take an eighth
+    return _CHUNK_ELEMENTS // 8 if dtype is object else _CHUNK_ELEMENTS
+
+
 def _low_bits(n: int, width: int, dtype) -> int:
     """Latent bits that vary within a chunk: 2^lo rows of 2 * `width` fit in the dtype's chunk."""
-    # an object element points to a Python int of several words, so take an eighth
-    elements = _CHUNK_ELEMENTS if dtype is np.int64 else _CHUNK_ELEMENTS // 8
-    return min(n, max(0, (elements // (2 * width)).bit_length() - 1))
+    return min(n, max(0, (_chunk_elements(dtype) // (2 * width)).bit_length() - 1))
 
 
 def _subset_sums(cols):
@@ -370,14 +381,16 @@ def _high_sums(cols, base):
 def _pow_sum(values, p: int):
     """Row sums of values**p, overwriting values; for odd p they must be >= 0.
 
-    einsum sums each row in integers like .sum(axis=1), and is several
-    times faster on the narrow arrays the scans make. It takes object
-    arrays from numpy 1.25 on.
+    Powers are in-place products, never np.power: its float loops call
+    libm's pow, which need not be exact. einsum sums rows several times
+    faster than .sum(axis=1) on these narrow arrays (object from numpy 1.25).
     """
     if p == 2:
         return np.einsum("ij,ij->i", values, values)
     if p != 1:
-        np.power(values, p, out=values)
+        base = values.copy()
+        for _ in range(p - 1):
+            values *= base
     return np.einsum("ij->i", values)
 
 
@@ -399,19 +412,28 @@ def _first_min(dists, lo: int):
     return best_val, best_index
 
 
-def _unit_split(cols, hi: int):
-    """Layer-0 units in the order mixed, low-only, high-only or constant; and the first two counts.
+def _unit_groups(cols, hi: int, room: int):
+    """Layer-0 units as (tabulated groups, per-chunk units, high-only or constant units).
 
-    cols holds one row per latent bit, msb first; the first `hi` rows are
-    the high bits. A unit is low-only when its only nonzero weights are on
-    low bits, high-only or constant when it has none there, and mixed
-    otherwise.
+    cols holds one row per latent bit, msb first, the `hi` high bits first.
+    A unit with low weights belongs to the group of its high support S.
+    Groups with |S| < hi are tabulated, as (S, units), in increasing |S|
+    while their 2^|S| vectors fit in `room` vectors; the rest go per chunk.
     """
+    if not hi:  # one chunk shares nothing: every unit is evaluated in it
+        return [], slice(None), np.empty(0, dtype=np.intp)
     low = (cols[hi:] != 0).any(axis=0)
-    high = (cols[:hi] != 0).any(axis=0)
-    mixed, low_only = low & high, low & ~high
-    order = np.concatenate([np.flatnonzero(mixed), np.flatnonzero(low_only), np.flatnonzero(~low)])
-    return order, int(mixed.sum()), int(low_only.sum())
+    units = np.flatnonzero(low)
+    keys = (cols[:hi, units] != 0).T @ (1 << np.arange(hi - 1, -1, -1))  # S as a bit mask
+    tabulated, per_chunk = [], [units[:0]]
+    for key in sorted(set(keys.tolist()), key=lambda key: (key.bit_count(), key)):
+        group, settings = units[keys == key], 1 << key.bit_count()
+        if settings < 1 << hi and settings <= room:
+            room -= settings
+            tabulated.append((tuple(np.flatnonzero(cols[:hi, group[0]])), group))
+        else:
+            per_chunk.append(group)
+    return tabulated, np.concatenate(per_chunk), np.flatnonzero(~low)
 
 
 def _distance(acts, target, p: int):
@@ -424,37 +446,37 @@ def _distance(acts, target, p: int):
 
 
 def _scan(layers, target, p, n, dtype):
-    """Scan in chunks of dtype; only the mixed layer-0 units are evaluated per chunk.
+    """Scan in chunks of dtype, each layer-0 unit group's share tabulated once per setting.
 
     Split: of the n latent bits, the `hi` high bits are fixed within a
-    chunk and the `lo` low bits vary within it. Layer-0 units fall into
-    three classes by their weights (_unit_split):
-    - low-only units give the same values in every chunk, so their share
-      of the next stage is computed once per scan from their subset-sum
-      table: their distance terms for a one-layer network, else their
-      part of the layer-1 pre-activations, relu(table_L + b_L) @ W1_L;
-    - high-only or constant units take one value per chunk, from the
-      vector bias0 + high @ cols[:hi] every chunk computes anyway;
-    - mixed units get a subset-sum table of their own, built once; chunk h
-      adds that vector to it, applies ReLU and pushes the result on.
-    A scan of one chunk (hi = 0) shares nothing between chunks, so there
-    every unit takes the per-chunk path.
+    chunk and the `lo` low bits vary within it. A layer-0 unit with low
+    weights belongs to the group of its high support S (_unit_groups). A
+    group's share of the next stage, its part of the layer-1
+    pre-activations relu(table + offset) @ W1_G or, for one layer, its
+    distance terms, depends on the chunk only through the 2^|S| settings
+    of S. A tabulated group (|S| < hi) builds one 2^lo x (next-stage width)
+    vector per setting, from one subset-sum table of its low columns and
+    one buffer. Chunk h adds the vectors for its setting to what it
+    evaluates itself: the other groups, from their own subset-sum table
+    plus bias0 + high @ cols[:hi], and the high-only or constant units, as
+    one row of that vector. One chunk (hi = 0) tabulates nothing.
 
     Exactness: every table entry, every partial sum met while building it
     and every layer-0 pre-activation is a sum of some of one layer-0 row's
-    terms (the bias and the w_j). Every layer-1 value formed, a class's share
-    or a sum of shares, is a sum of some of one layer-1 row's terms; every
-    distance formed is a sum of some of the nonnegative distance terms. So
-    each magnitude stays within a bound `_int_path_safe` checked, and the
-    later layers are the same arithmetic that bound covers. The caller
-    passes np.int64 when that bound fits int64, else object, whose Python
-    ints cannot overflow.
+    terms (the bias and the w_j). Every layer-1 value formed, a group's
+    vector, a per-chunk share or a sum of them, is a sum of some of one
+    layer-1 row's terms; every distance formed is a sum of some of the
+    nonnegative distance terms, and a term's powers are at most its p-th.
+    So every magnitude, in any order of summation, stays within the bound
+    _scan_dtype checked, as do the later layers' partial sums: float32 is
+    exact within 2^24 (BLAS blocking and FMA included), int64 within
+    2^63 - 1, and object holds Python ints, which cannot overflow.
 
     Memory: lo is the largest value with 2^lo rows of twice the widest
-    layer within the dtype's chunk (_low_bits), so the mixed table and the
-    chunk buffer, which are held together, fit in one chunk between them
-    (one row each if a row alone is wider), whatever n is. The low-only
-    table is freed before the mixed one is built.
+    layer within the dtype's chunk (_low_bits), so a subset-sum table and
+    its buffer, held together, fit in one chunk between them (one row each
+    if a row alone is wider), whatever n is. The tabulated vectors fit in
+    what that leaves of the chunk's element count.
 
     Order: see _first_min.
     """
@@ -463,20 +485,12 @@ def _scan(layers, target, p, n, dtype):
     bias0 = np.array(b0, dtype=dtype)
     np_rest = [(np.array(w, dtype=dtype).T, np.array(b, dtype=dtype)) for w, b in rest]
     np_target = np.array(target, dtype=dtype)
-    lo = _low_bits(n, max(len(b) for _, b in layers), dtype)
+    width = max(len(b) for _, b in layers)
+    lo = _low_bits(n, width, dtype)
     hi = n - lo
-    mixed, low_only = len(b0), 0
-    if hi:  # reorder the units so each class is a slice; the function is unchanged
-        order, mixed, low_only = _unit_split(cols, hi)
-        cols, bias0 = cols[:, order], bias0[order]
-        if np_rest:
-            np_rest[0] = (np_rest[0][0][order], np_rest[0][1])
-        else:
-            np_target = np_target[order]
-    units_m = slice(0, mixed)
-    units_l = slice(mixed, mixed + low_only)
-    units_h = slice(mixed + low_only, None)
-    has_high = mixed + low_only < len(b0)
+    share_shape = (1 << lo,) + np_rest[0][1].shape if np_rest else (1 << lo,)
+    room = (_chunk_elements(dtype) - (2 * width << lo)) // math.prod(share_shape)
+    tabulated, per_chunk, high = _unit_groups(cols, hi, room)
 
     def share(acts, units):
         """The next stage's share of these layer-0 units' activations."""
@@ -484,22 +498,28 @@ def _scan(layers, target, p, n, dtype):
             return acts @ np_rest[0][0][units]
         return _distance(acts, np_target[units], p)
 
-    if low_only:
-        acts = _subset_sums(cols[hi:, units_l])
-        acts += bias0[units_l]
-        low_share = share(np.maximum(acts, 0, out=acts), units_l)
-        del acts
-    table = _subset_sums(cols[hi:, units_m])
+    def setting_shares(support, units):
+        """The group's share for each setting of its high support, ascending."""
+        vectors = np.empty((1 << len(support),) + share_shape, dtype=dtype)
+        table = _subset_sums(cols[hi:, units])
+        buf = np.empty_like(table) if support else table
+        for s, offset in enumerate(_high_sums(cols[list(support)][:, units], bias0[units])):
+            vectors[s] = share(np.maximum(np.add(table, offset, out=buf), 0, out=buf), units)
+        return vectors
+
+    # a setting reads h's bits on the support, the support's first bit most significant
+    groups = [([hi - 1 - i for i in s[::-1]], setting_shares(s, units)) for s, units in tabulated]
+    table = _subset_sums(cols[hi:, per_chunk])
     buf = np.empty_like(table) if hi else table  # a single chunk may overwrite its table
 
     def chunks():
-        for offset in _high_sums(cols[:hi], bias0):
-            acts = np.add(table, offset[units_m], out=buf)
-            total = share(np.maximum(acts, 0, out=acts), units_m)
-            if low_only:
-                total += low_share
-            if has_high:
-                total += share(np.maximum(offset[None, units_h], 0), units_h)
+        for h, offset in enumerate(_high_sums(cols[:hi], bias0)):
+            acts = np.add(table, offset[per_chunk], out=buf)
+            total = share(np.maximum(acts, 0, out=acts), per_chunk)
+            for shifts, vectors in groups:
+                total += vectors[sum((h >> shift & 1) << k for k, shift in enumerate(shifts))]
+            if high.size:
+                total += share(np.maximum(offset[None, high], 0), high)
             if np_rest:  # total holds layer-1 pre-activations less the bias
                 total += np_rest[0][1]
                 np.maximum(total, 0, out=total)

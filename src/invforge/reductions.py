@@ -584,6 +584,8 @@ def _zero_one(values, what: str) -> tuple:
 
 def _indicator(vertices, dim: int, inside: Fraction) -> tuple:
     chosen = set(vertices)
+    if not chosen <= set(range(1, dim + 1)):
+        raise ValueError(f"vertex set {sorted(chosen)} is not within 1..{dim}")
     return tuple(inside if i + 1 in chosen else _ONE - inside for i in range(dim))
 
 
@@ -648,6 +650,13 @@ def constants_valid(artifact: ReductionArtifact) -> bool:
     return kind.valid(consts, artifact.query.p, artifact.query.threshold_pow)
 
 
+def _check_dim(values: tuple, artifact: ReductionArtifact, what: str) -> None:
+    """A ValueError naming both lengths unless values holds one entry per latent."""
+    dim = artifact.query.domain.dim
+    if len(values) != dim:
+        raise ValueError(f"{what} has {len(values)} entries, the domain {dim} latents")
+
+
 def forward_witness(artifact: ReductionArtifact, source_witness) -> tuple[Fraction, ...]:
     """Map a source-problem witness to a latent in the query's domain.
 
@@ -656,6 +665,7 @@ def forward_witness(artifact: ReductionArtifact, source_witness) -> tuple[Fracti
     """
     gadget, kind = _witness_kind(artifact.witness_map)
     latent = kind.forward(source_witness, artifact.query.domain.dim)
+    _check_dim(latent, artifact, "source witness")
     if gadget is None:
         return latent
     scale = as_fraction(gadget["scale"])
@@ -666,6 +676,7 @@ def backward_witness(artifact: ReductionArtifact, latent) -> object:
     """Map an accepted latent back to a source-problem witness."""
     gadget, kind = _witness_kind(artifact.witness_map)
     latent = tuple(as_fraction(v) for v in latent)
+    _check_dim(latent, artifact, "latent")
     if gadget is not None:
         # Read the exactly-collapsed 0/1 coordinates out of layer 4.
         collapsed = forward_layers(artifact.query.network, latent)[3][: artifact.query.domain.dim]

@@ -26,9 +26,9 @@ from invforge.oracles import (
     CERT_FALSIFIER,
     _affine_step,
     _identity_affine,
-    _int_path_safe,
     _integerized,
     _scan,
+    _scan_dtype,
     count_sat_assignments,
     enumerate_patterns_invert,
     falsify_real,
@@ -98,8 +98,9 @@ def test_cvp_bruteforce_examples():
 def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
     """Several chunks per scan, and small entries, so minimizers tie across chunk borders.
 
-    Both dtypes scan each instance through solve_cvp01_bruteforce with the
-    same split into chunks; an _INT64_SAFE of -1 forces object. The CVP
+    Each instance is scanned through solve_cvp01_bruteforce in the dtype
+    its bound picks (float32 within 2^24, else int64) and in object (an
+    _INT64_SAFE of -1 forces it), with the same split into chunks. The CVP
     route's query scans the very layer the source oracle builds, so both
     are checked against the Fraction loop, not against each other: the
     route's decision and its backward-mapped witness must be the loop's.
@@ -123,7 +124,9 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
         index = distances.index(best)
         lam = math.lcm(*(v.denominator for row in basis for v in row + inst.target))
         verdicts = []
-        for dtype, elements, safe in ((np.int64, chunk, int64_safe), (object, 8 * chunk, -1)):
+        row_bound = lam * max(sum(map(abs, row)) + abs(t) for row, t in zip(basis, inst.target))
+        exact = np.float32 if 2 * d * row_bound**p <= 1 << 24 else np.int64
+        for dtype, elements, safe in ((exact, chunk, int64_safe), (object, 8 * chunk, -1)):
             monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", elements)
             monkeypatch.setattr(oracles, "_INT64_SAFE", safe)
             verdicts.append(solve_cvp01_bruteforce(inst).to_dict())
@@ -189,7 +192,7 @@ def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
 def test_cvp_bruteforce_band_takes_object(monkeypatch):
     """d * c^p fits int64 but 2d * c^p does not, so the stacked [B; -B] layer takes object.
 
-    c is the largest row bound sum_i |B_ri| + |t_r|, which _int_path_safe
+    c is the largest row bound sum_i |B_ri| + |t_r|, which _scan_dtype
     computes; the stacked layer has 2d rows, each with the bound of its mirror.
     """
     scans = _spy_scans(monkeypatch)
@@ -399,10 +402,10 @@ def _sparse_rows(rng, fan_out, n, hi):
     """Rows whose weights sit on the high bits only, the low bits only, both, or neither."""
     rows = []
     for _ in range(fan_out):
-        kind = rng.choice(("high", "low", "both", "none"))
+        kind = rng.choice(("high", "low", "both", "both", "none"))
         support = set()
         if kind in ("high", "both") and hi:
-            support |= set(rng.sample(range(hi), rng.randint(1, hi)))
+            support |= set(rng.sample(range(hi), min(hi, rng.choice((1, 2, 2, 3, hi)))))
         if kind in ("low", "both") and hi < n:
             support |= set(rng.sample(range(hi, n), rng.randint(1, n - hi)))
         rows.append([rng.choice((-2, -1, 1, 2)) if i in support else 0 for i in range(n)])
@@ -415,29 +418,66 @@ def _fold_pm1(layers):
     return [([[2 * w for w in r] for r in rows], [b - sum(r) for r, b in zip(rows, bias)])] + rest
 
 
+def _ulp_low_power(power):
+    """np.power whose float results come out one ulp low, as an inexact libm pow may."""
+
+    def inexact(x, p, *args, **kwargs):
+        out = power(x, p, *args, **kwargs)
+        if isinstance(out, np.ndarray) and out.dtype.kind == "f":
+            np.nextafter(out, -np.inf, out=out)
+        return out
+
+    return inexact
+
+
+def _spy_groups(monkeypatch):
+    """Record (hi, the grouping) of every scan's layer-0 units."""
+    plans = []
+    unit_groups = oracles._unit_groups
+
+    def spy(cols, hi, room):
+        plans.append((hi, unit_groups(cols, hi, room)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(oracles, "_unit_groups", spy)
+    return plans
+
+
 def test_scan_int64_chunks_match_bigint(monkeypatch):
     """Many chunks per scan, and small weights, so minimizers tie across chunk borders.
 
-    Both dtypes scan each case with the same split into chunks. The second
-    half uses sparse layer-0 rows, so that low-only, high-only (or
-    constant) and mixed units all occur in one scan. The scan takes {0,1}
-    bits; a {-1,1} case scans its folded layers against the reference's
-    own {-1,1} evaluation of the unfolded ones.
+    Each case is scanned in float32 where its bound allows, in int64 and in
+    object, with the same split into chunks. The second half uses sparse
+    layer-0 rows and chunks of several sizes, so that every kind of unit
+    group occurs at depth 1 and at depth 2: the S = {} group, tabulated
+    groups with |S| = 1 and with |S| >= 2, units evaluated per chunk, and
+    high-only (or constant) units. np.power gives float results one ulp low
+    here, so a float scan that called it would fail. The scan takes {0,1}
+    bits; a {-1,1} case scans its folded layers against the reference's own
+    {-1,1} evaluation of the unfolded ones.
     """
+    monkeypatch.setattr(np, "power", _ulp_low_power(np.power))
+    plans = _spy_groups(monkeypatch)
     rng = random.Random(41)
     split_ties = 0
-    three_classes = {1: 0, 2: 0}
-    for case in range(200):
+    names = ("S={}", "|S|=1", "|S|>=2", "per-chunk", "high")
+    kinds = {depth: dict.fromkeys(names, 0) for depth in (1, 2)}
+    dtypes_run = {np.float32: 0, np.int64: 0}
+    for case in range(250):
         sparse = case >= 100
-        # at most 16 rows per chunk, so every n >= 5 takes two or more chunks
-        # (sparse cases have 3 to 8 layer-0 units: 64 elements are at most 16 rows)
-        chunk = rng.choice((8, 16, 32, 64) if sparse else (1, 2, 4, 8, 16))
-        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
         n = rng.randint(5, 10)
         depth = rng.randint(1, 2)
-        widths = [
-            rng.randint(3, 8) if sparse and not i else rng.randint(1, 4) for i in range(depth)
-        ]
+        # a sparse case's layer 1 is narrow, so a group's vectors are short
+        widths = [rng.randint(3, 8), rng.randint(1, 2)] if sparse else [rng.randint(1, 4) for _ in range(2)]
+        widths = widths[:depth]
+        # at most 16 rows per chunk, so every n >= 5 takes two or more chunks; a
+        # sparse case's chunk holds 1 to 8 rows and leaves room for some groups' vectors
+        if sparse:
+            rows = rng.choice((1, 2, 4, 8))
+            chunk = rows * (4 * max(widths) - rng.randint(1, max(widths)))
+        else:
+            chunk = rng.choice((1, 2, 4, 8, 16))
+        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
         hi = n - oracles._low_bits(n, max(widths), np.int64)
         layers = []
         fan_in = n
@@ -454,23 +494,69 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         values = _all_distances(layers, target, p, n, pm1)
         if pm1:
             layers = _fold_pm1(layers)
-        assert _int_path_safe(layers, target, p)
         best = min(values)
-        assert _scan(layers, target, p, n, np.int64) == (best, values.index(best))
+        exact = _scan_dtype(layers, target, p)
+        assert exact in (np.float32, np.int64)
+        for dtype in (np.float32, np.int64) if exact is np.float32 else (np.int64,):
+            assert _scan(layers, target, p, n, dtype) == (best, values.index(best))
+            assert plans[-1][0] == hi
+            dtypes_run[dtype] += 1
         monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", 8 * chunk)
         assert n - oracles._low_bits(n, max(widths), object) == hi
         assert _scan(layers, target, p, n, object) == (best, values.index(best))
         ties = [i for i, v in enumerate(values) if v == best]
         split_ties += ties[-1] - ties[0] >= 16  # 16 apart: never in one chunk
-        classes = set()
-        for row in layers[0][0]:
-            on_high = any(row[:hi])
-            on_low = any(row[hi:])
-            classes.add("mixed" if on_high and on_low else "low" if on_low else "high")
-        three_classes[depth] += hi >= 1 and len(classes) == 3
+        tabulated, per_chunk, high = plans[-1][1]
+        if hi:
+            supports = {len(support) for support, _ in tabulated}
+            kinds[depth]["S={}"] += 0 in supports
+            kinds[depth]["|S|=1"] += 1 in supports
+            kinds[depth]["|S|>=2"] += max(supports, default=0) >= 2
+            kinds[depth]["per-chunk"] += len(per_chunk) > 0
+            kinds[depth]["high"] += len(high) > 0
     assert split_ties >= 25
-    assert sum(three_classes.values()) >= 20
-    assert min(three_classes.values()) >= 5  # at depth 1 and at depth 2
+    assert min(dtypes_run.values()) >= 100
+    assert min(min(count.values()) for count in kinds.values()) >= 10  # each kind at both depths
+
+
+def _proved_bound(layers, target, p):
+    """The largest row bound of any layer, from inputs in [0, 1], or the distance bound if larger."""
+    bound, bounds = 1, []
+    for rows, bias in layers:
+        bound = max(sum(map(abs, row)) * bound + abs(b) for row, b in zip(rows, bias))
+        bounds.append(bound)
+    return max(bounds + [len(target) * (bound + max(map(abs, target))) ** p])
+
+
+def test_scan_dtype_edge_at_2_24(monkeypatch):
+    """A bound of exactly 2^24 takes float32, and 2^24 + 1 takes int64.
+
+    One unit over five {0,1} latents, weights (-16, 8, -4, 2, -1), bias b,
+    target -t and p = 1: the bound is 31 + b + t, and the distances
+    b + t + (the weighted bit sum) are 32 distinct integers from bound - 52,
+    at 10101, to bound - 21, at 01010.
+    """
+    scans = _spy_scans(monkeypatch)
+    weights, t = [-16, 8, -4, 2, -1], 5
+    for bound, dtype in ((1 << 24, np.float32), ((1 << 24) + 1, np.int64)):
+        layers = [([weights], [bound - 31 - t])]
+        assert _proved_bound(layers, [-t], 1) == bound
+        assert _scan_dtype(layers, [-t], 1) is dtype
+        values = _all_distances(layers, [-t], 1, 5, False)
+        assert sorted(values) == list(range(bound - 52, bound - 20))
+        best = (bound - 52, 0b10101)
+        assert values[0b10101] == best[0]
+        net = ReluNetwork(5, (layer(*layers[0]),))
+        for chunk in (8, oracles._CHUNK_ELEMENTS):  # eight chunks, then one
+            monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
+            for theta in (best[0] - 1, best[0]):
+                query = InversionQuery(net, (Fraction(-t),), 1, Fraction(theta), LatentDomain(DOMAIN_01, 5))
+                expect_yes, naive_best, best_z = _naive_invert(query)
+                assert naive_best == best[0]
+                verdict = invert_binary_bruteforce(query)
+                assert scans.pop() == (dtype, best)
+                assert verdict.is_yes == expect_yes == (theta == best[0])
+                assert verdict.witness == (best_z if expect_yes else None)
 
 
 def _pm1_query(layers, target, p, theta):
@@ -489,6 +575,7 @@ def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
     scans = _spy_scans(monkeypatch)
     rng = random.Random(43)
     yes = 0
+    dtypes = set()
     for case in range(60):
         n = rng.randint(4, 9)
         fan_in, layers = n, []
@@ -502,6 +589,7 @@ def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
         best = min(values)
         theta = max(best - rng.randint(0, 1), 0)
         query = _pm1_query(layers, target, p, theta)
+        exact = np.float32 if _proved_bound(_fold_pm1(layers), target, p) <= 1 << 24 else np.int64
         for chunk in (4, 16, 64, 1 << 21):
             monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
             verdict = invert_binary_bruteforce(query)
@@ -509,9 +597,11 @@ def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
             if verdict.is_yes:
                 bits = _msb_bits(values.index(best), n)
                 assert verdict.witness == tuple(2 * b - 1 for b in bits)
-            assert scans[-1] == (np.int64, (best, values.index(best)))
+            assert scans[-1] == (exact, (best, values.index(best)))
         yes += verdict.is_yes
+        dtypes.add(exact)
     assert 15 <= yes <= 45
+    assert dtypes == {np.float32, np.int64}
 
 
 def test_invert_binary_pm1_fold_band_takes_object(monkeypatch):
@@ -529,7 +619,7 @@ def test_invert_binary_pm1_fold_band_takes_object(monkeypatch):
     unfolded = 2 * (max(sum(abs(w) for w in r) + abs(b) for r, b in zip(rows, bias)) + 1)
     folded = 2 * (max(2 * sum(abs(w) for w in r) + abs(b - sum(r)) for r, b in zip(rows, bias)) + 1)
     assert unfolded <= oracles._INT64_SAFE < folded
-    assert _int_path_safe(layers, [1, 1], 1)
+    assert _scan_dtype(layers, [1, 1], 1) is np.int64
     values = _all_distances(layers, [1, 1], 1, 3, True)
     best = min(values)
     assert best >= 1
@@ -568,7 +658,7 @@ def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):
         theta = best if t % 2 == 0 else max(best - 1, Fraction(0))
         query = InversionQuery(net, target, p, theta, LatentDomain(kind, n))
         layers, int_target, _, _ = _integerized(query)
-        assert not _int_path_safe(layers, int_target, p)
+        assert _scan_dtype(layers, int_target, p) is object
         expect_yes, _, best_z = _naive_invert(query)
         verdict = invert_binary_bruteforce(query)
         assert verdict.is_yes == expect_yes
@@ -666,6 +756,51 @@ def test_invert_binary_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 10**6
+
+
+def test_invert_binary_sat_scan_memory_is_bounded(monkeypatch):
+    """n = 16 3-SAT at clause density 4.26 with the chunk cut 64-fold: 9 high bits, 7 low.
+
+    The float32 scan's subset-sum table and buffer fit in 2^lo rows of twice
+    the layer width, and the tabulated vectors in what the chunk's element
+    count leaves, so 3 chunks of float32 bound the peak with room for the
+    per-chunk temporaries. At 3/4 of that chunk not every group's vectors
+    fit, and the rest are evaluated per chunk. Either way the result must be
+    the minimum number of violated clauses and its first assignment
+    (variable 1 most significant, False < True), counted here clause by
+    clause.
+    """
+    n = 16
+    formula = gen_random_ksat(n, 68, 3, seed=11)
+    query = sat_to_exact_binary(formula).query
+    index = np.arange(1 << n)
+    violated = np.zeros(1 << n, dtype=np.int64)
+    for clause in formula.clauses:
+        false = np.ones(1 << n, dtype=bool)
+        for lit in clause:
+            false &= (index >> (n - abs(lit)) & 1) == (lit < 0)
+        violated += false
+    best = int(violated.min())
+    scans = _spy_scans(monkeypatch)
+    plans = _spy_groups(monkeypatch)
+    chunk = oracles._CHUNK_ELEMENTS >> 6
+    for elements in (chunk, chunk * 3 // 4):
+        monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", elements)
+        tracemalloc.start()
+        try:
+            verdict = invert_binary_bruteforce(query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * elements * np.dtype(np.float32).itemsize
+        assert scans.pop() == (np.float32, (best, int(violated.argmin())))
+        assert verdict.is_yes == (best == 0)
+    hi, (tabulated, per_chunk, _) = plans[-1]
+    low_clauses = [c for c in formula.clauses if any(abs(lit) > hi for lit in c)]
+    supports = {frozenset(abs(lit) - 1 for lit in c if abs(lit) <= hi) for c in low_clauses}
+    assert (hi, max(map(len, supports))) == (9, 2)  # every group has |S| < hi
+    assert len(plans[0][1][0]) == len(supports)
+    assert 0 < len(tabulated) < len(supports) and len(per_chunk) > 0
 
 
 def test_invert_binary_object_scan_memory_is_bounded(monkeypatch):

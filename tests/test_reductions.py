@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from invforge import reductions
+from invforge.cli import FAMILIES
 from invforge.instances import (
     CvpInstance,
     HalfCliqueQuery,
@@ -172,6 +173,31 @@ def test_cvp_witness_translation_both_ways():
         backward_witness(art, (ONE, Fraction(1, 2)))  # not a 0/1 latent
     with pytest.raises(ValueError):
         forward_witness(art, (0, 2))  # not a 0/1 coefficient vector
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_witness_maps_check_the_length(name):
+    """Both maps refuse a witness one entry too long or too short, naming both lengths.
+
+    A vertex set has no length of its own; its vertices must lie in 1..dim,
+    so vertex dim + 1 and vertex 0 stand in for the long and the short one.
+    """
+    family = FAMILIES[name]
+    art = family.compile(family.draw(random.Random(3), 3, 4, family.default_p), family.default_p)
+    dim = art.query.domain.dim
+    witness = family.witness(tuple(Fraction(i % 2) for i in range(dim)))
+    assert len(forward_witness(art, witness)) == dim
+    if isinstance(witness, frozenset):
+        for vertex in (dim + 1, 0):
+            with pytest.raises(ValueError, match=rf"is not within 1\.\.{dim}$"):
+                forward_witness(art, witness | {vertex})
+    else:
+        for wrong in (witness + (ONE,), witness[:-1]):
+            with pytest.raises(ValueError, match=f"has {len(wrong)} entries, the domain {dim} latents"):
+                forward_witness(art, wrong)
+    for length in (dim + 1, dim - 1):
+        with pytest.raises(ValueError, match=f"has {length} entries, the domain {dim} latents"):
+            backward_witness(art, (ZERO,) * length)
 
 
 # -- binarization gadget ------------------------------------------------------
