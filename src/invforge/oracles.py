@@ -27,7 +27,9 @@ YES. It checks the seeds whose float distance is near the threshold
 before it descends (a corner of the latent cube as its exact point), and
 descends only when none of them is a witness: with 2^N <= restarts and
 corner levels {0, clamp_hi}, every YES of a gadget query is found at a
-seed.
+seed. After the descent, a proved float lower bound on each candidate's
+exact distance skips the exact checks that cannot pass; it only skips,
+never decides.
 
 The pattern enumeration branches on one ReLU unit at a time, in the order
 of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
@@ -52,7 +54,7 @@ import numpy as np
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
 from .ratio import format_ratio, scaled_int
-from .relunet import distance_pow, float_layers, forward
+from .relunet import distance_pow, distance_pow_lower_bounds, float_layers, forward
 from .reductions import DOMAIN_01, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
@@ -673,6 +675,35 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
 _LADDER = (1, 2, 4, 8, 16, 64, 256, 4096, 1 << 16)  # denominators a float point is rounded to
 
 
+def _ladder(x: float) -> list[Fraction]:
+    """[Fraction(x).limit_denominator(d) for d in _LADDER], from one continued-fraction pass.
+
+    limit_denominator(d) walks the convergents p1/q1 of x while their
+    denominators stay within d, then takes the closer of p1/q1 and the
+    semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k that d
+    allows, p1/q1 on a tie. The walk for a larger d passes through the state
+    where the walk for a smaller d stopped, so one walk, resumed at each
+    rung, serves the whole increasing ladder.
+    """
+    num, den = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    rungs = []
+    for limit in _LADDER:
+        if den <= limit:
+            rungs.append((num, den))
+            continue
+        while q0 + (a := n // d) * q1 <= limit:
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        k = (limit - q0) // q1
+        q = q0 + k * q1
+        # x lies d / (q1 den) from p1/q1, and the semiconvergent 1 / (q1 q) from p1/q1 on x's other side
+        rungs.append((p1, q1) if 2 * d * q <= den else (p0 + k * p1, q))
+    values = {pq: Fraction(*pq) for pq in set(rungs)}  # one Fraction per distinct rung
+    return [values[pq] for pq in rungs]
+
+
 def falsify_real(
     query: InversionQuery,
     restarts: int = 10_000,
@@ -683,12 +714,23 @@ def falsify_real(
 
     Seeds every {lo,hi}-corner of the latent cube first (up to the restart
     budget), then random points. Seeds whose float distance is near or
-    below the threshold are checked exactly at once: a corner as the exact
-    point of corner_levels, a random seed rationalized with bounded
-    denominators. Only when none passes does a batched coordinate descent
-    run, after which the best points and those near the threshold are
-    rationalized and checked. Each distinct rational point is checked once,
-    and a NO answer is explicitly non-certifying. With 2^N <= restarts and
+    below the threshold are checked exactly at once, lazily and in order: a
+    corner as the exact point of corner_levels, a random seed through its
+    rounding ladder. Only when none passes does a batched coordinate descent
+    run. Its best points and those near the threshold form the shortlist.
+
+    The rounding ladder of a point rounds each coordinate x to
+    Fraction(x).limit_denominator(d) for every d in _LADDER, all rungs from
+    one continued-fraction pass (_ladder). After the descent, every ladder
+    candidate of the shortlist is built at once, in shortlist and ladder
+    order, each distinct point once and none already checked. One numpy
+    batch (relunet.distance_pow_lower_bounds) gives each a proved lower
+    bound on its exact distance, and a candidate is skipped when that bound
+    exceeds the next float above float(threshold): its exact check cannot
+    pass. The rest are checked exactly in order, so the decision and the
+    witness are those of checking every candidate.
+
+    A NO answer is explicitly non-certifying. With 2^N <= restarts and
     corner levels {0, clamp_hi}, every YES of a gadget query is found at a
     seed, since forward_witness scales the binary witness by clamp_hi.
     A query whose constants overflow float64 answers NO at once.
@@ -744,9 +786,7 @@ def falsify_real(
         return None
 
     def rationalized(i):
-        exact = [Fraction(float(v)) for v in points[i]]
-        for denom in _LADDER:
-            yield tuple(v.limit_denominator(denom) for v in exact)
+        return zip(*(_ladder(float(v)) for v in points[i]))
 
     levels = (Fraction(corner_levels[0]), Fraction(corner_levels[1]))
 
@@ -778,6 +818,13 @@ def falsify_real(
                 candidate[:, j] = points[:, j]
         step /= 2.0
 
-    shortlist = [int(i) for i in np.argsort(values, kind="stable")[:16]] + near(values)
-    z = first_hit(z for i in dict.fromkeys(shortlist) for z in rationalized(i))
+    shortlist = dict.fromkeys([int(i) for i in np.argsort(values, kind="stable")[:16]] + near(values))
+    fresh = dict.fromkeys(z for i in shortlist for z in rationalized(i))
+    for z in checked:
+        fresh.pop(z, None)
+    candidates = list(fresh)
+    bounds = distance_pow_lower_bounds(query.network, candidates, query.target, p)
+    # float(theta) is correctly rounded, so theta <= its next float; a candidate
+    # whose lower bound exceeds that cannot pass its exact check
+    z = first_hit(itertools.compress(candidates, ~(bounds > np.nextafter(theta, np.inf))))
     return Verdict(NO if z is None else YES, z, CERT_FALSIFIER, stats)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invforge import oracles
 from invforge.cli import FAMILIES
@@ -50,7 +52,16 @@ from invforge.reductions import (
     sat_to_exact_real,
     vertexcover_to_approx,
 )
-from invforge.relunet import ReluNetwork, distance_pow, float_layers, forward, layer, preactivations
+from invforge.relunet import (
+    ReluNetwork,
+    distance_pow,
+    distance_pow_lower_bounds,
+    float_layers,
+    forward,
+    forward_float,
+    layer,
+    preactivations,
+)
 
 
 def identity_query(n, target, theta=Fraction(0), domain=DOMAIN_01, p=1):
@@ -1278,28 +1289,206 @@ def _reference_falsify(query, restarts, seed, corner_levels):
 
 def test_falsify_descent_matches_reference(monkeypatch):
     # On NO queries both falsifiers run every descent pass. For p <= 2 the
-    # in-place float arithmetic is bitwise the reference's, so they check the
-    # same candidates in the same order; for p = 3 the cube is a product, not
-    # a pow, and only the decisions must agree.
-    checked = []
+    # in-place float arithmetic is bitwise the reference's, so the screen is
+    # given the candidates the reference checks, in the same order; for p = 3
+    # the cube is a product, not a pow, and only the decisions must agree.
+    # Every candidate the screen does not rule out is checked exactly, in
+    # order, and every one it rules out is checked here and is too far.
+    checked, screened = [], []
     exact_forward = oracles.forward
+    exact_bounds = oracles.distance_pow_lower_bounds
     monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
+
+    def bounds_spy(net, points, target, p):
+        screened.extend(points)
+        return exact_bounds(net, points, target, p)
+
+    monkeypatch.setattr(oracles, "distance_pow_lower_bounds", bounds_spy)
+    skipped_total = 0
     for name, p in GADGET_ROUTES:
         for ts, (_, artifact) in enumerate(_gadget_cases(name, p, False, 14)):
-            n = artifact.query.domain.dim
+            query = artifact.query
+            n = query.domain.dim
             kwargs = dict(restarts=(1 << n) + 100, seed=ts,
                           corner_levels=(0, artifact.constants["clamp_hi"]))
             runs = []
             for falsify in (_reference_falsify, falsify_real):
                 checked.clear()
-                verdict = falsify(artifact.query, **kwargs)
-                runs.append((verdict.decision, verdict.stats.latents_enumerated, list(checked)))
-            (ref_decision, ref_points, ref_checked), (decision, points, now_checked) = runs
+                screened.clear()
+                verdict = falsify(query, **kwargs)
+                runs.append((verdict.decision, verdict.stats.latents_enumerated, list(checked), list(screened)))
+            (ref_decision, ref_points, ref_checked, _), (decision, points, now_checked, now_screened) = runs
             assert ref_decision == decision == oracles.NO
             assert points == ref_points
             assert ref_checked  # the shortlist was checked exactly
             if p <= 2:
-                assert now_checked == ref_checked
+                assert now_screened == ref_checked
+            kept = set(now_checked)
+            assert now_checked == [z for z in now_screened if z in kept]
+            skipped = [z for z in now_screened if z not in kept]
+            for z in skipped:
+                exact = distance_pow(exact_forward(query.network, z), query.target, p)
+                assert exact.value > query.threshold_pow
+            skipped_total += len(skipped)
+    assert skipped_total  # the screen ruled candidates out
+
+
+_LADDER_FLOATS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),  # +-0, subnormals and negatives included
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=2.0**52, max_value=2.0**54),
+    st.integers(-(2**70), 2**70).map(float),
+    st.builds(lambda m, e: m / 2.0**e, st.integers(-(2**40), 2**40), st.integers(0, 60)),  # rung ties
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_LADDER_FLOATS)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.5)
+@example(0.5)
+@example(2.0**53 - 1)
+@example(2.0**53 + 2)
+@example(3 / 2.0**17)
+@example(1e300)
+def test_ladder_matches_limit_denominator(x):
+    assert oracles._ladder(x) == [Fraction(x).limit_denominator(d) for d in oracles._LADDER]
+
+
+def _odd_net(rng, n):
+    """A random net whose weights and biases are +-{1/3, 7/10, 1, 5/7} times 2^e, e in [-40, 40], or bias 0."""
+    def entry():
+        return rng.choice((-1, 1)) * rng.choice((Fraction(1, 3), Fraction(7, 10), Fraction(1), Fraction(5, 7))) \
+            * Fraction(2) ** rng.choice((-40, -20, -1, 0, 1, 20, 40))
+
+    layers, fan_in = [], n
+    for _ in range(rng.randint(1, 3)):
+        fan_out = rng.randint(1, 4)
+        bias = [entry() if rng.random() < 0.6 else 0 for _ in range(fan_out)]
+        layers.append(layer([[entry() for _ in range(fan_in)] for _ in range(fan_out)], bias))
+        fan_in = fan_out
+    return ReluNetwork(n, tuple(layers))
+
+
+def _odd_point(rng, n):
+    """Rationals of every kind a float rounds: non-dyadic, dyadic, 2^+-40 and below the normal range."""
+    return tuple(rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                             Fraction(rng.uniform(-3, 3)),
+                             Fraction(rng.randint(-5, 5), 3) * Fraction(2) ** rng.choice((-40, 0, 40)),
+                             Fraction(rng.randint(-7, 7), 2 ** rng.randint(1070, 1078)))) for _ in range(n))
+
+
+def test_distance_pow_lower_bounds_are_sound():
+    # Non-dyadic weights make almost every float product inexact, so a bound
+    # without its rounding terms exceeds the exact value about half the time.
+    rng = random.Random(20)
+    tight = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        net = _odd_net(rng, n)
+        points = [_odd_point(rng, n) for _ in range(11)]
+        points.append(tuple(Fraction(rng.randint(1, 7), 2 ** rng.randint(1070, 1078)) for _ in range(n)))
+        images = [forward(net, z) for z in points]
+        for p in (1, 2, 3):
+            target = rng.choice((images[0], images[-1], _odd_point(rng, net.output_dim)))
+            bounds = distance_pow_lower_bounds(net, points, target, p)
+            assert bounds.shape == (len(points),)
+            for image, bound in zip(images, bounds):
+                exact = distance_pow(image, target, p).value
+                assert Fraction(float(bound)) <= exact
+                tight += exact > 0 and Fraction(float(bound)) >= exact * Fraction(999, 1000)
+    assert tight > 1000  # the bound is close, not just sound
+    assert len(distance_pow_lower_bounds(net, [], target, 1)) == 0
+
+
+def test_falsify_never_skips_a_tie(monkeypatch):
+    # With theta at a screened candidate's exact distance, that candidate
+    # passes its exact check, so a screen that ruled it out would answer NO.
+    # After the screen, the exact checks are its survivors in order, up to
+    # the witness, and every candidate skipped before the witness is too far.
+    screened, checked = [], []
+    exact_bounds, exact_forward = oracles.distance_pow_lower_bounds, oracles.forward
+
+    def bounds_spy(net, points, target, p):
+        screened.append((len(checked), list(points)))
+        return exact_bounds(net, points, target, p)
+
+    monkeypatch.setattr(oracles, "distance_pow_lower_bounds", bounds_spy)
+    monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
+    rng = random.Random(21)
+    ties = skipped = 0
+    for trial in range(100):
+        n = rng.randint(1, 3)
+        net = _odd_net(rng, n)
+        p = rng.choice((1, 2, 3))
+        target = _odd_point(rng, net.output_dim)
+        query = InversionQuery(net, target, p, Fraction(0), LatentDomain(DOMAIN_REAL, n))
+        screened.clear()
+        if falsify_real(query, restarts=40, seed=trial).is_yes or not screened[0][1]:
+            continue
+        candidates = screened[0][1]
+        distances = [distance_pow(exact_forward(net, z), target, p).value for z in candidates]
+        tie = dataclasses.replace(query, threshold_pow=min(distances))
+        z_tie = candidates[distances.index(min(distances))]
+        screened.clear()
+        checked.clear()
+        verdict = falsify_real(tie, restarts=40, seed=trial)
+        if not screened or z_tie not in screened[0][1]:
+            continue  # the seed stage answered, or z_tie was checked there
+        start, candidates = screened[0]
+        assert verdict.is_yes
+        after = checked[start:]
+        assert after[-1] == verdict.witness
+        before_hit = candidates[: candidates.index(verdict.witness) + 1]
+        kept = set(after)
+        assert after == [z for z in before_hit if z in kept]
+        for z in before_hit:
+            if z not in kept:
+                assert distance_pow(exact_forward(net, z), target, p).value > tie.threshold_pow
+                skipped += 1
+        assert distance_pow(exact_forward(net, verdict.witness), target, p).value <= tie.threshold_pow
+        ties += 1
+    assert ties >= 30 and skipped
+
+
+def _overflow_net(nan: bool) -> ReluNetwork:
+    """Weights of 2^600 in two layers: the float forward reaches inf, then inf - inf = nan if asked."""
+    big = Fraction(2) ** 600
+    last = [[1, -1]] if nan else [[1, 1]]
+    return ReluNetwork(2, (layer([[big, big], [big, 2 * big]], [0, 0]),
+                           layer([[big, big], [big, big]], [0, 0]),
+                           layer(last, [0])))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("nan", [False, True])
+def test_falsify_never_skips_when_the_float_forward_overflows(monkeypatch, nan):
+    net = _overflow_net(nan)
+    target = (Fraction(1),)
+
+    def overflows(z):
+        return not np.isfinite(forward_float(net, [float(v) for v in z])).all()
+
+    points = [(Fraction(1), Fraction(1)), (Fraction(3, 7), Fraction(1, 3))]
+    assert all(map(overflows, points))
+    assert np.isnan(forward_float(net, [1.0, 1.0])).all() == nan
+    assert (distance_pow_lower_bounds(net, points, target, 2) == 0).all()
+    # Through the falsifier: every screened candidate that overflows is
+    # checked exactly, and the survivors are checked in screen order.
+    screened, checked = [], []
+    exact_bounds, exact_forward = oracles.distance_pow_lower_bounds, oracles.forward
+    monkeypatch.setattr(oracles, "distance_pow_lower_bounds",
+                        lambda *a: screened.extend(a[1]) or exact_bounds(*a))
+    monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
+    query = InversionQuery(net, target, 2, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
+    assert not falsify_real(query, restarts=20, seed=0).is_yes
+    kept = set(checked)
+    assert checked == [z for z in screened if z in kept]
+    overflowing = [z for z in screened if overflows(z)]
+    assert overflowing and set(overflowing) <= kept
+    assert all(distance_pow(exact_forward(net, z), target, 2).value > 0 for z in screened if z not in kept)
 
 
 def test_falsify_rejects_binary_domain():
