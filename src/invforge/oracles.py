@@ -36,6 +36,12 @@ of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
 exact point of its region (the zero vector at the root); a child whose
 row that point satisfies needs no LP, so only the other child calls
 lp_feasible, and the leaves and witnesses are those of one LP per mask.
+Rows and points are integers: each layer's pre-activations over its scale,
+as relunet.preactivations forms them. Every LP starts from the carried
+point, which satisfies all of its rows but the new ones. A leaf decides
+from there, since feasibility and the optimal value do not depend on the
+start; only the leaf that answers YES is solved once more from no start,
+and that cold solve gives the witness.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -54,7 +60,7 @@ import numpy as np
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
 from .ratio import format_ratio, scaled_int
-from .relunet import distance_pow, distance_pow_lower_bounds, float_layers, forward
+from .relunet import distance_pow, distance_pow_lower_bounds, float_layers, forward, integer_point
 from .reductions import DOMAIN_01, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
@@ -538,28 +544,6 @@ def _scan(layers, target, p, n, dtype):
 # -- activation patterns and real-latent inversion ---------------------------
 
 
-def _identity_affine(n: int) -> list:
-    return [(tuple(_ONE if j == i else _ZERO for j in range(n)), _ZERO) for i in range(n)]
-
-
-def _affine_step(lyr, affine, n: int) -> list:
-    """The layer's pre-activations as (coeffs, const) rows over the n latents.
-
-    `affine` gives the layer's inputs the same way, one row per input.
-    """
-    pre = []
-    for row, b in zip(lyr.weights, lyr.bias):
-        coeffs = [_ZERO] * n
-        const = b
-        for w, (acoeffs, aconst) in zip(row, affine):
-            if w != 0:
-                const += w * aconst
-                for j in range(n):
-                    coeffs[j] += w * acoeffs[j]
-        pre.append((tuple(coeffs), const))
-    return pre
-
-
 def branching_units(query: InversionQuery) -> int:
     """The units the pattern DFS branches on, which the pattern_units cap counts.
 
@@ -577,9 +561,12 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     unit at a time (a layer's highest unit first, inactive before active)
     and extends only feasible prefixes, so it enumerates a subset of the
     2^H patterns with identical verdict. A child whose row the node's
-    carried point satisfies needs no LP; the other child's lp_feasible
-    gives its point. With threshold 0 the target fixes the output layer's
-    mask (units with target > 0 active), so those units have one choice.
+    carried point satisfies needs no LP; the other child's lp_feasible,
+    started from that point, gives its point. A leaf LP starts from its
+    node's point too (with errors 0 when thresholded) and decides; the YES
+    leaf is solved once more cold for the witness. With threshold 0 the
+    target fixes the output layer's mask (units with target > 0 active),
+    so those units have one choice.
     """
     if query.domain.kind != DOMAIN_REAL:
         raise ValueError("pattern enumeration needs a real latent domain")
@@ -592,42 +579,56 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     n = net.input_dim
     stats = VerdictStats()
     lp_stats: dict = {}
+    target, t = integer_point(query.target)  # target_k = target[k] / t
 
-    def leaf(constraints, affine):
+    def leaf(constraints, affine, scale, point):
+        # affine: the output units as (ints, const) over scale; out_k = (ints . z + const) / scale
         stats.patterns_enumerated += 1
         if exact:
-            lp = LinearProgram(n)
-            lp.constraints.extend(constraints)
-            for (coeffs, const), x in zip(affine, query.target):
-                lp.constrain(coeffs, EQ, x - const)
-            point = lp_feasible(lp, lp_stats)
-            return None if point is None else tuple(point)
+            lp = LinearProgram(n, constraints + [
+                LinearConstraint(tuple(t * c for c in ints), EQ, scale * x - t * const, t * scale)
+                for (ints, const), x in zip(affine, target)
+            ])
+            if lp_feasible(lp, lp_stats, start=point) is None:
+                return None
+            return tuple(lp_feasible(lp, lp_stats))  # the cold solve gives the witness
         out_dim = len(affine)
-        lp = LinearProgram(n + out_dim)
-        for con in constraints:
-            lp.constrain(con.coeffs + (_ZERO,) * out_dim, con.relation, con.rhs)
-        for k, ((coeffs, const), x) in enumerate(zip(affine, query.target)):
-            err = tuple(_ONE if j == n + k else _ZERO for j in range(n + out_dim))
-            row = tuple(coeffs) + (_ZERO,) * out_dim
+        pad = (0,) * out_dim
+        lp = LinearProgram(n + out_dim, [
+            LinearConstraint(con.ints + pad, con.relation, con.rhs_int, con.scale) for con in constraints
+        ])
+        for k, ((ints, const), x) in enumerate(zip(affine, target)):
+            err = tuple(t * scale if j == k else 0 for j in range(out_dim))
+            row, rhs = tuple(t * c for c in ints), t * const - scale * x
             # e_k >= (out_k - x) and e_k >= -(out_k - x)
-            lp.constrain([e - c for e, c in zip(err, row)], GE, const - x)
-            lp.constrain([e + c for e, c in zip(err, row)], GE, x - const)
-        lp.set_objective((_ZERO,) * n + (_ONE,) * out_dim)
-        result = lp_minimize(lp, lp_stats)
-        if result is None:
+            lp.constraints.append(LinearConstraint(tuple(-c for c in row) + err, GE, rhs, t * scale))
+            lp.constraints.append(LinearConstraint(row + err, GE, -rhs, t * scale))
+        lp.set_objective((0,) * n + (1,) * out_dim)
+        result = lp_minimize(lp, lp_stats, start=(point[0] + pad, point[1]))  # at e = 0
+        if result is None or result[1] > query.threshold_pow:
             return None
-        point, value = result
-        if value <= query.threshold_pow:
-            return tuple(point[:n])
-        return None
+        return tuple(lp_minimize(lp, lp_stats)[0][:n])  # the cold solve gives the witness
 
-    zero_row = (tuple(_ZERO for _ in range(n)), _ZERO)
+    zero_row = ((0,) * n, 0)
 
-    def dfs(layer_idx, affine, constraints, point):
+    def dfs(layer_idx, affine, d, constraints, point):
+        # affine: the layer's inputs as (ints, const) over d; point: (ints, D), a point of the region
         if layer_idx == net.depth:
-            return leaf(constraints, affine)
-        pre = _affine_step(net.layers[layer_idx], affine, n)
-        rows = [(LinearConstraint(c, LE, -b), LinearConstraint(c, GE, -b)) for c, b in pre]
+            return leaf(constraints, affine, d, point)
+        lyr = net.layers[layer_idx]
+        weights, s, bias, bias_scale = lyr.integer
+        scale = lyr.scale(d)
+        wf, bf = scale // (s * d), scale // bias_scale
+        pre = []
+        for row, b in zip(weights, bias):
+            coeffs, const = [0] * n, b * bf
+            for j, w in row:
+                acoeffs, aconst = affine[j]
+                w *= wf
+                const += w * aconst
+                coeffs = [c + w * a for c, a in zip(coeffs, acoeffs)]
+            pre.append((tuple(coeffs), const))
+        rows = [(LinearConstraint(c, LE, -b, scale), LinearConstraint(c, GE, -b, scale)) for c, b in pre]
         if exact and layer_idx == net.depth - 1:
             # Output unit k equals target_k >= 0: it must be active when
             # target_k > 0. Activating a target-0 unit as well only adds
@@ -643,13 +644,14 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
             if j < 0:
                 decided = decided[::-1]
                 next_affine = [u if r.relation == GE else zero_row for u, r in zip(pre, decided)]
-                return dfs(layer_idx + 1, next_affine, constraints + decided, point)
+                return dfs(layer_idx + 1, next_affine, scale, constraints + decided, point)
             for active in choices[j]:
                 row, child = rows[j][active], point
-                if len(choices[j]) > 1 and not row.holds(point):
-                    child = lp_feasible(LinearProgram(n, constraints + decided + [row]), lp_stats)
-                    if child is None:
+                if len(choices[j]) > 1 and not row.holds(*point):
+                    z = lp_feasible(LinearProgram(n, constraints + decided + [row]), lp_stats, start=point)
+                    if z is None:
                         continue
+                    child = integer_point(z)
                 found = branch(j - 1, decided + [row], child)
                 if found is not None:
                     return found
@@ -659,7 +661,8 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
 
     # ReLU outputs are nonnegative, so a negative target entry has no pattern
     negative = exact and min(query.target) < 0
-    witness = None if negative else dfs(0, _identity_affine(n), [], zero_row[0])
+    identity = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    witness = None if negative else dfs(0, identity, 1, [], ((0,) * n, 1))
     stats.lp_pivots = lp_stats.get("pivots", 0)
     if witness is None:
         return Verdict(NO, None, CERT_PATTERN, stats)
@@ -760,6 +763,7 @@ def falsify_real(
     acts_out = [np.empty((len(points), w.shape[1])) for w, _ in net_layers]
     power_out = np.empty_like(acts_out[-1])
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing point gets inf or nan; exact checks decide
     def dist(batch):
         acts = batch
         for (w, b), out in zip(net_layers, acts_out):

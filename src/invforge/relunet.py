@@ -146,13 +146,18 @@ class ReluNetwork:
         return sum(lyr.fan_out for lyr in self.layers)
 
 
+def integer_point(z: Sequence) -> tuple[tuple[int, ...], int]:
+    """Rationals z as (integers x, scale D), D the lcm of their denominators: z = x / D."""
+    values = [as_fraction(v) for v in z]
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(scaled_int(v, scale) for v in values), scale
+
+
 def preactivations(net: ReluNetwork, z: Sequence) -> list[tuple[list[int], int]]:
     """Every layer's exact pre-activations, as (integers x, scale L): value x / L."""
     if len(z) != net.input_dim:
         raise ValueError(f"input length {len(z)} != input_dim {net.input_dim}")
-    values = [as_fraction(v) for v in z]
-    scale = math.lcm(*(v.denominator for v in values))
-    current = [scaled_int(v, scale) for v in values]
+    current, scale = integer_point(z)
     out = []
     for lyr in net.layers:
         rows, s, bias, t = lyr.integer

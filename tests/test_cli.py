@@ -1,16 +1,29 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import invforge
 from invforge import cli, oracles
 from invforge.cli import FAMILIES, main, run_bench, run_verify, write_bench_csv
 from invforge.instances import CvpInstance
-from invforge.reductions import artifact_from_json
+from invforge.reductions import (
+    DOMAIN_REAL,
+    InversionQuery,
+    LatentDomain,
+    ReductionArtifact,
+    artifact_from_json,
+    artifact_to_json,
+)
+from invforge.relunet import ReluNetwork, layer
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 2 0\n"
 UNSAT_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
@@ -359,6 +372,28 @@ def test_falsify_past_float_range_is_non_certifying_no(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     verdict = json.loads(captured.out)
+    assert verdict["decision"] == "NO" and verdict["certificate"] == "falsifier-only"
+
+
+def test_falsify_overflowing_forward_prints_no_warning(tmp_path):
+    """Weights of 2^600 in two layers: the float forward reaches inf, then inf - inf = nan.
+
+    The exact checks still decide, and the CLI's stderr stays empty.
+    """
+    big = Fraction(2) ** 600
+    net = ReluNetwork(2, (layer([[big, big], [big, 2 * big]], [0, 0]),
+                          layer([[big, big], [big, big]], [0, 0]),
+                          layer([[1, -1]], [0])))
+    query = InversionQuery(net, (Fraction(1),), 2, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
+    out = tmp_path / "art.json"
+    out.write_text(artifact_to_json(ReductionArtifact(query)))
+    env = {**os.environ, "PYTHONPATH": str(Path(invforge.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "invforge.cli", "invert", "--query", str(out), "--oracle", "falsify"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    verdict = json.loads(proc.stdout)
     assert verdict["decision"] == "NO" and verdict["certificate"] == "falsifier-only"
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from invforge.lp import (
     lp_feasible,
     lp_minimize,
 )
+from invforge.relunet import integer_point
 
 
 def test_infeasible_pair():
@@ -289,3 +291,50 @@ def test_integer_simplex_matches_fraction_reference():
         )
     assert all(seen.values()), seen
     assert all(paths.values()), paths
+
+
+# -- warm starts ---------------------------------------------------------------
+
+
+def _start_points(rng, lp):
+    """(kind, point): a random point, a solution of all rows but one, and a
+    point on one row's hyperplane."""
+    n = lp.num_vars
+    point = [_rational(rng, -8, 8) for _ in range(n)]
+    yield "random", point
+    i = rng.randrange(len(lp.constraints))
+    rest = lp_feasible(LinearProgram(n, lp.constraints[:i] + lp.constraints[i + 1:]))
+    if rest is not None:
+        yield "all but one", rest
+    con = rng.choice(lp.constraints)
+    norm = sum(c * c for c in con.coeffs)
+    if norm:
+        step = (con.rhs - sum(c * x for c, x in zip(con.coeffs, point))) / norm
+        yield "hyperplane", [x + step * c for x, c in zip(point, con.coeffs)]
+
+
+def test_warm_start_matches_cold():
+    rng = random.Random(5151)
+    seen = Counter()
+    for _ in range(400):
+        lp = _random_lp(rng)
+        solve = lp_feasible if lp.objective is None else lp_minimize
+        cold = _outcome(lambda: solve(lp))
+        for kind, start in _start_points(rng, lp):
+            warm = _outcome(lambda: solve(lp, start=integer_point(start)))
+            if cold is None or cold == "unbounded":
+                assert warm == cold
+            else:
+                assert warm is not None and warm != "unbounded"
+                assert lp.satisfied_by(warm if lp.objective is None else warm[0])
+                if lp.objective is not None:
+                    assert warm[1] == cold[1]
+            nums, den = integer_point(start)
+            violated = sum(not con.holds(nums, den) for con in lp.constraints)
+            seen[kind, "infeasible" if cold is None else "unbounded" if cold == "unbounded" else "feasible"] += 1
+            seen["violated", min(violated, 2)] += 1
+            seen["on a non-EQ hyperplane"] += kind == "hyperplane" and any(
+                con.relation != EQ and sum(map(lambda c, x: c * x, con.ints, nums)) == con.rhs_int * den
+                for con in lp.constraints
+            )
+    assert len(seen) == 13 and all(seen.values()), seen

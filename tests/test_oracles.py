@@ -26,8 +26,6 @@ from invforge.lp import EQ, GE, LE, LinearProgram, lp_feasible, lp_minimize
 from invforge.oracles import (
     CapExceeded,
     CERT_FALSIFIER,
-    _affine_step,
-    _identity_affine,
     _integerized,
     _scan,
     _scan_dtype,
@@ -889,6 +887,28 @@ def test_patterns_cap(monkeypatch):
         enumerate_patterns_invert(art.query)
 
 
+def _identity_affine(n: int) -> list:
+    return [(tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0)) for i in range(n)]
+
+
+def _affine_step(lyr, affine, n: int) -> list:
+    """The layer's pre-activations as (coeffs, const) rows of Fractions over the n latents.
+
+    `affine` gives the layer's inputs the same way, one row per input.
+    """
+    pre = []
+    for row, b in zip(lyr.weights, lyr.bias):
+        coeffs = [Fraction(0)] * n
+        const = b
+        for w, (acoeffs, aconst) in zip(row, affine):
+            if w != 0:
+                const += w * aconst
+                for j in range(n):
+                    coeffs[j] += w * acoeffs[j]
+        pre.append((tuple(coeffs), const))
+    return pre
+
+
 def _reference_patterns(query):
     """Witness of the full-mask DFS: every layer, the output layer too, tries
     all 2^fan_out masks in order and checks each prefix for feasibility."""
@@ -939,19 +959,23 @@ def _reference_patterns(query):
 
 
 def _assert_matches_reference(query):
-    leaves = []
+    leaves, cold = [], []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("lp_feasible", "lp_minimize"):
             solver = getattr(oracles, name)
 
-            def spy(lp, stats=None, solver=solver, name=name):
-                if name == "lp_minimize" or any(c.relation == EQ for c in lp.constraints):
+            def spy(lp, stats=None, start=None, solver=solver, name=name):
+                if start is None:
+                    cold.append(lp)
+                elif name == "lp_minimize" or any(c.relation == EQ for c in lp.constraints):
                     leaves.append(lp)
-                return solver(lp, stats)
+                return solver(lp, stats, start=start)
 
             mp.setattr(oracles, name, spy)
         verdict = enumerate_patterns_invert(query)
+    # Every leaf decides warm; only a YES leaf is solved once more, cold, for its witness.
     assert len(leaves) == verdict.stats.patterns_enumerated
+    assert cold == (leaves[-1:] if verdict.is_yes else [])
     # Only feasible prefixes are extended. A leaf LP ends in 2 rows per output
     # unit: the target's, and in exact mode the fixed output layer's.
     out = 2 * len(query.target)
@@ -987,18 +1011,20 @@ def test_patterns_match_full_mask_reference_on_criterion_02():
 def test_patterns_lp_work_on_criterion_02(monkeypatch):
     # A loop that solves one LP per mask made 7,847 solves and 51,977
     # pivots here; branching one unit at a time with a carried point must
-    # at least halve both and reach the same 779 leaves.
+    # at least halve both and reach the same 779 leaves. Solved cold, that
+    # branching took 12,555 pivots; started from the carried point, at
+    # most a quarter of that.
     solves = []
     for name in ("lp_feasible", "lp_minimize"):
         solver = getattr(oracles, name)
-        monkeypatch.setattr(oracles, name, lambda *a, solver=solver: solves.append(1) or solver(*a))
+        monkeypatch.setattr(oracles, name, lambda *a, solver=solver, **k: solves.append(1) or solver(*a, **k))
     pivots = leaves = 0
     for query in _criterion_02_queries():
         stats = enumerate_patterns_invert(query).stats
         pivots += stats.lp_pivots
         leaves += stats.patterns_enumerated
     assert leaves == 779
-    assert len(solves) <= 7847 // 2 and pivots <= 51977 // 2
+    assert len(solves) <= 7847 // 2 and pivots <= 12555 // 4
 
 
 def test_patterns_cap_counts_branching_units_only(monkeypatch):
@@ -1033,15 +1059,17 @@ def _zero_bias(net, depth):
 
 def test_patterns_point_on_hyperplane_takes_both_children_free(monkeypatch):
     # Both first-layer units have pre-activation 0 at the root point 0, so
-    # every first-layer mask is feasible without an LP: only the leaves solve.
+    # every first-layer mask is feasible without an LP: only the leaves
+    # solve, two warm decisions, then the YES leaf once more, cold.
     net = ReluNetwork(2, (layer([[1, 0], [0, 1]], [0, 0]), layer([[1, 1]], [0])))
     query = InversionQuery(net, (Fraction(1),), 1, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
-    solves = []
+    starts = []
     solver = oracles.lp_feasible
-    monkeypatch.setattr(oracles, "lp_feasible", lambda *a: solves.append(1) or solver(*a))
+    monkeypatch.setattr(oracles, "lp_feasible", lambda *a, **k: starts.append(k.get("start")) or solver(*a, **k))
     verdict = _assert_matches_reference(query)
     assert verdict.witness == (Fraction(1), Fraction(0))
-    assert len(solves) == verdict.stats.patterns_enumerated == 2
+    assert verdict.stats.patterns_enumerated == 2
+    assert len(starts) == 3 and None not in starts[:2] and starts[2] is None
 
 
 def test_patterns_zero_target_entries_match_reference():
