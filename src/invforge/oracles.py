@@ -12,15 +12,16 @@ binary oracles, binary-latent inversion and the (0,1)-CVP source oracle,
 through one helper (_binary_verdict), on {0,1} latents: a {-1,1} query
 is folded into a {0,1} one first (z = 2y - 1). Every value the scan
 forms is an integer partial sum of the terms of one layer-0 row, of one
-layer-1 row, or of the nonnegative distance terms, so one proved bound
-on such sums (_scan_dtype, on the folded layer) picks its dtype: float32
-up to 2^24, where every integer is a float and every sum or product
-formed is exact in any order; int64 up to 2^63 - 1; else object (exact
-Python ints). Powers are taken by multiplication, never np.power, since
-libm's pow need not be exact. The latent bits split into high bits,
-fixed within a chunk, and low bits, which vary within it. A layer-0 unit
-with low weights belongs to the group of its high support S; where room
-allows, a group's share is tabulated once per setting of S (see _scan).
+layer-1 row, or of the nonnegative distance terms, so proved bounds per
+unit and on the distance (_scan_dtype, on the folded layer) pick its
+dtype by their peak: float32 up to 2^24, where every integer is a float
+and every sum or product formed is exact in any order; int64 up to
+2^63 - 1; else object (exact Python ints). Powers are taken by
+multiplication, never np.power, since libm's pow need not be exact. The
+latent bits split into high bits, fixed within a chunk, and low bits,
+which vary within it. A layer-0 unit with low weights belongs to the
+group of its high support S; where room allows, a group's share is
+tabulated once per setting of S (see _scan).
 The falsifier searches in float64 copies of the same view, but
 re-verifies every candidate with the exact forward pass before answering
 YES. It checks the seeds whose float distance is near the threshold
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -194,8 +196,8 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
 
     The basis and target are scaled by lam, the lcm of their denominators.
     As |r|^p = ReLU(r)^p + ReLU(-r)^p, the distance is that of one layer,
-    weights [B; -B] and bias [-t; t], to target 0, and _int_path_safe's
-    bound on it is 2d * max_r(sum_i |B_ri| + |t_r|)^p. The first minimizer
+    weights [B; -B] and bias [-t; t], to target 0, which _scan_dtype
+    bounds unit by unit (a row and its mirror each). The first minimizer
     is the lex smallest. The oracle builds that layer itself; as it is the
     layer cvp_to_approx_binary compiles, tests check these decisions
     against a plain Fraction loop over {0,1}^n, not another network.
@@ -307,17 +309,25 @@ def _integerized(query: InversionQuery):
 def _scan_dtype(layers, target, p: int):
     """The narrowest dtype in which every value the scan forms is exact (see _scan).
 
-    The bound covers every layer's rows, sum |w| * (input bound) + |b| from
-    inputs in [0, 1], and the distance, len(target) * (bound + max |t|)^p:
-    float32 up to 2^24, int64 up to 2^63 - 1, object beyond.
+    Per unit r, from upper bounds u on its inputs (1 for the {0,1} bits):
+    M_r = sum |w_rj| u_j + |b_r| bounds every value formed from its row and
+    every entry of it; U_r = max(1, sum max(w_rj, 0) u_j + b_r) bounds its
+    ReLU output and is the next layer's u. The distance is bounded by
+    sum_r max(|U_r - t_r|, |t_r|)^p. The peak of these bounds picks float32
+    up to 2^24, int64 up to 2^63 - 1, object beyond.
     """
-    bound = peak = 1  # max |input coordinate|
+    peak, u = 1, None  # u is None for the bits, which need no product
     for weights, bias in layers:
-        bound = max(sum(abs(w) for w in row) * bound + abs(b) for row, b in zip(weights, bias))
-        if bound > _INT64_SAFE:
+        bounds = []
+        for row, b in zip(weights, bias):
+            terms = row if u is None else list(map(operator.mul, row, u))
+            total, signed = sum(map(abs, terms)), sum(terms)
+            peak = max(peak, total + abs(b))
+            bounds.append(max(1, (total + signed) // 2 + b))
+        if peak > _INT64_SAFE:
             return object
-        peak = max(peak, bound)
-    peak = max(peak, len(target) * (bound + max(abs(t) for t in target)) ** p)
+        u = bounds
+    peak = max(peak, sum(max(abs(v - t), abs(t)) ** p for v, t in zip(u, target)))
     if peak > _INT64_SAFE:
         return object
     return np.float32 if peak <= _FLOAT32_EXACT else np.int64
@@ -475,10 +485,11 @@ def _scan(layers, target, p, n, dtype):
     vector, a per-chunk share or a sum of them, is a sum of some of one
     layer-1 row's terms; every distance formed is a sum of some of the
     nonnegative distance terms, and a term's powers are at most its p-th.
-    So every magnitude, in any order of summation, stays within the bound
-    _scan_dtype checked, as do the later layers' partial sums: float32 is
-    exact within 2^24 (BLAS blocking and FMA included), int64 within
-    2^63 - 1, and object holds Python ints, which cannot overflow.
+    So every magnitude, in any order of summation, stays within its row's
+    bound M_r or the distance bound, which _scan_dtype checked from inputs
+    within the bounds U of the layer below, as do the later layers' partial
+    sums: float32 is exact within 2^24 (BLAS blocking and FMA included),
+    int64 within 2^63 - 1, and object holds Python ints, which cannot overflow.
 
     Memory: lo is the largest value with 2^lo rows of twice the widest
     layer within the dtype's chunk (_low_bits), so a subset-sum table and

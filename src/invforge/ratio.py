@@ -38,9 +38,9 @@ def json_int(doc, key: str) -> int:
 
 
 def format_ratio(value) -> str:
-    """Canonical "num/den" form, always with an explicit denominator."""
-    frac = Fraction(value)
-    return f"{frac.numerator}/{frac.denominator}"
+    """Canonical "num/den" form in lowest terms, always with a denominator; zero is "0/1"."""
+    frac = value if isinstance(value, Fraction) else Fraction(value)
+    return f"{frac.numerator}/{frac.denominator}" if frac else "0/1"
 
 
 def scaled_int(x, lam: int) -> int:

@@ -38,6 +38,7 @@ from invforge.oracles import (
     solve_sat_bruteforce,
     solve_vertexcover_bruteforce,
 )
+from invforge.ratio import pth_power_split
 from invforge.reductions import (
     DOMAIN_01,
     DOMAIN_PM1,
@@ -45,7 +46,9 @@ from invforge.reductions import (
     InversionQuery,
     LatentDomain,
     backward_witness,
+    choose_alpha_halfclique,
     cvp_to_approx_binary,
+    halfclique_to_approx,
     sat_to_exact_binary,
     sat_to_exact_real,
     vertexcover_to_approx,
@@ -133,8 +136,8 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
         index = distances.index(best)
         lam = math.lcm(*(v.denominator for row in basis for v in row + inst.target))
         verdicts = []
-        row_bound = lam * max(sum(map(abs, row)) + abs(t) for row, t in zip(basis, inst.target))
-        exact = np.float32 if 2 * d * row_bound**p <= 1 << 24 else np.int64
+        exact = _dtype_of(_proved_bound([_stacked_layer(basis, inst.target, lam)], [0] * 2 * d, p))
+        assert exact is not object
         for dtype, elements, safe in ((exact, chunk, int64_safe), (object, 8 * chunk, -1)):
             monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", elements)
             monkeypatch.setattr(oracles, "_INT64_SAFE", safe)
@@ -164,6 +167,13 @@ def _cvp_distance(inst, index):
     rows = zip(inst.basis, inst.target)
     residuals = (sum((c for c, b in zip(row, y) if b), -t) for row, t in rows)
     return sum((abs(r) ** inst.p for r in residuals), Fraction(0))
+
+
+def _stacked_layer(basis, target, lam=1):
+    """The layer solve_cvp01_bruteforce scans, entries scaled by lam: weights [B; -B], bias [-t; t]."""
+    rows = [[int(v * lam) for v in row] for row in basis]
+    shifts = [int(t * lam) for t in target]
+    return rows + [[-v for v in row] for row in rows], [-t for t in shifts] + shifts
 
 
 def _spy_scans(monkeypatch):
@@ -199,24 +209,28 @@ def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
 
 
 def test_cvp_bruteforce_band_takes_object(monkeypatch):
-    """d * c^p fits int64 but 2d * c^p does not, so the stacked [B; -B] layer takes object.
+    """Two basis scales c, 8 apart, straddle the int64 edge of the stacked [B; -B] layer.
 
-    c is the largest row bound sum_i |B_ri| + |t_r|, which _scan_dtype
-    computes; the stacked layer has 2d rows, each with the bound of its mirror.
+    With target 0, each of the 2d stacked units adds the cube of its ReLU
+    bound U to the per-unit distance bound, which is the peak here: it fits
+    int64 at the first c, which scans in int64, and not at the second,
+    which takes object. Both keep the minimum 2 at y = (1, 0, 1).
     """
     scans = _spy_scans(monkeypatch)
-    c = 1_300_000
-    basis = ((Fraction(c // 2), Fraction(c // 4), Fraction(-c // 8)), (Fraction(5), Fraction(-7), Fraction(c // 2)))
-    target = (Fraction(c // 2 - c // 8 + 1), Fraction(c // 2 + 4))
-    bound = max(sum(abs(v) for v in row) + abs(t) for row, t in zip(basis, target))
-    assert 2 * bound**3 <= oracles._INT64_SAFE < 4 * bound**3
-    distances = [_cvp_distance(CvpInstance(basis, target, Fraction(0), 3), i) for i in range(8)]
-    assert min(distances) == 2 and distances.index(2) == 0b101
-    for radius, decision in ((1, "NO"), (2, "YES")):
-        verdict = solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(radius), 3))
-        assert verdict.decision == decision
-        assert verdict.witness == (_msb_bits(0b101, 3) if radius == 2 else None)
-    assert scans == [(object, (2, 0b101))] * 2
+    for c, dtype in ((3_123_256, np.int64), (3_123_264, object)):
+        basis = ((Fraction(c // 2), Fraction(c // 4), Fraction(-c // 8)), (Fraction(5), Fraction(-7), Fraction(c // 2)))
+        target = (Fraction(c // 2 - c // 8 + 1), Fraction(c // 2 + 4))
+        bound = _proved_bound([_stacked_layer(basis, target)], [0] * 4, 3)
+        assert (bound > oracles._INT64_SAFE) == (dtype is object)
+        distances = [_cvp_distance(CvpInstance(basis, target, Fraction(0), 3), i) for i in range(8)]
+        assert min(distances) == 2 and distances.index(2) == 0b101
+        for radius, decision in ((1, "NO"), (2, "YES")):
+            verdict = solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(radius), 3))
+            assert verdict.decision == decision
+            assert verdict.witness == (_msb_bits(0b101, 3) if radius == 2 else None)
+        assert scans == [(dtype, (2, 0b101))] * 2
+        scans.clear()
+    assert bound - oracles._INT64_SAFE < 1 << 46  # just past the edge
 
 
 def test_halfclique_bruteforce_examples():
@@ -506,6 +520,8 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         best = min(values)
         exact = _scan_dtype(layers, target, p)
         assert exact in (np.float32, np.int64)
+        assert exact is _dtype_of(_proved_bound(layers, target, p))
+        assert _WIDTHS.index(exact) <= _WIDTHS.index(_dtype_of(_layer_rule_bound(layers, target, p)))
         for dtype in (np.float32, np.int64) if exact is np.float32 else (np.int64,):
             assert _scan(layers, target, p, n, dtype) == (best, values.index(best))
             assert plans[-1][0] == hi
@@ -529,7 +545,23 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
 
 
 def _proved_bound(layers, target, p):
-    """The largest row bound of any layer, from inputs in [0, 1], or the distance bound if larger."""
+    """The per-unit rule's peak, by plain loops: the rule _scan_dtype computes with C-level sums.
+
+    Row r of a layer whose inputs are bounded by u (1 for the bits) is
+    bounded by M_r = sum |w_rj| u_j + |b_r|, and its ReLU output by
+    U_r = max(1, sum max(w_rj, 0) u_j + b_r), the next layer's u. The
+    distance is bounded by sum_r max(|U_r - t_r|, |t_r|)^p.
+    """
+    u, bounds = None, [1]
+    for rows, bias in layers:
+        ins = [1] * len(rows[0]) if u is None else u
+        bounds += [sum(abs(w) * x for w, x in zip(row, ins)) + abs(b) for row, b in zip(rows, bias)]
+        u = [max(1, sum(max(w, 0) * x for w, x in zip(row, ins)) + b) for row, b in zip(rows, bias)]
+    return max(bounds + [sum(max(abs(v - t), abs(t)) ** p for v, t in zip(u, target))])
+
+
+def _layer_rule_bound(layers, target, p):
+    """The rule per-unit bounds replaced: one bound per layer, from inputs in [0, 1], or the distance bound."""
     bound, bounds = 1, []
     for rows, bias in layers:
         bound = max(sum(map(abs, row)) * bound + abs(b) for row, b in zip(rows, bias))
@@ -537,23 +569,36 @@ def _proved_bound(layers, target, p):
     return max(bounds + [len(target) * (bound + max(map(abs, target))) ** p])
 
 
+_WIDTHS = (np.float32, np.int64, object)
+
+
+def _dtype_of(bound):
+    """The dtype a proved bound picks: float32 within 2^24, int64 within 2^63 - 1, else object."""
+    return _WIDTHS[(bound > 1 << 24) + (bound > (1 << 63) - 1)]
+
+
 def test_scan_dtype_edge_at_2_24(monkeypatch):
     """A bound of exactly 2^24 takes float32, and 2^24 + 1 takes int64.
 
     One unit over five {0,1} latents, weights (-16, 8, -4, 2, -1), bias b,
-    target -t and p = 1: the bound is 31 + b + t, and the distances
-    b + t + (the weighted bit sum) are 32 distinct integers from bound - 52,
-    at 10101, to bound - 21, at 01010.
+    target -t and p = 1: the row bound is M = 31 + |b|, the ReLU bound is
+    U = 10 + b and the distance bound U + t. The distances b + t + (the
+    weighted bit sum) are 32 distinct integers from b + t - 21, at 10101,
+    to b + t + 10, at 01010. With t = 5 the row bound sits on the edge;
+    with t = 100 the distance bound does, and the largest distance is it.
     """
     scans = _spy_scans(monkeypatch)
-    weights, t = [-16, 8, -4, 2, -1], 5
-    for bound, dtype in ((1 << 24, np.float32), ((1 << 24) + 1, np.int64)):
-        layers = [([weights], [bound - 31 - t])]
+    weights = [-16, 8, -4, 2, -1]
+    for t, (bound, dtype) in itertools.product((5, 100), ((1 << 24, np.float32), ((1 << 24) + 1, np.int64))):
+        b = bound - max(31, 10 + t)
+        layers = [([weights], [b])]
         assert _proved_bound(layers, [-t], 1) == bound
+        assert max(31 + b, 10 + b + t) == bound
         assert _scan_dtype(layers, [-t], 1) is dtype
         values = _all_distances(layers, [-t], 1, 5, False)
-        assert sorted(values) == list(range(bound - 52, bound - 20))
-        best = (bound - 52, 0b10101)
+        assert sorted(values) == list(range(b + t - 21, b + t + 11))
+        assert (max(values) == bound) == (t == 100)
+        best = (b + t - 21, 0b10101)
         assert values[0b10101] == best[0]
         net = ReluNetwork(5, (layer(*layers[0]),))
         for chunk in (8, oracles._CHUNK_ELEMENTS):  # eight chunks, then one
@@ -568,6 +613,81 @@ def test_scan_dtype_edge_at_2_24(monkeypatch):
                 assert verdict.witness == (best_z if expect_yes else None)
 
 
+def test_per_unit_dtype_is_never_wider_and_its_narrower_scans_are_exact(monkeypatch):
+    """Where the per-unit bound picks a narrower dtype than the layer rule, the scan stays exact.
+
+    Entries sit at a power-of-two scale drawn so that the bounds land near
+    2^24 or near 2^63, on rows with about 40% zeros. No draw's dtype is
+    wider than the layer rule's. Each strictly narrower draw is scanned in
+    its dtype and in object, at a chunk of 4 elements and at the default,
+    and all must give the reference minimum and its first minimizer.
+    """
+    rng = random.Random(59)
+    narrower = {np.float32: 0, np.int64: 0}
+    for _ in range(240):
+        n, p, depth = rng.randint(3, 7), rng.choice((1, 2, 3)), rng.randint(1, 2)
+        e = max(0, rng.choice((24, 63)) // (p * depth) - rng.randint(1, 4))
+        fan_in, layers = n, []
+        for fan_out in [rng.randint(2, 5) for _ in range(depth)]:
+            rows = [[rng.randint(-3, 3) << e if rng.random() < 0.6 else 0 for _ in range(fan_in)]
+                    for _ in range(fan_out)]
+            layers.append((rows, [rng.randint(-3, 3) << e for _ in range(fan_out)]))
+            fan_in = fan_out
+        target = [rng.randint(-3, 3) << (e * depth) for _ in range(fan_in)]
+        exact = _scan_dtype(layers, target, p)
+        layer_rule = _dtype_of(_layer_rule_bound(layers, target, p))
+        assert exact is _dtype_of(_proved_bound(layers, target, p))
+        assert _WIDTHS.index(exact) <= _WIDTHS.index(layer_rule)
+        if exact is layer_rule:
+            continue
+        narrower[exact] += 1
+        values = _all_distances(layers, target, p, n, False)
+        best = (min(values), values.index(min(values)))
+        for chunk in (4, oracles._CHUNK_ELEMENTS):
+            monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
+            assert _scan(layers, target, p, n, exact) == best
+            assert _scan(layers, target, p, n, object) == best
+        monkeypatch.undo()
+    assert min(narrower.values()) >= 25  # float32 where the layer rule took int64, int64 where object
+
+
+def _halfclique_bounds(g, p, copies):
+    """Two half-clique bounds of the kinds binary-large draws.
+
+    The tie-free one nearest (total + 1) / 2, an odd numerator over 2D * 67,
+    and the nearest one whose non-edge penalty splits into `copies` row pairs.
+    """
+    denom, total = 1, sum((root**p for _, _, root in g.edges), Fraction(0))
+    for _, _, root in g.edges:
+        denom = math.lcm(denom, (root**p).denominator)
+    numerator = int(denom * (total + 1)) | 1
+    while pth_power_split(choose_alpha_halfclique(p, total, Fraction(numerator, 2 * denom)), p)[0] != copies:
+        numerator += 2
+    return Fraction(int(denom * 67 * (total + 1)) | 1, 2 * denom * 67), Fraction(numerator, 2 * denom)
+
+
+def test_graph_routes_at_benchmark_sizes_scan_in_float32(monkeypatch):
+    """Half-clique (n = 14, 16, edge_prob 0.8, p = 2, one six-copy split) and vertex cover n = 16 scan in float32.
+
+    The layer rule put each of these half-clique scans in int64.
+    """
+    halfcliques = []
+    for n, seed in ((16, 3), (14, 2), (14, 1)):
+        g = gen_random_graph(n, 0.8, seed=seed)
+        middle, split = _halfclique_bounds(g, 2, 6)
+        halfcliques.append(halfclique_to_approx(HalfCliqueQuery(g, middle), 2))
+    halfcliques.append(halfclique_to_approx(HalfCliqueQuery(g, split), 2))
+    assert [a.constants["alpha_copies"] for a in halfcliques] == [1, 1, 1, 6]
+    cover = vertexcover_to_approx(VertexCoverQuery(gen_random_graph(16, 0.5, seed=4), 11), 2)
+    scans = _spy_scans(monkeypatch)
+    for artifact in halfcliques + [cover]:
+        layers, target, _, _ = _integerized(artifact.query)
+        if artifact is not cover:
+            assert _dtype_of(_layer_rule_bound(layers, target, 2)) is np.int64
+        invert_binary_bruteforce(artifact.query)
+        assert scans.pop()[0] is np.float32
+
+
 def _pm1_query(layers, target, p, theta):
     n = len(layers[0][0][0])
     net = ReluNetwork(n, tuple(layer(rows, bias) for rows, bias in layers))
@@ -580,6 +700,7 @@ def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
 
     Integer weights keep _integerized's scale at 1, so _all_distances' own
     {-1,1} evaluation of the query's layers is the reference distance.
+    Every third case draws entries up to 300, so that int64 scans occur.
     """
     scans = _spy_scans(monkeypatch)
     rng = random.Random(43)
@@ -587,10 +708,11 @@ def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
     dtypes = set()
     for case in range(60):
         n = rng.randint(4, 9)
+        span = 300 if case % 3 == 0 else 3
         fan_in, layers = n, []
         for fan_out in [rng.randint(1, 5) for _ in range(rng.randint(1, 2))]:
-            rows = [[rng.randint(-3, 3) for _ in range(fan_in)] for _ in range(fan_out)]
-            layers.append((rows, [rng.randint(-3, 3) for _ in range(fan_out)]))
+            rows = [[rng.randint(-span, span) for _ in range(fan_in)] for _ in range(fan_out)]
+            layers.append((rows, [rng.randint(-span, span) for _ in range(fan_out)]))
             fan_in = fan_out
         target = [rng.randint(-2, 2) for _ in range(fan_in)]
         p = rng.choice((1, 2, 3))
@@ -616,28 +738,31 @@ def test_invert_binary_pm1_chunks_match_reference(monkeypatch):
 def test_invert_binary_pm1_fold_band_takes_object(monkeypatch):
     """A {-1,1} query whose bound fits int64 unfolded but not folded: the object scan decides.
 
-    Layer 0's bound is sum |w| + |b| on {-1,1} bits and 2 sum |w| + |b - sum w|
-    once folded onto {0,1} bits; with one layer, p = 1 and target (1, 1) the
-    distance bound is the layer's plus the target's 1, summed over its two units.
+    Folding onto {0,1} bits doubles the weights and moves b to b - sum w,
+    so row 1's bound M = sum |w| + |b| grows from 3c + 7 + k to
+    7c + 21 + k, which is 2^63 - 1 + k at c = (2^63 - 1) / 7 - 3. With
+    k = 1 it leaves int64 and the object scan decides; with k = 0 it sits
+    on the edge, and the int64 scan decides. The distance bound, to target
+    (1, 1) at p = 1, is 4c + 7 - k.
     """
     scans = _spy_scans(monkeypatch)
-    c = 1 << 60
-    rows = [[c, c, -c], [c - 1, 3, c + 5]]
-    bias = [2, -c]
-    layers = [(rows, bias)]
-    unfolded = 2 * (max(sum(abs(w) for w in r) + abs(b) for r, b in zip(rows, bias)) + 1)
-    folded = 2 * (max(2 * sum(abs(w) for w in r) + abs(b - sum(r)) for r, b in zip(rows, bias)) + 1)
-    assert unfolded <= oracles._INT64_SAFE < folded
-    assert _scan_dtype(layers, [1, 1], 1) is np.int64
-    values = _all_distances(layers, [1, 1], 1, 3, True)
-    best = min(values)
-    assert best >= 1
-    for theta, decision in ((best - 1, "NO"), (best, "YES")):
-        verdict = invert_binary_bruteforce(_pm1_query(layers, [1, 1], 1, theta))
-        assert verdict.decision == decision
-        if verdict.is_yes:
-            assert verdict.witness == tuple(2 * b - 1 for b in _msb_bits(values.index(best), 3))
-    assert scans == [(object, (best, values.index(best)))] * 2
+    c = oracles._INT64_SAFE // 7 - 3
+    for k, dtype in ((0, np.int64), (1, object)):
+        rows = [[c, c, -c], [c - 1, 3, c + 5]]
+        layers = [(rows, [2, -c - k])]
+        assert _proved_bound(layers, [1, 1], 1) == 3 * c + 7 + k
+        assert _proved_bound(_fold_pm1(layers), [1, 1], 1) == oracles._INT64_SAFE + k
+        assert _scan_dtype(layers, [1, 1], 1) is np.int64
+        values = _all_distances(layers, [1, 1], 1, 3, True)
+        best = min(values)
+        assert best >= 1
+        for theta, decision in ((best - 1, "NO"), (best, "YES")):
+            verdict = invert_binary_bruteforce(_pm1_query(layers, [1, 1], 1, theta))
+            assert verdict.decision == decision
+            if verdict.is_yes:
+                assert verdict.witness == tuple(2 * b - 1 for b in _msb_bits(values.index(best), 3))
+        assert scans == [(dtype, (best, values.index(best)))] * 2
+        scans.clear()
 
 
 def test_invert_binary_bigint_fallback_matches_naive_reference(monkeypatch):

@@ -5,7 +5,8 @@ An entry is one oracle call: its decision, witness, certificate and stats
 artifact it decided. The corpus is drawn from invforge's own generators:
 `run_verify` for every family (cvp and cvp-real also at p = 3), logged
 through wrapped `FAMILIES` entries, plus direct calls of the two exhaustive
-binary oracles on a fixed set that includes queries beyond int64.
+binary oracles on a fixed set that includes queries beyond int64, and of the
+pattern oracle in thresholded mode (p = 1, threshold > 0) on cvp-real queries.
 
 A change that moves an output on purpose re-records the pins and names the
 moved entries in CHANGES.md. To re-record, and first print how many entries
@@ -33,7 +34,7 @@ from invforge.instances import (
     gen_random_graph,
     gen_random_ksat,
 )
-from invforge.oracles import invert_binary_bruteforce, solve_cvp01_bruteforce
+from invforge.oracles import enumerate_patterns_invert, invert_binary_bruteforce, solve_cvp01_bruteforce
 from invforge.reductions import (
     DOMAIN_01,
     DOMAIN_PM1,
@@ -41,6 +42,7 @@ from invforge.reductions import (
     LatentDomain,
     artifact_to_json,
     cvp_to_approx_binary,
+    cvp_to_approx_real,
     halfclique_to_approx,
     sat_to_exact_binary,
     vertexcover_to_approx,
@@ -62,6 +64,8 @@ VERIFY_RUNS = (
     ("halfclique-real", 4, 20, None),
     ("vertexcover", 6, 30, None),
 )
+# (n, seed) of gen_random_cvp(n, 1, seed, p=1): six YES, and six NO (n = 1: 4, 10, 16; n = 2: 4, 5, 18)
+PATTERN_DRAWS = ((1, 0), (1, 1), (1, 2), (1, 4), (1, 10), (1, 16), (2, 0), (2, 3), (2, 16), (2, 4), (2, 5), (2, 18))
 
 
 def _sha(text: str) -> str:
@@ -141,7 +145,8 @@ def _cvp_instances():
                 inst.p,
             )
             yield f"random/{seed}/x2^{shift}", scaled
-    # d * c^p <= 2^63 - 1 < 2 * d * c^p, for c the largest sum_i |B_ri| + |t_r|
+    # d * c^p <= 2^63 - 1 < 2 * d * c^p, for c the largest sum_i |B_ri| + |t_r|: the
+    # layer rule scanned these in object; the per-unit bound scans them in int64
     big = 1 << 61
     basis = ((Fraction(big), Fraction(big - 5), Fraction(3)),)
     for radius in (0, 1, 2):  # the nearest point, y = (1, 0, 1), is at distance 1
@@ -172,6 +177,9 @@ def collect() -> dict:
                 log(f"cvp01/{chunk}/{key}", **solve_cvp01_bruteforce(inst).to_dict())
         finally:
             oracles._CHUNK_ELEMENTS = default
+    for n, seed in PATTERN_DRAWS:
+        query = cvp_to_approx_real(gen_random_cvp(n, 1, seed, p=1)).query
+        log(f"pattern/cvp-real/{n}/{seed}", **enumerate_patterns_invert(query).to_dict())
     return entries
 
 

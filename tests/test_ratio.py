@@ -22,6 +22,26 @@ def test_parse_and_format_roundtrip():
     assert parse_ratio(format_ratio(Fraction(-22, 7))) == Fraction(-22, 7)
 
 
+_BIG = 1 << 200
+_FRACTIONS = st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+
+
+@given(
+    st.one_of(
+        st.integers(-_BIG, _BIG),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _FRACTIONS,
+        _FRACTIONS.map(lambda f: f"{f.numerator * 3}/{f.denominator * 3}"),
+        st.sampled_from([0, 0.0, -0.0, False, "0/5", "-0/1", Fraction(0), Fraction(0, -7)]),
+    )
+)
+def test_format_ratio_matches_fraction_copy(value):
+    """Fractions are written as they are and other values after coercion, as Fraction(value) writes them."""
+    copy = Fraction(value)
+    assert format_ratio(value) == f"{copy.numerator}/{copy.denominator}"
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_ratio("1/0")
