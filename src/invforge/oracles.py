@@ -6,9 +6,9 @@ real-latent inversion, and a heuristic float falsifier that can only
 certify YES.
 
 Exactness contract: no verdict ever depends on floating point. Every
-exact network evaluation runs on relunet's integer view, over an exact
-common scale. One chunked numpy scan (_scan) serves both exhaustive
-binary oracles, binary-latent inversion and the (0,1)-CVP source oracle,
+exact network evaluation runs on relunet's integer view (ReluNetwork.integer),
+over an exact common scale. One chunked numpy scan (_scan) serves both
+exhaustive binary oracles, binary-latent inversion and the (0,1)-CVP source oracle,
 through one helper (_binary_verdict), on {0,1} latents: a {-1,1} query
 is folded into a {0,1} one first (z = 2y - 1). Every value the scan
 forms is an integer partial sum of the terms of one layer-0 row, of one
@@ -37,8 +37,8 @@ of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
 exact point of its region (the zero vector at the root); a child whose
 row that point satisfies needs no LP, so only the other child calls
 lp_feasible, and the leaves and witnesses are those of one LP per mask.
-Rows and points are integers: each layer's pre-activations over its scale,
-as relunet.preactivations forms them. Every LP starts from the carried
+Rows and points are integers: each layer's pre-activations over its scale
+L_l, read off ReluNetwork.integer. Every LP starts from the carried
 point, which satisfies all of its rows but the new ones. A leaf decides
 from there, since feasibility and the optimal value do not depend on the
 start; only the leaf that answers YES is solved once more from no start,
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -62,7 +61,7 @@ import numpy as np
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
 from .ratio import format_ratio, scaled_int
-from .relunet import distance_pow, distance_pow_lower_bounds, float_layers, forward, integer_point
+from .relunet import dense_columns, distance_pow, distance_pow_lower_bounds, float_layers, forward, integer_point
 from .reductions import DOMAIN_01, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
@@ -185,6 +184,7 @@ def solve_sat_bruteforce(formula: CnfFormula) -> Verdict:
 
 def count_sat_assignments(formula: CnfFormula) -> tuple[int, int]:
     """(satisfying assignments, states scanned); full scan, used by the bench."""
+    _check_cap("sat_vars", formula.num_vars, "variables")
     return sum(models.size for models in _sat_models(formula)), 1 << formula.num_vars
 
 
@@ -205,9 +205,9 @@ def solve_cvp01_bruteforce(inst: CvpInstance) -> Verdict:
     n = inst.num_vectors
     _check_cap("latent_bits", n, "coefficients")
     lam = math.lcm(*(v.denominator for v in itertools.chain(*inst.basis, inst.target)))
-    basis = [[scaled_int(w, lam) for w in row] for row in inst.basis]
+    basis = [[(j, scaled_int(w, lam)) for j, w in enumerate(row) if w] for row in inst.basis]
     target = [scaled_int(t, lam) for t in inst.target]
-    weights = basis + [[-w for w in row] for row in basis]
+    weights = basis + [[(j, -w) for j, w in row] for row in basis]
     bias = [-t for t in target] + target
     threshold = inst.radius**inst.p * lam**inst.p
     return _binary_verdict([(weights, bias)], [0] * len(bias), inst.p, n, threshold)
@@ -283,24 +283,19 @@ def solve_vertexcover_bruteforce(query: VertexCoverQuery) -> Verdict:
 
 
 def _integerized(query: InversionQuery):
-    """Rescale layers, target and threshold so everything is an integer.
+    """ReluNetwork.integer's sparse rows and biases, with target and threshold scaled to match.
 
-    Layer l's weights are scaled by L_l / L_(l-1) and its bias by L_l, where
-    L chains relunet.Layer.scale from integer inputs; the last L also takes
-    in the target's denominators. ReLU commutes with positive scaling, so
-    distances come out scaled by the last L to the p-th power. The layers
-    are read off the sparse view Layer.integer, numerators over s and t.
+    The last layer also takes in the target's denominators: it is scaled by
+    k = lcm(L, target denominators) / L for the last L when k > 1. ReLU
+    commutes with positive scaling, so distances come out scaled by (k L)^p.
     """
-    scales = [1]
-    for lyr in query.network.layers:
-        scales.append(lyr.scale(scales[-1]))
-    scales[-1] = scale = math.lcm(scales[-1], *(t.denominator for t in query.target))
-    layers = []
-    for lyr, d, out in zip(query.network.layers, scales, scales[1:]):
-        rows, s, bias, t = lyr.integer
-        wf, bf = out // (d * s), out // t
-        weights = [[d.get(j, 0) * wf for j in range(lyr.fan_in)] for d in map(dict, rows)]
-        layers.append((weights, [num * bf for num in bias]))
+    layers = [(rows, bias) for rows, bias, _ in query.network.integer]
+    scale = query.network.integer[-1][2]
+    k = math.lcm(scale, *(t.denominator for t in query.target)) // scale
+    if k > 1:
+        rows, bias = layers[-1]
+        layers[-1] = ([[(j, w * k) for j, w in row] for row in rows], [b * k for b in bias])
+        scale *= k
     target = [scaled_int(t, scale) for t in query.target]
     threshold_scaled = query.threshold_pow * Fraction(scale) ** query.p
     return layers, target, threshold_scaled, scale
@@ -317,10 +312,10 @@ def _scan_dtype(layers, target, p: int):
     up to 2^24, int64 up to 2^63 - 1, object beyond.
     """
     peak, u = 1, None  # u is None for the bits, which need no product
-    for weights, bias in layers:
+    for rows, bias in layers:
         bounds = []
-        for row, b in zip(weights, bias):
-            terms = row if u is None else list(map(operator.mul, row, u))
+        for row, b in zip(rows, bias):
+            terms = [w for _, w in row] if u is None else [w * u[j] for j, w in row]
             total, signed = sum(map(abs, terms)), sum(terms)
             peak = max(peak, total + abs(b))
             bounds.append(max(1, (total + signed) // 2 + b))
@@ -350,7 +345,7 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
     if kind == DOMAIN_01:
         return _binary_verdict(layers, target, query.p, n, threshold_scaled)
     (w0, b0), rest = layers[0], layers[1:]
-    folded = ([[2 * w for w in row] for row in w0], [b - sum(row) for row, b in zip(w0, b0)])
+    folded = ([[(j, 2 * w) for j, w in r] for r in w0], [b - sum(w for _, w in r) for r, b in zip(w0, b0)])
     verdict = _binary_verdict([folded] + rest, target, query.p, n, threshold_scaled)
     if verdict.is_yes:
         verdict.witness = tuple(_ONE if y else -_ONE for y in verdict.witness)
@@ -358,7 +353,7 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
 
 
 def _binary_verdict(layers, target, p, n, threshold) -> Verdict:
-    """The exhaustive verdict of integer layers over n {0,1} latents against a scaled threshold."""
+    """Exhaustive verdict of integer layers (sparse rows, bias) over n {0,1} latents against a scaled threshold."""
     best_val, best_index = _scan(layers, target, p, n, _scan_dtype(layers, target, p))
     stats = VerdictStats(latents_enumerated=1 << n)
     if best_val <= threshold:
@@ -500,11 +495,12 @@ def _scan(layers, target, p, n, dtype):
     Order: see _first_min.
     """
     (w0, b0), rest = layers[0], layers[1:]
-    cols = np.array(w0, dtype=dtype).T  # row i: latent bit i's column, msb first
+    cols = dense_columns(w0, n, dtype)  # row i: latent bit i's column, msb first
     bias0 = np.array(b0, dtype=dtype)
-    np_rest = [(np.array(w, dtype=dtype).T, np.array(b, dtype=dtype)) for w, b in rest]
+    widths = [len(b) for _, b in layers]
+    np_rest = [(dense_columns(w, k, dtype), np.array(b, dtype=dtype)) for (w, b), k in zip(rest, widths)]
     np_target = np.array(target, dtype=dtype)
-    width = max(len(b) for _, b in layers)
+    width = max(widths)
     lo = _low_bits(n, width, dtype)
     hi = n - lo
     share_shape = (1 << lo,) + np_rest[0][1].shape if np_rest else (1 << lo,)
@@ -622,20 +618,16 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
 
     zero_row = ((0,) * n, 0)
 
-    def dfs(layer_idx, affine, d, constraints, point):
-        # affine: the layer's inputs as (ints, const) over d; point: (ints, D), a point of the region
+    def dfs(layer_idx, affine, constraints, point):
+        # affine: the inputs as (ints, const) over the scale below (1 at layer 0); point: (ints, D) in the region
         if layer_idx == net.depth:
-            return leaf(constraints, affine, d, point)
-        lyr = net.layers[layer_idx]
-        weights, s, bias, bias_scale = lyr.integer
-        scale = lyr.scale(d)
-        wf, bf = scale // (s * d), scale // bias_scale
+            return leaf(constraints, affine, net.integer[-1][2], point)
+        weights, bias, scale = net.integer[layer_idx]
         pre = []
         for row, b in zip(weights, bias):
-            coeffs, const = [0] * n, b * bf
+            coeffs, const = [0] * n, b
             for j, w in row:
                 acoeffs, aconst = affine[j]
-                w *= wf
                 const += w * aconst
                 coeffs = [c + w * a for c, a in zip(coeffs, acoeffs)]
             pre.append((tuple(coeffs), const))
@@ -655,7 +647,7 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
             if j < 0:
                 decided = decided[::-1]
                 next_affine = [u if r.relation == GE else zero_row for u, r in zip(pre, decided)]
-                return dfs(layer_idx + 1, next_affine, scale, constraints + decided, point)
+                return dfs(layer_idx + 1, next_affine, constraints + decided, point)
             for active in choices[j]:
                 row, child = rows[j][active], point
                 if len(choices[j]) > 1 and not row.holds(*point):
@@ -673,7 +665,7 @@ def enumerate_patterns_invert(query: InversionQuery) -> Verdict:
     # ReLU outputs are nonnegative, so a negative target entry has no pattern
     negative = exact and min(query.target) < 0
     identity = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
-    witness = None if negative else dfs(0, identity, 1, [], ((0,) * n, 1))
+    witness = None if negative else dfs(0, identity, [], ((0,) * n, 1))
     stats.lp_pivots = lp_stats.get("pivots", 0)
     if witness is None:
         return Verdict(NO, None, CERT_PATTERN, stats)
@@ -760,7 +752,7 @@ def falsify_real(
     bits = (np.arange(corner_count)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     try:
         lo, hi = float(corner_levels[0]), float(corner_levels[1])
-        net_layers = [(np.ascontiguousarray(w.T), b) for w, b in float_layers(query.network)]
+        net_layers = float_layers(query.network)
         target = np.array([float(v) for v in query.target])
         theta = float(query.threshold_pow)
         span = max(hi - lo, 1.0)

@@ -3,11 +3,11 @@
 A network is a stack of layers, each applying ``ReLU(W v + b)`` elementwise
 (the last layer included). Weights, biases, inputs and outputs are
 arbitrary-precision rationals (`fractions.Fraction`). Exact evaluation runs in
-integers (`preactivations`): each layer caches an integer view
-(`Layer.integer`) and, for inputs X / D, forms its pre-activations as integers
-over L = lcm(s D, t), the next layer's D. `forward` returns Fractions;
-`forward_float` is a float64 path for search heuristics, and
-`distance_pow_lower_bounds` a float64 batch with a proved error enclosure.
+integers on one view per network (`ReluNetwork.integer`), layer l over
+L_l = lcm(s_l L_(l-1), t_l): for inputs X / D, `preactivations` forms its
+pre-activations as integers over L_l D. `forward` returns Fractions;
+`float_layers` rounds the same view to float64 for `forward_float`, a path for
+search heuristics, and `distance_pow_lower_bounds`, a batch with a proved error enclosure.
 
 File format ("relunet-1"): a UTF-8 JSON document with fields
 
@@ -80,25 +80,6 @@ class Layer:
     def fan_in(self) -> int:
         return len(self.weights[0])
 
-    @cached_property
-    def integer(self) -> tuple:
-        """(rows, s, bias, t), built on first use: weights over s, biases over t.
-
-        s and t are the lcms of the weight and of the bias denominators; each
-        row lists (column, numerator) of its nonzero weights only.
-        """
-        s = math.lcm(*(w.denominator for row in self.weights for w in row))
-        t = math.lcm(*(b.denominator for b in self.bias))
-        rows = tuple(
-            tuple((j, scaled_int(w, s)) for j, w in enumerate(row) if w) for row in self.weights
-        )
-        return rows, s, tuple(scaled_int(b, t) for b in self.bias), t
-
-    def scale(self, d: int) -> int:
-        """The scale L = lcm(s d, t) of the pre-activations, for inputs over d."""
-        _, s, _, t = self.integer
-        return math.lcm(s * d, t)
-
 
 def layer(weights: Iterable[Iterable], bias: Iterable) -> Layer:
     """Build a Layer, coercing entries to Fractions."""
@@ -145,6 +126,23 @@ class ReluNetwork:
         """Total ReLU unit count across all layers."""
         return sum(lyr.fan_out for lyr in self.layers)
 
+    @cached_property
+    def integer(self) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
+        """Per layer (rows, bias, L_l), built on first use: weights scaled by L_l / L_(l-1), bias by L_l.
+
+        L_l = lcm(s_l L_(l-1), t_l), L_(-1) = 1, for s_l and t_l the lcms of the layer's
+        weight and bias denominators. Each row lists (column, weight) of its nonzero weights only.
+        """
+        out, prev = [], 1
+        for lyr in self.layers:
+            s = math.lcm(*(w.denominator for row in lyr.weights for w in row))
+            scale = math.lcm(s * prev, *(b.denominator for b in lyr.bias))
+            wf = scale // prev
+            rows = tuple(tuple((j, scaled_int(w, wf)) for j, w in enumerate(row) if w) for row in lyr.weights)
+            out.append((rows, tuple(scaled_int(b, scale) for b in lyr.bias), scale))
+            prev = scale
+        return tuple(out)
+
 
 def integer_point(z: Sequence) -> tuple[tuple[int, ...], int]:
     """Rationals z as (integers x, scale D), D the lcm of their denominators: z = x / D."""
@@ -154,17 +152,14 @@ def integer_point(z: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def preactivations(net: ReluNetwork, z: Sequence) -> list[tuple[list[int], int]]:
-    """Every layer's exact pre-activations, as (integers x, scale L): value x / L."""
+    """Every layer's exact pre-activations as (integers x, scale S): value x / S, S = L_l D for z = X / D."""
     if len(z) != net.input_dim:
         raise ValueError(f"input length {len(z)} != input_dim {net.input_dim}")
-    current, scale = integer_point(z)
+    current, d = integer_point(z)
     out = []
-    for lyr in net.layers:
-        rows, s, bias, t = lyr.integer
-        d, scale = scale, lyr.scale(scale)
-        wf, bf = scale // (s * d), scale // t
-        pre = [sum(w * current[j] for j, w in row) * wf + b * bf for row, b in zip(rows, bias)]
-        out.append((pre, scale))
+    for rows, bias, scale in net.integer:
+        pre = [sum(w * current[j] for j, w in row) + b * d for row, b in zip(rows, bias)]
+        out.append((pre, scale * d))
         current = [v if v > 0 else 0 for v in pre]
     return out
 
@@ -183,15 +178,23 @@ def forward(net: ReluNetwork, z: Sequence) -> tuple[Fraction, ...]:
     return _relu_fractions(*preactivations(net, z)[-1])
 
 
+def dense_columns(rows, fan_in: int, dtype) -> np.ndarray:
+    """Sparse rows of (column, weight) as a dense fan_in x fan_out array: column r is row r."""
+    out = np.zeros((fan_in, len(rows)), dtype=dtype)
+    entries = [(j, r, w) for r, row in enumerate(rows) for j, w in row]
+    if entries:
+        cols, units, values = zip(*entries)
+        out[cols, units] = values
+    return out
+
+
 def float_layers(net: ReluNetwork) -> list[tuple[np.ndarray, np.ndarray]]:
-    """float64 copies of the weight matrices and biases, each correctly rounded."""
-    out = []
-    for lyr in net.layers:
-        rows, s, bias, t = lyr.integer
-        w = np.zeros((lyr.fan_out, lyr.fan_in), dtype=np.float64)
-        for r, row in enumerate(rows):
-            w[r, [j for j, _ in row]] = [v / s for _, v in row]
-        out.append((w, np.array([b / t for b in bias], dtype=np.float64)))
+    """float64 copies of each layer's weights (fan_in x fan_out) and bias: int / int, correctly rounded."""
+    out, fan_in, prev = [], net.input_dim, 1
+    for rows, bias, scale in net.integer:
+        w = (dense_columns(rows, fan_in, object) * prev / scale).astype(np.float64)
+        out.append((w, np.array([b / scale for b in bias], dtype=np.float64)))
+        fan_in, prev = len(bias), scale
     return out
 
 
@@ -284,9 +287,9 @@ def distance_pow_lower_bounds(
     radius = _conversion_error(x)
     finite = np.ones(len(points), dtype=bool)
     for w, b in layers:
-        k = w.shape[1]
-        magnitudes = np.abs(w.T)
-        center = x @ w.T + b
+        k = w.shape[0]
+        magnitudes = np.abs(w)
+        center = x @ w + b
         reach = _up(np.abs(x) + radius)
         spread = (
             radius @ magnitudes
@@ -313,7 +316,7 @@ def forward_float(net: ReluNetwork, z: Sequence[float]) -> np.ndarray:
         raise ValueError(f"input length {len(z)} != input_dim {net.input_dim}")
     current = np.asarray(z, dtype=np.float64)
     for w, b in float_layers(net):
-        current = np.maximum(w @ current + b, 0.0)
+        current = np.maximum(current @ w + b, 0.0)
     return current
 
 

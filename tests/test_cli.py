@@ -195,6 +195,8 @@ def test_cap_exit_code(tmp_path, monkeypatch):
     run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
     monkeypatch.setenv("INVFORGE_CAP", "1")
     assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 3
+    bench = ("bench", "--family", "sat", "--n-from", "2", "--n-to", "2", "--out", str(tmp_path / "b.csv"))
+    assert run_cli(*bench) == 3
 
 
 def test_verify_deterministic_and_passing(capsys):

@@ -435,6 +435,20 @@ def _sparse_rows(rng, fan_out, n, hi):
     return rows
 
 
+def _sparse(layers):
+    """Dense (rows, bias) layers in the scan's format: each row's nonzero weights as (column, weight)."""
+    return [([[(j, w) for j, w in enumerate(row) if w] for row in rows], list(bias)) for rows, bias in layers]
+
+
+def _dense(layers, n):
+    """The scan's sparse layers as dense (rows, bias) lists, layer 0 over n latents."""
+    out = []
+    for rows, bias in layers:
+        out.append(([[dict(row).get(j, 0) for j in range(n)] for row in rows], list(bias)))
+        n = len(bias)
+    return out
+
+
 def _fold_pm1(layers):
     """Layer 0 over {0,1} bits y of a query over {-1,1} bits z = 2y - 1: weights 2W, bias b - W 1."""
     (rows, bias), rest = layers[0], layers[1:]
@@ -518,17 +532,18 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
         if pm1:
             layers = _fold_pm1(layers)
         best = min(values)
-        exact = _scan_dtype(layers, target, p)
+        sparse = _sparse(layers)
+        exact = _scan_dtype(sparse, target, p)
         assert exact in (np.float32, np.int64)
         assert exact is _dtype_of(_proved_bound(layers, target, p))
         assert _WIDTHS.index(exact) <= _WIDTHS.index(_dtype_of(_layer_rule_bound(layers, target, p)))
         for dtype in (np.float32, np.int64) if exact is np.float32 else (np.int64,):
-            assert _scan(layers, target, p, n, dtype) == (best, values.index(best))
+            assert _scan(sparse, target, p, n, dtype) == (best, values.index(best))
             assert plans[-1][0] == hi
             dtypes_run[dtype] += 1
         monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", 8 * chunk)
         assert n - oracles._low_bits(n, max(widths), object) == hi
-        assert _scan(layers, target, p, n, object) == (best, values.index(best))
+        assert _scan(sparse, target, p, n, object) == (best, values.index(best))
         ties = [i for i, v in enumerate(values) if v == best]
         split_ties += ties[-1] - ties[0] >= 16  # 16 apart: never in one chunk
         tabulated, per_chunk, high = plans[-1][1]
@@ -594,7 +609,7 @@ def test_scan_dtype_edge_at_2_24(monkeypatch):
         layers = [([weights], [b])]
         assert _proved_bound(layers, [-t], 1) == bound
         assert max(31 + b, 10 + b + t) == bound
-        assert _scan_dtype(layers, [-t], 1) is dtype
+        assert _scan_dtype(_sparse(layers), [-t], 1) is dtype
         values = _all_distances(layers, [-t], 1, 5, False)
         assert sorted(values) == list(range(b + t - 21, b + t + 11))
         assert (max(values) == bound) == (t == 100)
@@ -634,7 +649,8 @@ def test_per_unit_dtype_is_never_wider_and_its_narrower_scans_are_exact(monkeypa
             layers.append((rows, [rng.randint(-3, 3) << e for _ in range(fan_out)]))
             fan_in = fan_out
         target = [rng.randint(-3, 3) << (e * depth) for _ in range(fan_in)]
-        exact = _scan_dtype(layers, target, p)
+        sparse = _sparse(layers)
+        exact = _scan_dtype(sparse, target, p)
         layer_rule = _dtype_of(_layer_rule_bound(layers, target, p))
         assert exact is _dtype_of(_proved_bound(layers, target, p))
         assert _WIDTHS.index(exact) <= _WIDTHS.index(layer_rule)
@@ -645,8 +661,8 @@ def test_per_unit_dtype_is_never_wider_and_its_narrower_scans_are_exact(monkeypa
         best = (min(values), values.index(min(values)))
         for chunk in (4, oracles._CHUNK_ELEMENTS):
             monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
-            assert _scan(layers, target, p, n, exact) == best
-            assert _scan(layers, target, p, n, object) == best
+            assert _scan(sparse, target, p, n, exact) == best
+            assert _scan(sparse, target, p, n, object) == best
         monkeypatch.undo()
     assert min(narrower.values()) >= 25  # float32 where the layer rule took int64, int64 where object
 
@@ -683,7 +699,8 @@ def test_graph_routes_at_benchmark_sizes_scan_in_float32(monkeypatch):
     for artifact in halfcliques + [cover]:
         layers, target, _, _ = _integerized(artifact.query)
         if artifact is not cover:
-            assert _dtype_of(_layer_rule_bound(layers, target, 2)) is np.int64
+            dense = _dense(layers, artifact.query.domain.dim)
+            assert _dtype_of(_layer_rule_bound(dense, target, 2)) is np.int64
         invert_binary_bruteforce(artifact.query)
         assert scans.pop()[0] is np.float32
 
@@ -752,7 +769,7 @@ def test_invert_binary_pm1_fold_band_takes_object(monkeypatch):
         layers = [(rows, [2, -c - k])]
         assert _proved_bound(layers, [1, 1], 1) == 3 * c + 7 + k
         assert _proved_bound(_fold_pm1(layers), [1, 1], 1) == oracles._INT64_SAFE + k
-        assert _scan_dtype(layers, [1, 1], 1) is np.int64
+        assert _scan_dtype(_sparse(layers), [1, 1], 1) is np.int64
         values = _all_distances(layers, [1, 1], 1, 3, True)
         best = min(values)
         assert best >= 1
@@ -843,10 +860,11 @@ def test_integerized_matches_reference_on_every_family():
                 sources.append(fam.boundary(0, p))
             for source in sources:
                 query = fam.compile(source, p).query
-                got = _integerized(query)
-                assert got == _reference_integerized(query)
-                entries = itertools.chain(got[1], *(itertools.chain(*w, b) for w, b in got[0]))
-                assert all(type(v) is int for v in entries)
+                layers, *rest = _integerized(query)
+                assert (_dense(layers, query.domain.dim), *rest) == _reference_integerized(query)
+                weights = [w for rows, _ in layers for row in rows for _, w in row]
+                assert all(type(v) is int for v in itertools.chain(rest[0], weights, *(b for _, b in layers)))
+                assert all(weights)  # the rows list nonzero weights only
                 checked.add((name, p))
     assert len(checked) == 2 * len(FAMILIES)
 
@@ -871,7 +889,8 @@ def test_integerized_matches_reference_on_fractional_targets():
         theta = abs(entry(9))
         query = InversionQuery(net, target, rng.randint(1, 3), theta, LatentDomain(DOMAIN_01, n))
         expected = _reference_integerized(query)
-        assert _integerized(query) == expected
+        layers, *rest = _integerized(query)
+        assert (_dense(layers, n), *rest) == expected
         unfolded = dataclasses.replace(query, target=(Fraction(0),) * fan_in)
         folded += expected[3] != _reference_integerized(unfolded)[3]
     assert folded > 50
@@ -1388,7 +1407,7 @@ def _reference_falsify(query, restarts, seed, corner_levels):
     def dist(points):
         acts = points
         for w, b in net_layers:
-            acts = np.maximum(acts @ w.T + b, 0.0)
+            acts = np.maximum(acts @ w + b, 0.0)
         return (np.abs(acts - target) ** p).sum(axis=1)
 
     blocks = []

@@ -271,6 +271,11 @@ def test_kernel_matches_fraction_reference():
         assert forward_layers(net, z) == _reference_forward_layers(net, z)
         assert forward(net, z) == _reference_forward_layers(net, z)[-1]
         assert kernel_pattern(net, z) == _reference_pattern(net, z)
+        for (pre, scale), ref in zip(preactivations(net, z), _reference_preactivations(net, z)):
+            assert [Fraction(v, scale) for v in pre] == ref
+        for rows, bias, scale in net.integer:  # only ints, and the rows list nonzero weights only
+            assert all(type(w) is int and w for row in rows for _, w in row)
+            assert all(type(v) is int for v in (*bias, scale))
         for lyr, pre in zip(net.layers, _reference_preactivations(net, z)):
             seen["zero_pre"] += pre.count(0)
             seen["zero_row"] += sum(not any(row) for row in lyr.weights)
@@ -315,7 +320,7 @@ def test_float_layers_match_float_of_each_entry():
     nets += [random_net(rng, max_depth=4, max_width=8) for _ in range(40)]
     for net in nets:
         for (w, b), lyr in zip(float_layers(net), net.layers):
-            w_ref = np.array([[float(v) for v in row] for row in lyr.weights], dtype=np.float64)
+            w_ref = np.array([[float(v) for v in col] for col in zip(*lyr.weights)], dtype=np.float64)
             b_ref = np.array([float(v) for v in lyr.bias], dtype=np.float64)
             assert w.dtype == b.dtype == np.float64
             assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
