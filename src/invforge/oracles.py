@@ -50,6 +50,7 @@ variable, else the defaults below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -81,7 +82,7 @@ _ONE = Fraction(1)
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24, and no larger set
 _INT64_SAFE = (1 << 63) - 1  # rigorous bound: no intermediate may exceed this
 _CHUNK_ELEMENTS = 1 << 21  # elements a binary scan's arrays share (8 MiB in float32, 16 in int64)
-_SAT_CHUNK_BITS = 16  # the SAT source oracle filters 2^16 assignments at a time
+_SAT_CHUNK_BITS = 12  # the SAT source oracle evaluates 2^12 assignments at a time, as 512-byte ints
 
 
 class CapExceeded(RuntimeError):
@@ -136,46 +137,54 @@ def _bits_msb(index: int, width: int) -> tuple[int, ...]:
 # -- SAT -------------------------------------------------------------------
 
 
-def _clause_masks(formula: CnfFormula) -> list[tuple[int, int]]:
-    masks = []
-    for clause in formula.clauses:
-        pos = neg = 0
-        for lit in clause:
-            bit = 1 << (formula.num_vars - abs(lit))
-            if lit > 0:
-                pos |= bit
-            else:
-                neg |= bit
-        masks.append((pos, neg))
-    return masks
+@functools.cache
+def _truth_tables(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(true, false): bit a of true[b] is bit b of a, for a < 2^width, and false[b] is its complement.
+
+    Built from repeated bytes (a period of bit b is 2^b zeros, then 2^b ones)
+    and kept: at most _SAT_CHUNK_BITS + 1 widths, 12 KiB at the widest.
+    """
+    size, full = 1 << width, (1 << (1 << width)) - 1
+    blocks = [bytes([(0xAA, 0xCC, 0xF0)[b]]) if b < 3 else bytes(1 << b >> 3) + b"\xff" * (1 << b >> 3)
+              for b in range(width)]
+    true = tuple(int.from_bytes(block * max(1, size // (8 * len(block))), "little") & full for block in blocks)
+    return true, tuple(full ^ table for table in true)
 
 
 def _sat_models(formula: CnfFormula):
-    """Satisfying assignments in ascending order, one numpy array per chunk.
+    """(first assignment, models) per chunk of 2^_SAT_CHUNK_BITS assignments, ascending.
 
-    Chunks of 2^_SAT_CHUNK_BITS consecutive assignments are filtered clause
-    by clause: an assignment falsifies a clause exactly when it clears the
-    clause's positive bits and sets its negative ones.
+    Bit a of models is set when assignment first + a satisfies the formula:
+    each literal has a truth table over the chunk, constant for the high
+    variables, and models is the AND over clauses of the OR of their
+    literals' tables.
     """
     n = formula.num_vars
-    masks = [(pos | neg, neg) for pos, neg in _clause_masks(formula)]
-    step = 1 << min(n, _SAT_CHUNK_BITS)
-    for base in range(0, 1 << n, step):
-        models = np.arange(base, base + step, dtype=np.int64)
-        for both, neg in masks:
-            if not models.size:
+    lo = min(n, _SAT_CHUNK_BITS)
+    full = (1 << (1 << lo)) - 1
+    true, false = _truth_tables(lo)
+    for h in range(1 << (n - lo)):
+        high = [full if h >> bit & 1 else 0 for bit in range(n - lo - 1, -1, -1)]
+        # tables[lit] for literals -n..n: variable 1 is the most significant bit
+        tables = [0, *high, *true[::-1], *false, *(full ^ t for t in high[::-1])]
+        models = full
+        for clause in formula.clauses:
+            satisfied = 0
+            for lit in clause:
+                satisfied |= tables[lit]
+            models &= satisfied
+            if not models:
                 break
-            models = models[(models & both) != neg]
-        yield models
+        yield h << lo, models
 
 
 def solve_sat_bruteforce(formula: CnfFormula) -> Verdict:
     """2^n scan that stops at the lexicographically smallest model (F < T), the witness."""
     n = formula.num_vars
     _check_cap("sat_vars", n, "variables")
-    for models in _sat_models(formula):
-        if models.size:
-            found = int(models[0])
+    for first, models in _sat_models(formula):
+        if models:
+            found = first + (models & -models).bit_length() - 1
             witness = tuple(Fraction(b) for b in _bits_msb(found, n))
             stats = VerdictStats(latents_enumerated=found + 1)
             return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
@@ -185,7 +194,7 @@ def solve_sat_bruteforce(formula: CnfFormula) -> Verdict:
 def count_sat_assignments(formula: CnfFormula) -> tuple[int, int]:
     """(satisfying assignments, states scanned); full scan, used by the bench."""
     _check_cap("sat_vars", formula.num_vars, "variables")
-    return sum(models.size for models in _sat_models(formula)), 1 << formula.num_vars
+    return sum(models.bit_count() for _, models in _sat_models(formula)), 1 << formula.num_vars
 
 
 # -- (0,1)-CVP ---------------------------------------------------------------
@@ -425,24 +434,28 @@ def _first_min(dists, lo: int):
     return best_val, best_index
 
 
-def _unit_groups(cols, hi: int, room: int):
+def _unit_groups(cols, hi: int, room: int, vector: int):
     """Layer-0 units as (tabulated groups, per-chunk units, high-only or constant units).
 
     cols holds one row per latent bit, msb first, the `hi` high bits first.
     A unit with low weights belongs to the group of its high support S.
     Groups with |S| < hi are tabulated, as (S, units), in increasing |S|
-    while their 2^|S| vectors fit in `room` vectors; the rest go per chunk.
+    while all that is held fits in `room` columns of 2^lo entries: the
+    `vector` columns of each of a group's 2^|S| settings, and the larger of
+    its own subset-sum table (a buffer too if S is not empty) and the table
+    and buffer of the units still left per chunk. The rest go per chunk.
     """
     if not hi:  # one chunk shares nothing: every unit is evaluated in it
         return [], slice(None), np.empty(0, dtype=np.intp)
     low = (cols[hi:] != 0).any(axis=0)
     units = np.flatnonzero(low)
     keys = (cols[:hi, units] != 0).T @ (1 << np.arange(hi - 1, -1, -1))  # S as a bit mask
-    tabulated, per_chunk = [], [units[:0]]
+    tabulated, per_chunk, left = [], [units[:0]], len(units)
     for key in sorted(set(keys.tolist()), key=lambda key: (key.bit_count(), key)):
         group, settings = units[keys == key], 1 << key.bit_count()
-        if settings < 1 << hi and settings <= room:
-            room -= settings
+        size = settings * vector
+        if settings < 1 << hi and size + max(2 * (left - len(group)), len(group) << (key > 0)) <= room:
+            room, left = room - size, left - len(group)
             tabulated.append((tuple(np.flatnonzero(cols[:hi, group[0]])), group))
         else:
             per_chunk.append(group)
@@ -489,8 +502,10 @@ def _scan(layers, target, p, n, dtype):
     Memory: lo is the largest value with 2^lo rows of twice the widest
     layer within the dtype's chunk (_low_bits), so a subset-sum table and
     its buffer, held together, fit in one chunk between them (one row each
-    if a row alone is wider), whatever n is. The tabulated vectors fit in
-    what that leaves of the chunk's element count.
+    if a row alone is wider), whatever n is. Tabulating a group takes its
+    units out of the per-chunk table, and _unit_groups tabulates it only if
+    the vectors, with the larger of its own table and that of the units left
+    per chunk, fit in the chunk: the tables and vectors held never exceed it.
 
     Order: see _first_min.
     """
@@ -504,8 +519,8 @@ def _scan(layers, target, p, n, dtype):
     lo = _low_bits(n, width, dtype)
     hi = n - lo
     share_shape = (1 << lo,) + np_rest[0][1].shape if np_rest else (1 << lo,)
-    room = (_chunk_elements(dtype) - (2 * width << lo)) // math.prod(share_shape)
-    tabulated, per_chunk, high = _unit_groups(cols, hi, room)
+    vector = len(np_rest[0][1]) if np_rest else 1  # columns of 2^lo entries per setting
+    tabulated, per_chunk, high = _unit_groups(cols, hi, _chunk_elements(dtype) >> lo, vector)
 
     def share(acts, units):
         """The next stage's share of these layer-0 units' activations."""

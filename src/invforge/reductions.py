@@ -173,8 +173,8 @@ def _pair_rows(n: int, scales, beta: Fraction, picked: Fraction):
 
     Each vertex pair i < j gets one row 2s(z_i + z_j) - s per scale s in
     scales(i, j): |.| is 3s when both of the pair are picked and s
-    otherwise. A scale of 0 gives an all-zero row with bias 0. The size row
-    beta * (sum z - picked) is 0 exactly when `picked` latents are set.
+    otherwise. The size row beta * (sum z - picked) is 0 exactly when
+    `picked` latents are set.
     """
     rows: list[list[Fraction]] = []
     bias: list[Fraction] = []
@@ -520,8 +520,7 @@ def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:
     contributes exactly alpha**p = 1, an uncovered edge 3**p, and the size
     row charges beta unless exactly n - q vertices are picked; the
     threshold is the edge count, reached exactly by cover complements.
-    Edge weights are ignored. Non-adjacent pairs keep an all-zero row so
-    the stacked width is 2*(C(n,2)+1) regardless of the graph.
+    Edge weights are ignored, and non-adjacent pairs get no row.
     """
     if p < 2 or p % 2 != 0:
         raise UnsupportedReduction("the vertex-cover route requires a positive even p")
@@ -535,7 +534,7 @@ def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:
 
     rows, bias = _pair_rows(
         n,
-        lambda i, j: [alpha] if (i, j) in edge_set else [_ZERO],
+        lambda i, j: [alpha] if (i, j) in edge_set else [],
         beta,
         Fraction(n - query.size),
     )

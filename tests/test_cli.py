@@ -274,7 +274,7 @@ GRAPH1_TEXT = "graph 4\n1 2 1/1\n"
         ("halfclique", "real", GRAPH4_TEXT, ["--bound", "5"],
          "15eb8535d655148a102dcf1bd9a58e6240a2a7b18469d8f66ccf8bd1dc9713e8"),
         ("vertexcover", "binary", GRAPH4_TEXT, ["--size", "2"],
-         "7f05badeeed687ac50a694ab43457a9711add88c7a37147a266222691f474cd9"),
+         "2d12fdd1510930dd3dfe29d1d677fa9cc07752c57cd4139dc05546673af6e701"),
         ("vertexcover", "real", GRAPH4_TEXT, ["--size", "2"], None),
         # alpha_pow = 6 + 1 + 1 = 8 = 2 * 2^2: each non-edge takes two row copies
         ("halfclique", "binary", GRAPH1_TEXT, ["--bound", "6"],
@@ -286,7 +286,7 @@ GRAPH1_TEXT = "graph 4\n1 2 1/1\n"
         ("halfclique", "real", GRAPH4_TEXT, ["--bound", "5", "--p", "4"],
          "d5236b5b1f9a84f8b411124e800b1441697c83308480b96a3b7a1194cf18be11"),
         ("vertexcover", "binary", GRAPH4_TEXT, ["--size", "2", "--p", "4"],
-         "0105886df870fd574588fbcaa0577fb347e133f1c3f0e3eb5600d1a1083ecb98"),
+         "1f4269d9c1aa899c07eb520471ae3f81ad1d5e642c4397672f595cb87a2c9971"),
     ],
 )
 def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha256):

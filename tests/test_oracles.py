@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +46,12 @@ from invforge.reductions import (
     DOMAIN_REAL,
     InversionQuery,
     LatentDomain,
+    _pair_rows,
+    _stacked_query,
     backward_witness,
+    beta_root,
     choose_alpha_halfclique,
+    choose_alpha_vc,
     cvp_to_approx_binary,
     halfclique_to_approx,
     sat_to_exact_binary,
@@ -285,6 +290,40 @@ def test_sat_chunks_match_loop_reference(monkeypatch):
     assert outcomes == {True, False}
 
 
+def test_sat_edge_cases_match_loop_reference(monkeypatch):
+    """Truth tables narrower than a byte (n = 1-3) against a plain loop, at every chunk split.
+
+    The formulas have no clauses, unit clauses, repeated literals and
+    tautological clauses (x or not x), alone and mixed at random. CnfFormula
+    refuses a repeated variable, so each formula is a bare record of
+    num_vars and clauses, which is all the oracle reads.
+    """
+    rng = random.Random(23)
+    cases = []
+    for n in (1, 2, 3):
+        lits = [v for v in range(-n, n + 1) if v]
+        cases.append((n, ()))
+        cases += [(n, ((a,), (b,))) for a in lits for b in lits]  # units, x and not x among them
+        cases += [(n, ((a, a), (b, -b, a))) for a in lits for b in range(1, n + 1)]
+        cases += [(n, tuple(tuple(rng.choices(lits, k=rng.randint(1, 4))) for _ in range(rng.randint(1, 5))))
+                  for _ in range(40)]
+    outcomes = set()
+    for chunk_bits in (oracles._SAT_CHUNK_BITS, 2, 1, 0):
+        monkeypatch.setattr(oracles, "_SAT_CHUNK_BITS", chunk_bits)
+        for n, clauses in cases:
+            formula = types.SimpleNamespace(num_vars=n, clauses=clauses)
+            models = _naive_sat_models(formula)
+            outcomes.add(bool(models))
+            assert count_sat_assignments(formula) == (len(models), 1 << n)
+            verdict = solve_sat_bruteforce(formula)
+            if models:
+                assert verdict.witness == _msb_bits(models[0], n)
+                assert verdict.stats.latents_enumerated == models[0] + 1
+            else:
+                assert not verdict.is_yes and verdict.stats.latents_enumerated == 1 << n
+    assert outcomes == {True, False}
+
+
 def _naive_subset(n, size, accept):
     """(witness, subsets checked): ascending indicators with `size` ones until one is accepted."""
     checked = 0
@@ -472,8 +511,8 @@ def _spy_groups(monkeypatch):
     plans = []
     unit_groups = oracles._unit_groups
 
-    def spy(cols, hi, room):
-        plans.append((hi, unit_groups(cols, hi, room)))
+    def spy(cols, hi, room, vector):
+        plans.append((hi, unit_groups(cols, hi, room, vector)))
         return plans[-1][1]
 
     monkeypatch.setattr(oracles, "_unit_groups", spy)
@@ -898,7 +937,7 @@ def test_integerized_matches_reference_on_fractional_targets():
 
 def test_invert_binary_scan_memory_is_bounded():
     """A 16-bit query on a 242-unit layer: chunk arrays stay small whatever the width."""
-    g = gen_random_graph(16, 0.5, seed=3)
+    g = gen_random_graph(16, 1.0, seed=3)  # complete: 120 edges
     query = vertexcover_to_approx(VertexCoverQuery(g, 11), 2).query
     assert query.domain.dim == 16
     assert query.network.layers[0].fan_out >= 240
@@ -911,20 +950,85 @@ def test_invert_binary_scan_memory_is_bounded():
     assert peak < 64 * 10**6
 
 
-def test_invert_binary_sat_scan_memory_is_bounded(monkeypatch):
-    """n = 16 3-SAT at clause density 4.26 with the chunk cut 64-fold: 9 high bits, 7 low.
+def test_scan_tabulates_a_layer_whose_table_fills_the_chunk(monkeypatch):
+    """63 edges on 16 vertices: a 128-unit cover layer, 2 * 128 * 2^13 entries, the whole float32 chunk.
 
-    The float32 scan's subset-sum table and buffer fit in 2^lo rows of twice
-    the layer width, and the tabulated vectors in what the chunk's element
-    count leaves, so 3 chunks of float32 bound the peak with room for the
-    per-chunk temporaries. At 3/4 of that chunk not every group's vectors
-    fit, and the rest are evaluated per chunk. Either way the result must be
-    the minimum number of violated clauses and its first assignment
-    (variable 1 most significant, False < True), counted here clause by
-    clause.
+    No room is left beside a per-chunk table of every unit, yet tabulating a
+    group takes its units out of that table. So the groups are tabulated,
+    and the peak is one group's table and the vectors, not the 8 MiB table
+    of every unit and its buffer.
+    """
+    rng = random.Random(0)
+    pairs = list(itertools.combinations(range(1, 17), 2))
+    g = graph(16, [(i, j, 1) for i, j in sorted(rng.sample(pairs, 63))])
+    plans = _spy_groups(monkeypatch)
+    for size in (10, 11):
+        vq = VertexCoverQuery(g, size)
+        query = vertexcover_to_approx(vq, 2).query
+        width = query.network.width
+        assert (width, oracles._low_bits(16, width, np.float32)) == (128, 13)
+        assert 2 * width << 13 == oracles._CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            verdict = invert_binary_bruteforce(query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # half the float32 chunk
+        assert verdict.is_yes == solve_vertexcover_bruteforce(vq).is_yes == (size == 11)
+        hi, (tabulated, per_chunk, _) = plans[-1]
+        # every group but the size row's, whose support is all hi = 3 high bits
+        assert (hi, len(tabulated), len(per_chunk)) == (3, 4, 2)
+
+
+def _vertexcover_with_zero_rows(vq, p):
+    """The cover query as once compiled: every non-adjacent pair kept an all-zero +/- row pair."""
+    n = vq.graph.num_vertices
+    edges = {(i, j) for i, j, _ in vq.graph.edges}
+    alpha = choose_alpha_vc()
+    theta = len(edges) * alpha**p
+    beta = Fraction(beta_root(theta, p))
+    rows, bias = _pair_rows(n, lambda i, j: [alpha if (i, j) in edges else Fraction(0)], beta, Fraction(n - vq.size))
+    return _stacked_query(rows, bias, p, theta, {})
+
+
+def test_vertexcover_without_zero_rows_keeps_every_answer(monkeypatch):
+    """Against the zero-row construction: the same decision, witness and minimum distance.
+
+    Over random graphs with n <= 8 at edge probability 0, 1/2 and 1, every
+    cover size and p = 2 and 4. The compiled layer has no all-zero row with
+    bias 0, and 2(|E| + 1) rows.
+    """
+    scans = _spy_scans(monkeypatch)
+    for n, prob, p in itertools.product(range(1, 9), (0, 0.5, 1), (2, 4)):
+        g = gen_random_graph(n, prob, seed=n)
+        for size in range(n + 1):
+            vq = VertexCoverQuery(g, size)
+            query = vertexcover_to_approx(vq, p).query
+            reference = _vertexcover_with_zero_rows(vq, p)
+            assert query.threshold_pow == reference.threshold_pow
+            verdicts = [invert_binary_bruteforce(q).to_dict() for q in (query, reference)]
+            assert verdicts[0] == verdicts[1]
+            assert scans[-2][1] == scans[-1][1]  # (minimum, first minimizer) at scale 1
+            stacked = query.network.layers[0]
+            assert query.network.width == 2 * (len(g.edges) + 1)
+            assert not any(b == 0 and not any(row) for row, b in zip(stacked.weights, stacked.bias))
+
+
+def test_invert_binary_sat_scan_memory_is_bounded(monkeypatch):
+    """n = 16 4-SAT with 68 clauses and the chunk cut 64-fold: 9 high bits, 7 low.
+
+    The float32 scan's tables and tabulated vectors fit in the chunk's
+    element count together, so 3 chunks of float32 bound the peak with room
+    for the per-chunk temporaries. At 3/4 of that chunk not every group's
+    vectors fit, and the rest are evaluated per chunk. (A 3-SAT formula's
+    groups have at most 4 settings, and the table rows they spare pay for
+    them at every cut.) Either way the result must be the minimum number of
+    violated clauses and its first assignment (variable 1 most significant,
+    False < True), counted here clause by clause.
     """
     n = 16
-    formula = gen_random_ksat(n, 68, 3, seed=11)
+    formula = gen_random_ksat(n, 68, 4, seed=12)
     query = sat_to_exact_binary(formula).query
     index = np.arange(1 << n)
     violated = np.zeros(1 << n, dtype=np.int64)
@@ -951,7 +1055,7 @@ def test_invert_binary_sat_scan_memory_is_bounded(monkeypatch):
     hi, (tabulated, per_chunk, _) = plans[-1]
     low_clauses = [c for c in formula.clauses if any(abs(lit) > hi for lit in c)]
     supports = {frozenset(abs(lit) - 1 for lit in c if abs(lit) <= hi) for c in low_clauses}
-    assert (hi, max(map(len, supports))) == (9, 2)  # every group has |S| < hi
+    assert (hi, max(map(len, supports))) == (9, 3)  # every group has |S| < hi
     assert len(plans[0][1][0]) == len(supports)
     assert 0 < len(tabulated) < len(supports) and len(per_chunk) > 0
 

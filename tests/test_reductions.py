@@ -386,10 +386,11 @@ def test_vertexcover_path_example():
 def test_vertexcover_size_row_bias():
     g = graph(3, [(1, 2, 1), (2, 3, 1)])
     art = vertexcover_to_approx(VertexCoverQuery(g, 1), 2)
+    beta = art.constants["beta"]
     stacked = art.query.network.layers[0]
-    inner_count = len(stacked.weights) // 2
-    assert stacked.bias[inner_count - 1] == -2 * art.constants["beta"]  # n - q = 2
-    assert art.query.network.width == 2 * (3 + 1)  # 2 * (C(3,2) + 1)
+    size_rows = [b for row, b in zip(stacked.weights, stacked.bias) if row == (beta,) * 3]
+    assert size_rows == [-2 * beta]  # n - q = 2
+    assert art.query.network.width == 2 * (2 + 1)  # 2 * (|E| + 1)
 
 
 def test_vertexcover_triangle_no():
