@@ -445,6 +445,8 @@ def run_verify(
         raise ValueError(f"unknown verify family {family!r}")
     fam = FAMILIES[family]
     p = fam.default_p if p is None else check_p(p)
+    if exhaustive and fam.exhaustive is None:
+        raise ValueError(f"verify --exhaustive: family {family} has no exhaustive cases")
     report = VerifyReport(family=family, trials=0, agreements=0)
 
     def trial(label, source, must_be_yes: bool = False):
@@ -456,7 +458,7 @@ def run_verify(
         else:
             report.disagreements.append({"seed": label, **detail})
 
-    if exhaustive and fam.exhaustive is not None:
+    if exhaustive:
         for label, source in fam.exhaustive(n_max):
             trial(label, source)
     else:

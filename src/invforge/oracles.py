@@ -28,9 +28,8 @@ YES. It checks the seeds whose float distance is near the threshold
 before it descends (a corner of the latent cube as its exact point), and
 descends only when none of them is a witness: with 2^N <= restarts and
 corner levels {0, clamp_hi}, every YES of a gadget query is found at a
-seed. After the descent, a proved float lower bound on each candidate's
-exact distance skips the exact checks that cannot pass; it only skips,
-never decides.
+seed. After the descent, the shortlist's candidates are decided exactly
+in one integer batch (relunet.distance_pows).
 
 The pattern enumeration branches on one ReLU unit at a time, in the order
 of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
@@ -62,7 +61,7 @@ import numpy as np
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
 from .lp import GE, LE, EQ, LinearConstraint, LinearProgram, lp_feasible, lp_minimize
 from .ratio import format_ratio, scaled_int
-from .relunet import dense_columns, distance_pow, distance_pow_lower_bounds, float_layers, forward, integer_point
+from .relunet import dense_columns, distance_pow, distance_pows, float_layers, forward, integer_point
 from .reductions import DOMAIN_01, DOMAIN_REAL, InversionQuery
 
 YES, NO = "YES", "NO"
@@ -744,12 +743,11 @@ def falsify_real(
     Fraction(x).limit_denominator(d) for every d in _LADDER, all rungs from
     one continued-fraction pass (_ladder). After the descent, every ladder
     candidate of the shortlist is built at once, in shortlist and ladder
-    order, each distinct point once and none already checked. One numpy
-    batch (relunet.distance_pow_lower_bounds) gives each a proved lower
-    bound on its exact distance, and a candidate is skipped when that bound
-    exceeds the next float above float(threshold): its exact check cannot
-    pass. The rest are checked exactly in order, so the decision and the
-    witness are those of checking every candidate.
+    order, each distinct point once and none already checked. One exact
+    integer batch (relunet.distance_pows) gives each its distance, and the
+    first within the threshold, re-verified by the exact forward pass, is
+    the witness: the decision and the witness are those of checking every
+    candidate in order.
 
     A NO answer is explicitly non-certifying. With 2^N <= restarts and
     corner levels {0, clamp_hi}, every YES of a gadget query is found at a
@@ -845,8 +843,6 @@ def falsify_real(
     for z in checked:
         fresh.pop(z, None)
     candidates = list(fresh)
-    bounds = distance_pow_lower_bounds(query.network, candidates, query.target, p)
-    # float(theta) is correctly rounded, so theta <= its next float; a candidate
-    # whose lower bound exceeds that cannot pass its exact check
-    z = first_hit(itertools.compress(candidates, ~(bounds > np.nextafter(theta, np.inf))))
+    exact = distance_pows(query.network, candidates, query.target, p)
+    z = first_hit(z for z, value in zip(candidates, exact) if value <= query.threshold_pow)
     return Verdict(NO if z is None else YES, z, CERT_FALSIFIER, stats)

@@ -691,8 +691,6 @@ def _jsonify(value):
         return format_ratio(value)
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
     return value
 
 
@@ -726,7 +724,7 @@ def _constants_from_json(doc):
 def artifact_from_json(text: str | bytes) -> ReductionArtifact:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting raises RecursionError
         raise ValueError(f"malformed artifact document: {exc}") from exc
     try:
         net = network_from_dict(doc["network"])

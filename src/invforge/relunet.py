@@ -5,9 +5,10 @@ A network is a stack of layers, each applying ``ReLU(W v + b)`` elementwise
 arbitrary-precision rationals (`fractions.Fraction`). Exact evaluation runs in
 integers on one view per network (`ReluNetwork.integer`), layer l over
 L_l = lcm(s_l L_(l-1), t_l): for inputs X / D, `preactivations` forms its
-pre-activations as integers over L_l D. `forward` returns Fractions;
-`float_layers` rounds the same view to float64 for `forward_float`, a path for
-search heuristics, and `distance_pow_lower_bounds`, a batch with a proved error enclosure.
+pre-activations as integers over L_l D. `forward` returns Fractions, and
+`distance_pows` gives many points' exact distances to a target in one batch.
+`float_layers` rounds the same view to float64 for the falsifier's search and
+for `forward_float`; no float value decides anything.
 
 File format ("relunet-1"): a UTF-8 JSON document with fields
 
@@ -17,7 +18,8 @@ File format ("relunet-1"): a UTF-8 JSON document with fields
                every entry a "num/den" string
     metadata   free-form object
 
-Round-tripping through serialize/deserialize is bit-exact.
+`serialize` and `deserialize` are the network codec for this format, and
+round-tripping through them is bit-exact (acceptance criterion 09).
 """
 
 from __future__ import annotations
@@ -198,118 +200,6 @@ def float_layers(net: ReluNetwork) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-_U = 2.0**-53  # unit roundoff of float64, round to nearest
-_ETA = 2.0**-1074  # the smallest subnormal: bounds the error of any underflowing rounding
-
-
-def _up(v):
-    return np.nextafter(v, np.inf)
-
-
-def _down(v):
-    return np.nextafter(v, -np.inf)
-
-
-def _conversion_error(v: np.ndarray) -> np.ndarray:
-    """An upper bound on |q - v| for every rational q that rounds to v: 2u|v| + eta."""
-    return _up(_up(np.abs(v) * (2 * _U)) + _ETA)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is caught: such a point gets bound 0
-def distance_pow_lower_bounds(
-    net: ReluNetwork, points: Sequence[Sequence], target: Sequence, p: int
-) -> np.ndarray:
-    """Proved lower bounds on distance_pow(forward(net, z), target, p).value, one per point.
-
-    Each point runs in float64 as a center with a radius that encloses the
-    exact value: x~ = float(z) and |z - x~| <= rho, entrywise. Write u = 2^-53
-    for the unit roundoff, eta = 2^-1074 for the smallest subnormal, and
-    gamma_m = m u / (1 - m u) <= 2 m u.
-
-    Rounding. Every float used here is nearest-rounded: float(Fraction) and
-    the weights and biases of float_layers (int / int) are correctly
-    rounded, and so is every numpy add, multiply or subtract. A correctly
-    rounded v of a rational q has |q - v| <= u|q| <= 2u|v| in the normal
-    range and <= eta / 2 below it (the conversion term 2u|v| + eta), and q
-    lies between nextafter(v, -inf) and nextafter(v, inf).
-
-    Lemma (nonnegative expressions). If an expression in nonnegative floats
-    uses + and * only, every leaf passes through at most m roundings and it
-    has at most N products, then its computed value c satisfies
-    c >= (1 - u)^m e - N eta for its exact value e, in any evaluation order,
-    blocking or FMA: each rounding is v (1 + delta) + epsilon with
-    |delta| <= u, where epsilon = 0 except at a product that underflows
-    (|epsilon| <= eta / 2, carried by at most m later factors <= 1 + u).
-    So e <= (c + N eta)(1 + gamma_m) <= (c + N eta)(1 + 2 m u), evaluated
-    upward with nextafter after each of its two roundings.
-
-    Layer step. Exact y = W x + b on exact x with |x - x~| <= rho, and the
-    computed center c = fl(W~ x~ + b~), a sum of k + 1 terms for fan-in k.
-    Then y - c = (W - W~) x + W~ (x - x~) + (b - b~) + (W~ x~ + b~ - c), and
-    with M = |W~| (|x~| + rho) + |b~| the four terms are at most:
-      - weights: (2u|W~| + eta)(|x~| + rho) = 2u |W~|(|x~| + rho) + eta S,
-        where S = sum_j (|x~_j| + rho_j);
-      - inputs: |W~| rho;
-      - biases: 2u|b~| + eta;
-      - the matmul's own rounding (Higham 2002, Accuracy and Stability of
-        Numerical Algorithms, section 3.1, with underflow): at most
-        gamma_(k+1) (|W~||x~| + |b~|) + (k + 1) eta, for any summation
-        order, BLAS blocking or FMA.
-    Their sum is at most |W~| rho + g M + eta (S + k + 2), where
-    g = 2(k + 2) u >= 2u + gamma_(k+1). As computed, every leaf of that
-    expression passes through at most k + 4 roundings and it has at most
-    2k + 2 products, so the lemma with m = k + 5 bounds it: the radius
-    rho' of y about c. |x~| + rho is itself rounded upward first.
-    ReLU is 1-Lipschitz, so |ReLU(y) - ReLU(c)| <= rho': the next layer
-    gets center max(c, 0) and the same radius.
-
-    Distance. With the output center x~, radius rho and t~ = float(target),
-    |F_i - t_i| >= |x~_i - t~_i| - rho_i - (2u|t~_i| + eta) =: l_i. The
-    computed l_i rounds |x~ - t~| and the difference downward and the
-    subtrahend upward, and is clipped at 0, so it is at most the exact
-    |F_i - t_i|. Powers and the sum over outputs are formed one rounding
-    at a time, each rounded downward with nextafter; every operand is a
-    lower bound on a nonnegative quantity, so the result is at most
-    sum_i |F_i - t_i|^p.
-
-    Overflow. The lemma and the layer step assume no overflow. A point
-    whose center or radius is not finite at any layer gets the trivial
-    bound 0, as does the whole batch if a point or the target does not fit
-    in a float.
-    """
-    try:
-        x = np.array([[float(v) for v in z] for z in points], dtype=np.float64)
-        t = np.array([float(v) for v in target], dtype=np.float64)
-        layers = float_layers(net)
-    except OverflowError:
-        return np.zeros(len(points))
-    x = x.reshape(len(points), net.input_dim)
-    radius = _conversion_error(x)
-    finite = np.ones(len(points), dtype=bool)
-    for w, b in layers:
-        k = w.shape[0]
-        magnitudes = np.abs(w)
-        center = x @ w + b
-        reach = _up(np.abs(x) + radius)
-        spread = (
-            radius @ magnitudes
-            + (2 * (k + 2) * _U) * (reach @ magnitudes + np.abs(b))
-            + _ETA * (reach.sum(axis=1, keepdims=True) + (k + 2))
-        )
-        radius = _up(_up(spread + (2 * k + 2) * _ETA) * (1.0 + 2 * (k + 5) * _U))  # the lemma
-        finite &= np.isfinite(center).all(axis=1) & np.isfinite(radius).all(axis=1)
-        x = np.maximum(center, 0.0)
-    slack = _up(radius + _conversion_error(t))
-    gap = np.maximum(_down(_down(np.abs(x - t)) - slack), 0.0)
-    term = gap
-    for _ in range(p - 1):
-        term = _down(term * gap)
-    total = np.zeros(len(points))
-    for column in term.T:
-        total = _down(total + column)
-    return np.where(finite, np.maximum(total, 0.0), 0.0)
-
-
 def forward_float(net: ReluNetwork, z: Sequence[float]) -> np.ndarray:
     """Same computation as `forward` in hardware floating point."""
     if len(z) != net.input_dim:
@@ -343,6 +233,32 @@ def distance_pow(y: Sequence, x: Sequence, p: int) -> DistancePow:
     return DistancePow(Fraction(total, scale**p), p)
 
 
+def distance_pows(net: ReluNetwork, points: Sequence[Sequence], target: Sequence, p: int) -> list[Fraction]:
+    """distance_pow(forward(net, z), target, p).value for every point z, exactly, in one batch.
+
+    Point z is X / D over its own D. Each unit is one object column of Python
+    ints across the points, layer l's pre-activations over L_l D, formed from
+    each row's nonzero weights in net.integer only; nothing is rounded.
+    """
+    check_p(p)
+    if len(target) != net.output_dim:
+        raise ValueError(f"length mismatch: {net.output_dim} vs {len(target)}")
+    if any(len(z) != net.input_dim for z in points):
+        raise ValueError(f"every point needs input_dim {net.input_dim} entries")
+    if not points:
+        return []
+    xs, ds = zip(*(integer_point(z) for z in points))
+    d = np.array(ds, dtype=object)
+    current = [np.array(column, dtype=object) for column in zip(*xs)]
+    for rows, bias, _ in net.integer:
+        pre = [sum((w * current[j] for j, w in row), b * d) for row, b in zip(rows, bias)]
+        current = [np.maximum(v, 0) for v in pre]
+    t, t_scale = integer_point(target)
+    scale = net.integer[-1][2] * d  # outputs are current / scale
+    total = sum(abs(v * t_scale - ti * scale) ** p for v, ti in zip(current, t))
+    return [Fraction(num, den) for num, den in zip(total, (scale * t_scale) ** p)]
+
+
 def serialize(net: ReluNetwork) -> str:
     return json.dumps(network_to_dict(net), sort_keys=True)
 
@@ -367,7 +283,7 @@ def network_to_dict(net: ReluNetwork) -> dict:
 def deserialize(text: str | bytes) -> ReluNetwork:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting raises RecursionError
         raise ValueError(f"malformed network document: {exc}") from exc
     return network_from_dict(doc)
 

@@ -22,8 +22,9 @@ from invforge.reductions import (
     ReductionArtifact,
     artifact_from_json,
     artifact_to_json,
+    forward_witness,
 )
-from invforge.relunet import ReluNetwork, layer
+from invforge.relunet import ReluNetwork, distance_pow, forward, layer
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 2 0\n"
 UNSAT_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
@@ -250,6 +251,33 @@ def test_bench_states_monotone():
     assert states == [2, 4, 8]  # 2^n: one latent per coefficient
 
 
+def test_bench_halfclique_skips_odd_n(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "halfclique", "--n-from", "3", "--n-to", "6",
+                 "--trials", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[1], r[4]) for r in rows] == [("halfclique", "4", "16"), ("halfclique", "6", "64")]
+
+
+@pytest.mark.parametrize("latent, oracle", [("binary", "brute"), ("real", "pattern")])
+def test_formula_without_clauses_inverts_to_yes(tmp_path, capsys, latent, oracle):
+    # no clause leaves the clause layer one dead row, which is 0 for every latent
+    cnf, art = tmp_path / "f.cnf", tmp_path / "art.json"
+    cnf.write_text("p cnf 3 0\n")
+    assert run_cli("reduce", "--from", "sat", "--latent", latent, "--in", str(cnf), "--out", str(art)) == 0
+    capsys.readouterr()
+    assert run_cli("invert", "--query", str(art), "--oracle", oracle) == 0
+    assert json.loads(capsys.readouterr().out)["decision"] == "YES"
+
+
+@pytest.mark.parametrize("family", [name for name, fam in FAMILIES.items() if fam.exhaustive is None])
+def test_verify_exhaustive_without_cases_is_usage_error(capsys, family):
+    assert main(["verify", "--family", family, "--n-max", "2", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and f"family {family} has no exhaustive cases" in captured.err
+
+
 def test_unknown_flag_is_usage_error():
     assert main(["invert", "--nope"]) == 2
 
@@ -299,6 +327,62 @@ def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha2
     else:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "source, text, flags, message",
+    [
+        ("sat", "c only a comment\n", [], "missing 'p cnf' header"),
+        ("sat", "p cnf 2\n", [], "malformed header"),
+        ("sat", "p cnf x 1\n1 0\n", [], "malformed header counts"),
+        ("sat", "p cnf 0 0\n", [], "declares no variables"),
+        ("sat", "p cnf 1 1\n1 a 0\n", [], "bad literal token"),
+        ("sat", "p cnf 1 1\n0\n", [], "empty clause"),
+        ("sat", "p cnf 1 1\n1\n", [], "unterminated clause"),
+        ("sat", "p cnf 1 2\n1 0\n", [], "declares 2 clauses, found 1"),
+        ("sat", "p cnf 2 2\n1 0\n1 2 0\n", [], "mixed clause widths"),
+        ("sat", "p cnf 2 1\n1 1 0\n", [], "repeats a variable"),
+        ("halfclique", "# no header\n", ["--bound", "1"], "empty graph document"),
+        ("halfclique", "graph\n", ["--bound", "1"], "malformed graph header"),
+        ("halfclique", "graph four\n", ["--bound", "1"], "bad vertex count"),
+        ("halfclique", "graph 2\n1 2\n", ["--bound", "1"], "malformed edge line"),
+        ("halfclique", "graph 2\n1 b 1\n", ["--bound", "1"], "malformed edge line"),
+        ("halfclique", "graph 2\n1 1 1\n", ["--bound", "1"], "self-loop"),
+        ("cvp", "", [], "empty cvp document"),
+        ("cvp", "cvp 1 1\n", [], "malformed cvp header"),
+        ("cvp", "cvp 1 one 1\n1\n2\n1/2\n", [], "bad cvp header numbers"),
+        ("cvp", "cvp 1 1 1\n1\n", [], "expected 4 or 5"),
+        ("cvp", "cvp 1 2 1\n1\n2\n1/2\n", [], "expected 2 rationals"),
+        ("cvp", "cvp 1 1 1\n1\n2\n-1\n", [], "radius must be nonnegative"),
+    ],
+)
+@pytest.mark.parametrize("latent", ["binary", "real"])
+def test_malformed_instance_is_one_line_usage_error(tmp_path, capsys, source, text, flags, message, latent):
+    src = tmp_path / "instance.txt"
+    src.write_text(text)
+    out = tmp_path / "art.json"
+    err = _assert_fast_usage_error(capsys, "reduce", "--from", source, "--latent", latent,
+                                   "--in", str(src), "--out", str(out), *flags)
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "malformed artifact document"),
+        ("not json", "malformed artifact document"),
+        ('{"network": ', "malformed artifact document"),
+        ("[" * 100000, "malformed artifact document"),  # nesting past the recursion limit
+        ("[1, 2]", "malformed artifact document"),
+    ],
+    ids=["empty", "text", "truncated", "deep", "list"],
+)
+def test_non_json_artifact_is_one_line_usage_error(tmp_path, capsys, text, message):
+    art = tmp_path / "art.json"
+    art.write_text(text)
+    err = _assert_fast_usage_error(capsys, "invert", "--query", str(art), "--oracle", "brute")
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -463,6 +547,24 @@ def test_verify_reports_injected_faults(monkeypatch, family):
     assert report.agreements == 0
     assert len(report.disagreements) == report.trials >= 6
     assert all(d["constants"] == "invalid" for d in report.disagreements)
+
+    # A forward map that shifts every latent by 1000: each source witness it
+    # sends beyond the threshold must be reported, and nothing else.
+    monkeypatch.undo()
+    misses = []
+
+    def shifted_latent(artifact, witness):
+        latent = tuple(v + 1000 for v in forward_witness(artifact, witness))
+        query = artifact.query
+        dist = distance_pow(forward(query.network, latent), query.target, query.p)
+        misses.append(not FAMILIES[family].reaches(dist.value, query.threshold_pow))
+        return latent
+
+    monkeypatch.setattr(cli, "forward_witness", shifted_latent)
+    report = run_verify(family, n_max, 6, seed=3, restarts=200)
+    failed = [d for d in report.disagreements if d.get("witness_forward") == "failed"]
+    assert any(misses) and len(failed) == len(report.disagreements) == sum(misses)
+    assert all(d["source"] == "YES" for d in failed)
 
 
 def test_verify_boundary_trial_must_be_yes(monkeypatch):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invforge.instances import (
@@ -23,6 +23,8 @@ from invforge.instances import (
     parse_dimacs,
     parse_graph,
 )
+from invforge.reductions import artifact_from_json, artifact_to_json, cvp_to_approx_real
+from invforge.relunet import deserialize, serialize
 
 
 def test_parse_dimacs_basic():
@@ -153,3 +155,32 @@ def test_type_invariants():
         VertexCoverQuery(graph(3, []), 4)  # size out of range
     with pytest.raises(ValueError):
         CvpInstance(((Fraction(1),),), (Fraction(0),), Fraction(-1), 1)
+
+
+_GADGET = cvp_to_approx_real(parse_cvp("cvp 1 1 1\n1\n2\n1/8\n"))
+_DOCUMENTS = (
+    "p cnf 3 2\n1 -2 0\n2 3 0\n",
+    "graph 4\n1 2 1/1\n3 4 2/1\n",
+    "cvp 2 2 1\n1 1/2\n0 2\n3/2 2\n1/2\n1/8\n",
+    artifact_to_json(_GADGET),
+    serialize(_GADGET.query.network),
+)
+# arbitrary text, and each valid document with a few characters replaced at some point
+_TEXTS = st.one_of(
+    st.text(),
+    st.builds(
+        lambda doc, at, cut, insert: doc[: at % (len(doc) + 1)] + insert + doc[at % (len(doc) + 1) + cut :],
+        st.sampled_from(_DOCUMENTS), st.integers(0, 1 << 16), st.integers(0, 8), st.text(max_size=8),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS)
+@example("[" * 100000)  # nesting past the recursion limit
+def test_loaders_raise_only_value_error(text):
+    for load in (parse_dimacs, parse_graph, parse_cvp, artifact_from_json, deserialize):
+        try:
+            load(text)
+        except ValueError:
+            pass

@@ -61,7 +61,7 @@ from invforge.reductions import (
 from invforge.relunet import (
     ReluNetwork,
     distance_pow,
-    distance_pow_lower_bounds,
+    distance_pows,
     float_layers,
     forward,
     forward_float,
@@ -418,7 +418,7 @@ def test_invert_binary_matches_naive_reference():
     rng = random.Random(99)
     for _ in range(100):
         n = rng.randint(1, 4)
-        depth = rng.randint(1, 2)
+        depth = rng.randint(1, 4)
         layers = []
         fan_in = n
         for _ in range(depth):
@@ -596,6 +596,35 @@ def test_scan_int64_chunks_match_bigint(monkeypatch):
     assert split_ties >= 25
     assert min(dtypes_run.values()) >= 100
     assert min(min(count.values()) for count in kinds.values()) >= 10  # each kind at both depths
+
+
+def test_scan_of_three_and_four_layers_matches_reference(monkeypatch):
+    """Depth 3 and 4, so every chunk runs the layers after layer 1, each with its bias.
+
+    Nonzero targets, both domains and chunks of 1 to 512 elements, each case
+    scanned in every dtype from the narrowest its bound allows up to object.
+    """
+    rng = random.Random(43)
+    dtypes_run = dict.fromkeys(_WIDTHS, 0)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        layers, fan_in = [], n
+        for _ in range(rng.randint(3, 4)):
+            fan_out = rng.randint(1, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(fan_in)] for _ in range(fan_out)]
+            layers.append((rows, [rng.randint(-2, 2) for _ in range(fan_out)]))
+            fan_in = fan_out
+        target = [rng.choice((-2, -1, 1, 2, 3)) for _ in range(fan_in)]
+        p = rng.choice((1, 2, 3))
+        pm1 = rng.random() < 0.5
+        values = _all_distances(layers, target, p, n, pm1)
+        sparse = _sparse(_fold_pm1(layers) if pm1 else layers)
+        exact = _scan_dtype(sparse, target, p)
+        for dtype in _WIDTHS[_WIDTHS.index(exact):]:
+            monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", rng.choice((1, 8, 64, 512)))
+            assert _scan(sparse, target, p, n, dtype) == (min(values), values.index(min(values)))
+            dtypes_run[dtype] += 1
+    assert min(dtypes_run.values()) >= 20
 
 
 def _proved_bound(layers, target, p):
@@ -1565,21 +1594,21 @@ def _reference_falsify(query, restarts, seed, corner_levels):
 
 def test_falsify_descent_matches_reference(monkeypatch):
     # On NO queries both falsifiers run every descent pass. For p <= 2 the
-    # in-place float arithmetic is bitwise the reference's, so the screen is
+    # in-place float arithmetic is bitwise the reference's, so the batch is
     # given the candidates the reference checks, in the same order; for p = 3
     # the cube is a product, not a pow, and only the decisions must agree.
-    # Every candidate the screen does not rule out is checked exactly, in
-    # order, and every one it rules out is checked here and is too far.
+    # Every candidate the batch finds within the threshold is re-verified,
+    # in order, and every other one is checked here and is too far.
     checked, screened = [], []
     exact_forward = oracles.forward
-    exact_bounds = oracles.distance_pow_lower_bounds
+    exact_batch = oracles.distance_pows
     monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
 
-    def bounds_spy(net, points, target, p):
+    def batch_spy(net, points, target, p):
         screened.extend(points)
-        return exact_bounds(net, points, target, p)
+        return exact_batch(net, points, target, p)
 
-    monkeypatch.setattr(oracles, "distance_pow_lower_bounds", bounds_spy)
+    monkeypatch.setattr(oracles, "distance_pows", batch_spy)
     skipped_total = 0
     for name, p in GADGET_ROUTES:
         for ts, (_, artifact) in enumerate(_gadget_cases(name, p, False, 14)):
@@ -1606,7 +1635,7 @@ def test_falsify_descent_matches_reference(monkeypatch):
                 exact = distance_pow(exact_forward(query.network, z), query.target, p)
                 assert exact.value > query.threshold_pow
             skipped_total += len(skipped)
-    assert skipped_total  # the screen ruled candidates out
+    assert skipped_total  # the batch ruled candidates out
 
 
 _LADDER_FLOATS = st.one_of(
@@ -1656,11 +1685,10 @@ def _odd_point(rng, n):
                              Fraction(rng.randint(-7, 7), 2 ** rng.randint(1070, 1078)))) for _ in range(n))
 
 
-def test_distance_pow_lower_bounds_are_sound():
-    # Non-dyadic weights make almost every float product inexact, so a bound
-    # without its rounding terms exceeds the exact value about half the time.
+def test_distance_pows_match_distance_pow():
+    # Weights of 2^+-40, points below 2^-1070 and non-dyadic rationals give
+    # every point its own denominator D, and outputs over wildly different scales.
     rng = random.Random(20)
-    tight = 0
     for _ in range(150):
         n = rng.randint(1, 4)
         net = _odd_net(rng, n)
@@ -1669,29 +1697,27 @@ def test_distance_pow_lower_bounds_are_sound():
         images = [forward(net, z) for z in points]
         for p in (1, 2, 3):
             target = rng.choice((images[0], images[-1], _odd_point(rng, net.output_dim)))
-            bounds = distance_pow_lower_bounds(net, points, target, p)
-            assert bounds.shape == (len(points),)
-            for image, bound in zip(images, bounds):
-                exact = distance_pow(image, target, p).value
-                assert Fraction(float(bound)) <= exact
-                tight += exact > 0 and Fraction(float(bound)) >= exact * Fraction(999, 1000)
-    assert tight > 1000  # the bound is close, not just sound
-    assert len(distance_pow_lower_bounds(net, [], target, 1)) == 0
+            assert distance_pows(net, points, target, p) == [distance_pow(y, target, p).value for y in images]
+    assert distance_pows(net, [], target, 1) == []
+    with pytest.raises(ValueError):
+        distance_pows(net, points, tuple(target) + (Fraction(1),), 1)
+    with pytest.raises(ValueError):
+        distance_pows(net, [points[0] + (Fraction(1),)], target, 1)
 
 
 def test_falsify_never_skips_a_tie(monkeypatch):
-    # With theta at a screened candidate's exact distance, that candidate
-    # passes its exact check, so a screen that ruled it out would answer NO.
-    # After the screen, the exact checks are its survivors in order, up to
-    # the witness, and every candidate skipped before the witness is too far.
+    # With theta at a batched candidate's exact distance, that candidate
+    # passes its exact check, so a batch that ruled it out would answer NO.
+    # After the batch, the exact checks are the candidates within theta in
+    # order, up to the witness, and every one skipped before it is too far.
     screened, checked = [], []
-    exact_bounds, exact_forward = oracles.distance_pow_lower_bounds, oracles.forward
+    exact_batch, exact_forward = oracles.distance_pows, oracles.forward
 
-    def bounds_spy(net, points, target, p):
+    def batch_spy(net, points, target, p):
         screened.append((len(checked), list(points)))
-        return exact_bounds(net, points, target, p)
+        return exact_batch(net, points, target, p)
 
-    monkeypatch.setattr(oracles, "distance_pow_lower_bounds", bounds_spy)
+    monkeypatch.setattr(oracles, "distance_pows", batch_spy)
     monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
     rng = random.Random(21)
     ties = skipped = 0
@@ -1750,21 +1776,32 @@ def test_falsify_never_skips_when_the_float_forward_overflows(monkeypatch, nan):
     points = [(Fraction(1), Fraction(1)), (Fraction(3, 7), Fraction(1, 3))]
     assert all(map(overflows, points))
     assert np.isnan(forward_float(net, [1.0, 1.0])).all() == nan
-    assert (distance_pow_lower_bounds(net, points, target, 2) == 0).all()
-    # Through the falsifier: every screened candidate that overflows is
-    # checked exactly, and the survivors are checked in screen order.
-    screened, checked = [], []
-    exact_bounds, exact_forward = oracles.distance_pow_lower_bounds, oracles.forward
-    monkeypatch.setattr(oracles, "distance_pow_lower_bounds",
-                        lambda *a: screened.extend(a[1]) or exact_bounds(*a))
-    monkeypatch.setattr(oracles, "forward", lambda net, z: checked.append(z) or exact_forward(net, z))
+    # Through the falsifier: the batch gives every candidate, overflowing
+    # ones included, its exact distance, and none is within theta = 0.
+    batches = []
+    exact_batch, exact_forward = oracles.distance_pows, oracles.forward
+
+    def batch_spy(*args):
+        batches.append((list(args[1]), exact_batch(*args)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(oracles, "distance_pows", batch_spy)
     query = InversionQuery(net, target, 2, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
     assert not falsify_real(query, restarts=20, seed=0).is_yes
-    kept = set(checked)
-    assert checked == [z for z in screened if z in kept]
-    overflowing = [z for z in screened if overflows(z)]
-    assert overflowing and set(overflowing) <= kept
-    assert all(distance_pow(exact_forward(net, z), target, 2).value > 0 for z in screened if z not in kept)
+    [(candidates, values)] = batches
+    assert values == [distance_pow(exact_forward(net, z), target, 2).value for z in candidates]
+    assert all(v > 0 for v in values) and any(map(overflows, candidates))
+    if nan:
+        # Both layer-2 units are equal, so the exact output is 0 and every
+        # distance is 1. With corners at {1, 2} every seed overflows and no
+        # descent step moves, so theta = 1, a tie at the first overflowing
+        # candidate, is decided by the batch alone.
+        batches.clear()
+        tie = dataclasses.replace(query, threshold_pow=Fraction(1))
+        verdict = falsify_real(tie, restarts=20, seed=0, corner_levels=(1, 2))
+        [(candidates, values)] = batches
+        assert verdict.is_yes and verdict.witness == candidates[0] and overflows(verdict.witness)
+        assert values[0] == tie.threshold_pow
 
 
 def test_falsify_rejects_binary_domain():

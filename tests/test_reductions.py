@@ -250,6 +250,27 @@ def test_gadget_mode_selection_rule():
     ] == MODE_GENERAL
 
 
+@pytest.mark.parametrize(
+    "route, mode, tamper",
+    [
+        ("cvp-real", MODE_GENERAL, {"c": Fraction(2)}),  # (c - 2) delta < 1
+        ("cvp-real", MODE_QUARTER, {"delta": Fraction(1, 4)}),  # delta >= 1/4
+        ("cvp-real", MODE_QUARTER, {"collapse_slope": ONE}),  # slope (bias - delta) < 1
+        ("halfclique-real", MODE_GENERAL, {"c": Fraction(2)}),
+    ],
+    ids=["cvp-general-c", "cvp-quarter-delta", "cvp-quarter-collapse", "halfclique-general-c"],
+)
+def test_constants_valid_rejects_tampered_gadget_constants(route, mode, tamper):
+    if route == "cvp-real":
+        radius = Fraction(1, 8) if mode == MODE_QUARTER else Fraction(1, 2)
+        art = cvp_to_approx_real(CvpInstance(((ONE,), (ONE,)), (ONE, ZERO), radius, 1))
+    else:
+        art = halfclique_to_approx_real(worked_halfclique(), 2)
+    assert art.constants["gadget_mode"] == mode and constants_valid(art)
+    tampered = ReductionArtifact(art.query, {**art.constants, **tamper}, art.witness_map)
+    assert not constants_valid(tampered)
+
+
 def test_gadget_witness_forwarding_and_backtranslation():
     for radius in (Fraction(1, 8), Fraction(1, 2)):
         inst = CvpInstance(((ONE, Fraction(2)),), (Fraction(2),), radius, 1)
