@@ -1,10 +1,10 @@
 """Command-line front end: compile reductions, run oracles, verify, bench.
 
 Each verify family (a source problem on binary or real latents) is declared
-once, as a `Family` record in `FAMILIES` below: its parser, compiler, query
-and source oracles, random-instance draws, witness forms and default p.
-`reduce`, `verify` and `bench` look families up there, and their argparse
-choices are derived from it.
+once, as a `Family` record in `FAMILIES` below: its parser, compiler, source
+oracle, random-instance draws, witness forms and default p; oracles.decide
+picks the query oracle. `reduce`, `verify` and `bench` look families up
+there, and their argparse choices are derived from it.
 
 Exit codes: 0 YES/success, 1 NO (or disagreements found), 2 usage/parse
 error or any other failure (so a crash never reads as NO), 3 enumeration
@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from . import instances, oracles
+from . import instances
 from .instances import (
     CnfFormula,
     CvpInstance,
@@ -47,11 +47,11 @@ from .instances import (
     parse_graph,
 )
 from .oracles import (
-    CERT_FALSIFIER,
     YES,
     CapExceeded,
     Verdict,
     count_sat_assignments,
+    decide,
     enumerate_patterns_invert,
     falsify_real,
     invert_binary_bruteforce,
@@ -115,15 +115,14 @@ class BenchRecord:
 # -- source families ------------------------------------------------------------
 
 
+def _corners(artifact: ReductionArtifact) -> tuple:
+    return (0, artifact.constants.get("clamp_hi", 1))  # the gadget scales each binary latent by clamp_hi
+
+
 ORACLES = {
     "brute": lambda artifact, restarts, seed: invert_binary_bruteforce(artifact.query),
     "pattern": lambda artifact, restarts, seed: enumerate_patterns_invert(artifact.query),
-    "falsify": lambda artifact, restarts, seed: falsify_real(
-        artifact.query,
-        restarts=restarts,
-        seed=seed,
-        corner_levels=(0, artifact.constants.get("clamp_hi", 1)),
-    ),
+    "falsify": lambda artifact, restarts, seed: falsify_real(artifact.query, restarts, seed, _corners(artifact)),
 }
 
 
@@ -235,7 +234,7 @@ def _bench_sat(n: int, seed: int):
 
 @dataclass(frozen=True)
 class Family:
-    """One verify family: a source problem and the route that compiles it."""
+    """One verify family: a source problem and its route; oracles.decide picks the query oracle."""
 
     parse: Callable  # (file text, reduce args) -> source; rejects flags the route cannot honour
     compile: Callable  # (source, p) -> ReductionArtifact
@@ -243,7 +242,6 @@ class Family:
     draw: Callable  # (rng, trial seed, n_max, p) -> a random source instance for verify
     accepts: Callable  # (source, backward-mapped witness, p) -> does it solve the source?
     default_p: int
-    invert: Callable = ORACLES["brute"]  # (artifact, restarts, trial seed) -> query Verdict
     witness: Callable = tuple  # the source oracle's 0/1 witness -> what forward_witness takes
     reaches: Callable = operator.le  # (distance of the forward-mapped witness, threshold)
     exhaustive: Callable | None = None  # n_max -> (label, source) pairs for verify --exhaustive
@@ -298,7 +296,6 @@ FAMILIES = {
         _SAT,
         compile=lambda formula, p: sat_to_exact_real(formula),
         draw=lambda rng, ts, n_max, p: _draw_ksat(rng, ts, min(n_max, 2), 2, 2),
-        invert=ORACLES["pattern"],
         exhaustive=None,
         bench=None,
     ),
@@ -307,7 +304,6 @@ FAMILIES = {
         _CVP,
         compile=lambda inst, p: cvp_to_approx_real(inst),
         draw=lambda rng, ts, n_max, p: _draw_cvp(rng, ts, min(n_max, 3), 2, p),
-        invert=ORACLES["falsify"],
         boundary=None,
         bench=None,
     ),
@@ -316,7 +312,6 @@ FAMILIES = {
         _HALFCLIQUE,
         compile=halfclique_to_approx_real,
         draw=lambda rng, ts, n_max, p: _draw_halfclique(rng, ts, 4, 0.6, p),
-        invert=ORACLES["falsify"],
         bench=None,
     ),
     "vertexcover": Family(
@@ -383,7 +378,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_invert(args) -> int:
     artifact = artifact_from_json(Path(args.query).read_text())
-    verdict = ORACLES[args.oracle](artifact, args.restarts, args.seed)
+    if args.oracle is None:  # the query chooses
+        verdict = decide(artifact.query, args.restarts, args.seed, _corners(artifact))
+    else:
+        verdict = ORACLES[args.oracle](artifact, args.restarts, args.seed)
     print(json.dumps(verdict.to_dict(), sort_keys=True))
     return EXIT_YES if verdict.is_yes else EXIT_NO
 
@@ -392,11 +390,7 @@ def cmd_invert(args) -> int:
 
 
 def _check(family: Family, source, artifact: ReductionArtifact, verdict: Verdict):
-    """Compare the query verdict with the source oracle and check both witness maps.
-
-    A falsifier-only verdict is also decided by the exact pattern oracle
-    where that oracle applies (p = 1, under the pattern_units cap).
-    """
+    """Compare the query verdict with the source oracle and check both witness maps."""
     query = artifact.query
     truth = family.solve(source, query.p)
     agree = truth.is_yes == verdict.is_yes
@@ -405,14 +399,6 @@ def _check(family: Family, source, artifact: ReductionArtifact, verdict: Verdict
         "query": verdict.decision,
         "certificate": verdict.certificate,
     }
-    if (
-        verdict.certificate == CERT_FALSIFIER
-        and query.p == 1
-        and oracles.branching_units(query) <= oracles.resolve_cap("pattern_units")
-    ):
-        certified = enumerate_patterns_invert(query)
-        detail["pattern"] = certified.decision
-        agree = agree and certified.is_yes == truth.is_yes
     if truth.is_yes:
         latent = forward_witness(artifact, family.witness(truth.witness))
         dist = distance_pow(forward(query.network, latent), query.target, query.p)
@@ -451,7 +437,8 @@ def run_verify(
 
     def trial(label, source, must_be_yes: bool = False):
         artifact = fam.compile(source, p)
-        agree, detail = _check(fam, source, artifact, fam.invert(artifact, restarts, label))
+        verdict = decide(artifact.query, restarts, label, _corners(artifact))
+        agree, detail = _check(fam, source, artifact, verdict)
         report.trials += 1
         if agree and (detail["source"] == YES or not must_be_yes):
             report.agreements += 1
@@ -565,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     invert_p = sub.add_parser("invert", help="run an inversion oracle on a query artifact")
     invert_p.add_argument("--query", required=True)
-    invert_p.add_argument("--oracle", required=True, choices=list(ORACLES))
+    invert_p.add_argument("--oracle", choices=list(ORACLES),
+                          help="omit to let the query choose (oracles.decide)")
     invert_p.add_argument("--restarts", type=int, default=10_000)
     invert_p.add_argument("--seed", type=int, default=0)
     invert_p.set_defaults(func=cmd_invert)

@@ -22,14 +22,8 @@ latent bits split into high bits, fixed within a chunk, and low bits,
 which vary within it. A layer-0 unit with low weights belongs to the
 group of its high support S; where room allows, a group's share is
 tabulated once per setting of S (see _scan).
-The falsifier searches in float64 copies of the same view, but
-re-verifies every candidate with the exact forward pass before answering
-YES. It checks the seeds whose float distance is near the threshold
-before it descends (a corner of the latent cube as its exact point), and
-descends only when none of them is a witness: with 2^N <= restarts and
-corner levels {0, clamp_hi}, every YES of a gadget query is found at a
-seed. After the descent, the shortlist's candidates are decided exactly
-in one integer batch (relunet.distance_pows).
+The falsifier searches in float64 copies of the same view, and answers
+YES only for a candidate the exact forward pass accepts (falsify_real).
 
 The pattern enumeration branches on one ReLU unit at a time, in the order
 of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
@@ -42,6 +36,11 @@ point, which satisfies all of its rows but the new ones. A leaf decides
 from there, since feasibility and the optimal value do not depend on the
 start; only the leaf that answers YES is solved once more from no start,
 and that cold solve gives the witness.
+
+decide picks a query's oracle from the query alone: the scan for a binary
+domain; for a real one, the pattern enumeration where it applies
+(threshold 0 or p = 1) within the pattern_units cap, else the falsifier.
+It calls each by module-global name, so patching a name reaches decide.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -245,7 +244,7 @@ def _subset_verdict(masks: np.ndarray, hit: int | None, n: int) -> Verdict:
     return Verdict(YES, witness, CERT_EXHAUSTIVE, VerdictStats(latents_enumerated=hit + 1))
 
 
-def solve_halfclique_bruteforce(query: HalfCliqueQuery, p: int = 2) -> Verdict:
+def solve_halfclique_bruteforce(query: HalfCliqueQuery, p: int) -> Verdict:
     """All C(n, n/2) subsets; YES iff some clique weighs strictly below the bound.
 
     Effective edge weights are root_weight**p, so the oracle needs the same
@@ -752,7 +751,7 @@ def falsify_real(
     A NO answer is explicitly non-certifying. With 2^N <= restarts and
     corner levels {0, clamp_hi}, every YES of a gadget query is found at a
     seed, since forward_witness scales the binary witness by clamp_hi.
-    A query whose constants overflow float64 answers NO at once.
+    When the query overflows float64, only the corners are checked, exactly, in index order.
     """
     if query.domain.kind != DOMAIN_REAL:
         raise ValueError("the falsifier searches real latent domains only")
@@ -763,6 +762,23 @@ def falsify_real(
 
     corner_count = min(1 << n, restarts) if n <= 20 else 0
     bits = (np.arange(corner_count)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    levels = (Fraction(corner_levels[0]), Fraction(corner_levels[1]))
+    p = query.p
+    checked: set[tuple] = set()  # rational points already found too far
+
+    def first_hit(candidates):
+        for z in candidates:
+            if z in checked:
+                continue
+            checked.add(z)
+            exact = distance_pow(forward(query.network, z), query.target, p)
+            if exact.value <= query.threshold_pow:
+                return z
+        return None
+
+    def corner(i):  # corner i exactly, as a point of corner_levels
+        return tuple(levels[b] for b in bits[i])
+
     try:
         lo, hi = float(corner_levels[0]), float(corner_levels[1])
         net_layers = float_layers(query.network)
@@ -774,8 +790,8 @@ def falsify_real(
         )
         points = np.vstack([lo + bits * (hi - lo), randoms])
     except OverflowError:  # the float search cannot represent this query
-        return Verdict(NO, None, CERT_FALSIFIER, stats)
-    p = query.p
+        z = first_hit(map(corner, range(corner_count)))
+        return Verdict(NO if z is None else YES, z, CERT_FALSIFIER, VerdictStats(latents_enumerated=len(checked)))
     acts_out = [np.empty((len(points), w.shape[1])) for w, _ in net_layers]
     power_out = np.empty_like(acts_out[-1])
 
@@ -793,27 +809,11 @@ def falsify_real(
             np.multiply(power_out, acts, out=power_out)
         return power_out.sum(axis=1)
 
-    checked: set[tuple] = set()  # rational points already found too far
-
-    def first_hit(candidates):
-        for z in candidates:
-            if z in checked:
-                continue
-            checked.add(z)
-            exact = distance_pow(forward(query.network, z), query.target, p)
-            if exact.value <= query.threshold_pow:
-                return z
-        return None
-
     def rationalized(i):
         return zip(*(_ladder(float(v)) for v in points[i]))
 
-    levels = (Fraction(corner_levels[0]), Fraction(corner_levels[1]))
-
     def seed_candidates(i):
-        if i < corner_count:  # an unmoved corner is exactly a point of corner_levels
-            return [tuple(levels[b] for b in bits[i])]
-        return rationalized(i)
+        return [corner(i)] if i < corner_count else rationalized(i)  # an unmoved corner is exact
 
     def near(values):
         return [int(i) for i in np.nonzero(values <= theta * (1 + 1e-9) + 1e-9)[0][:64]]
@@ -846,3 +846,15 @@ def falsify_real(
     exact = distance_pows(query.network, candidates, query.target, p)
     z = first_hit(z for z, value in zip(candidates, exact) if value <= query.threshold_pow)
     return Verdict(NO if z is None else YES, z, CERT_FALSIFIER, stats)
+
+
+# -- decision entry point ----------------------------------------------------
+
+
+def decide(query: InversionQuery, restarts: int = 10_000, seed: int = 0, corner_levels: tuple = (0, 1)) -> Verdict:
+    """The query's oracle, picked as the module docstring says; the falsifier takes the other arguments."""
+    if query.domain.kind != DOMAIN_REAL:
+        return invert_binary_bruteforce(query)
+    if (query.threshold_pow == 0 or query.p == 1) and branching_units(query) <= resolve_cap("pattern_units"):
+        return enumerate_patterns_invert(query)
+    return falsify_real(query, restarts=restarts, seed=seed, corner_levels=corner_levels)

@@ -67,3 +67,25 @@ def test_pipeline_runs_traced(workload, pick, lookups):
     spans = tracer.spans
     recorded = {(name, spans[parent][0]) for name, _, _, parent, _ in spans if parent >= 0}
     assert [pair for pair in lookups if pair not in recorded] == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decide_picks_the_pipelines_oracle_on_real_latent(monkeypatch, seed):
+    """oracles.decide routes each real-latent instance to the oracle pipeline._query_oracle calls."""
+    chosen = []
+    for name in ("invert_binary_bruteforce", "enumerate_patterns_invert", "falsify_real"):
+        monkeypatch.setattr(invforge.oracles, name, lambda *args, name=name, **kwargs: chosen.append(name))
+
+    def call(span, fn, *args, **kwargs):
+        chosen.append(fn.__name__)
+        return invforge.oracles.Verdict("NO", None, "")
+
+    instances = workloads.build("real-latent", seed)
+    for inst in instances:
+        artifact = pipeline.COMPILERS[inst.family](inst, pipeline._parse(inst))
+        out = pipeline.Outcome(inst.id, inst.family)
+        pipeline._query_oracle(call, inst, artifact.query, artifact.constants, out)
+        invforge.oracles.decide(artifact.query)
+        assert chosen[-1] == chosen[-2], inst.id
+    assert set(chosen) == {"enumerate_patterns_invert", "falsify_real"}
+    assert len(chosen) == 2 * len(instances)

@@ -14,7 +14,8 @@ import pytest
 import invforge
 from invforge import cli, oracles
 from invforge.cli import FAMILIES, main, run_bench, run_verify, write_bench_csv
-from invforge.instances import CvpInstance
+from invforge.instances import CvpInstance, is_clique, parse_graph
+from invforge.ratio import parse_ratio
 from invforge.reductions import (
     DOMAIN_REAL,
     InversionQuery,
@@ -22,6 +23,7 @@ from invforge.reductions import (
     ReductionArtifact,
     artifact_from_json,
     artifact_to_json,
+    backward_witness,
     forward_witness,
 )
 from invforge.relunet import ReluNetwork, distance_pow, forward, layer
@@ -80,6 +82,23 @@ def test_brute_on_real_domain_is_usage_error(tmp_path):
     cnf.write_text(SAT_TEXT)
     run_cli("reduce", "--from", "sat", "--latent", "real", "--in", str(cnf), "--out", str(out))
     assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 2
+
+
+@pytest.mark.parametrize(
+    "family, latent, flags, oracle",
+    [("sat", "binary", [], "brute"), ("sat", "real", [], "pattern"),
+     ("halfclique", "real", ["--bound", "5"], "falsify")],
+    ids=["binary-scan", "real-pattern", "real-falsify"],
+)
+def test_invert_without_oracle_lets_the_query_choose(tmp_path, capsys, family, latent, flags, oracle):
+    src, out = tmp_path / "in.txt", tmp_path / "art.json"
+    src.write_text(SAT_TEXT if family == "sat" else GRAPH_TEXT)
+    assert run_cli("reduce", "--from", family, "--latent", latent, *flags, "--in", str(src), "--out", str(out)) == 0
+    capsys.readouterr()
+    common = ("invert", "--query", str(out), "--restarts", "40", "--seed", "3")
+    assert run_cli(*common) == run_cli(*common, "--oracle", oracle) == 0
+    chosen, explicit = capsys.readouterr().out.splitlines()
+    assert chosen == explicit
 
 
 def test_falsify_zero_restarts_reports_no(tmp_path, capsys):
@@ -446,19 +465,27 @@ def test_falsify_bad_clamp_hi_is_usage_error(tmp_path, capsys, clamp_hi):
     assert "clamp_hi" in captured.err
 
 
-def test_falsify_past_float_range_is_non_certifying_no(tmp_path, capsys):
-    """A valid artifact whose constants overflow float64: the heuristic cannot run, so NO."""
+def test_falsify_past_float_range_checks_corners_exactly(tmp_path, capsys):
+    """A valid artifact whose constants overflow float64: the float search cannot run.
+
+    The corners are checked exactly instead, and the path 1-2-3-4 has a
+    half-clique (any edge) far below the bound.
+    """
     src = tmp_path / "g.txt"
     src.write_text("graph 4\n1 2 1\n2 3 1\n3 4 1\n")
     out = tmp_path / "art.json"
     assert run_cli("reduce", "--from", "halfclique", "--latent", "real",
                    "--bound", "1" + "0" * 400, "--in", str(src), "--out", str(out)) == 0
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "50") == 1
+    assert run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "50") == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     verdict = json.loads(captured.out)
-    assert verdict["decision"] == "NO" and verdict["certificate"] == "falsifier-only"
+    assert verdict["decision"] == "YES" and verdict["certificate"] == "falsifier-only"
+    artifact = artifact_from_json(out.read_text())
+    chosen = backward_witness(artifact, [parse_ratio(v) for v in verdict["witness"]])
+    graph = parse_graph(src.read_text())
+    assert len(chosen) == 2 and is_clique(graph, chosen)
 
 
 def test_falsify_overflowing_forward_prints_no_warning(tmp_path):
@@ -523,17 +550,17 @@ def test_verify_every_family(capsys, argv, trials):
 def test_verify_reports_injected_faults(monkeypatch, family):
     n_max = 1 if family.endswith("-real") else 4
     query_yes = []
-    invert = FAMILIES[family].invert
+    decide = cli.decide
 
-    def recorded_invert(artifact, restarts, seed):
-        verdict = invert(artifact, restarts, seed)
+    def recorded_decide(*args, **kwargs):
+        verdict = decide(*args, **kwargs)
         query_yes.append(verdict.is_yes)
         return verdict
 
     def no_source_witness(artifact, latent):
         raise ValueError("injected fault")
 
-    monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], invert=recorded_invert))
+    monkeypatch.setattr(cli, "decide", recorded_decide)
     monkeypatch.setattr(cli, "backward_witness", no_source_witness)
     report = run_verify(family, n_max, 6, seed=3, restarts=200)
     failed = [d for d in report.disagreements if d.get("witness_back") == "failed"]

@@ -18,6 +18,7 @@ from invforge.instances import (
     CvpInstance,
     HalfCliqueQuery,
     VertexCoverQuery,
+    gen_random_cvp,
     gen_random_graph,
     gen_random_ksat,
     graph,
@@ -26,11 +27,15 @@ from invforge.instances import (
 from invforge.lp import EQ, GE, LE, LinearProgram, lp_feasible, lp_minimize
 from invforge.oracles import (
     CapExceeded,
+    CERT_EXHAUSTIVE,
     CERT_FALSIFIER,
+    CERT_PATTERN,
     _integerized,
     _scan,
     _scan_dtype,
+    branching_units,
     count_sat_assignments,
+    decide,
     enumerate_patterns_invert,
     falsify_real,
     invert_binary_bruteforce,
@@ -53,6 +58,7 @@ from invforge.reductions import (
     choose_alpha_halfclique,
     choose_alpha_vc,
     cvp_to_approx_binary,
+    cvp_to_approx_real,
     halfclique_to_approx,
     sat_to_exact_binary,
     sat_to_exact_real,
@@ -1804,6 +1810,19 @@ def test_falsify_never_skips_when_the_float_forward_overflows(monkeypatch, nan):
         assert values[0] == tie.threshold_pow
 
 
+def test_falsify_checks_corners_exactly_past_float_range():
+    """theta at the exact distance of (1, 1), about 2^2406, overflows float64: the corners decide."""
+    net, target = _overflow_net(False), (Fraction(1),)
+    theta = distance_pow(forward(net, (Fraction(1), Fraction(1))), target, 2).value
+    assert theta > 2**2406
+    with pytest.raises(OverflowError):
+        float(theta)
+    verdict = falsify_real(InversionQuery(net, target, 2, theta, LatentDomain(DOMAIN_REAL, 2)), restarts=20)
+    assert verdict.is_yes and verdict.certificate == CERT_FALSIFIER
+    assert verdict.witness == (0, 0)  # the first corner in index order
+    assert distance_pow(forward(net, verdict.witness), target, 2).value <= theta
+
+
 def test_falsify_rejects_binary_domain():
     with pytest.raises(ValueError):
         falsify_real(identity_query(2, (1, 0)), restarts=10)
@@ -1816,3 +1835,54 @@ def test_cap_env_override(monkeypatch):
         solve_sat_bruteforce(f)
     monkeypatch.setenv("INVFORGE_CAP", "6")
     assert solve_sat_bruteforce(f).is_yes
+
+
+# -- decide ------------------------------------------------------------------
+
+
+def _cvp_real(n, p, radius=None, seed=0):
+    inst = gen_random_cvp(n, 1, seed, p=p)
+    if radius is not None:
+        inst = dataclasses.replace(inst, radius=Fraction(radius))
+    return cvp_to_approx_real(inst).query
+
+
+def _sat_real():
+    return sat_to_exact_real(parse_dimacs("p cnf 1 1\n1 0\n")).query
+
+
+# (query, INVFORGE_CAP as an offset from the query's branching units or None, certificate)
+ROUTES = {
+    "01-scan": (lambda: identity_query(2, (1, 0)), None, CERT_EXHAUSTIVE),
+    "pm1-scan": (lambda: identity_query(2, (1, -1), domain=DOMAIN_PM1), None, CERT_EXHAUSTIVE),
+    "sat-real-pattern": (_sat_real, None, CERT_PATTERN),
+    "cvp-real-p1-n1-pattern": (lambda: _cvp_real(1, 1), None, CERT_PATTERN),
+    "cvp-real-p1-n2-pattern": (lambda: _cvp_real(2, 1), None, CERT_PATTERN),
+    "cvp-real-p1-n3-over-cap-falsify": (lambda: _cvp_real(3, 1), None, CERT_FALSIFIER),
+    "cvp-real-p3-radius-falsify": (lambda: _cvp_real(2, 3, radius=1), None, CERT_FALSIFIER),
+    "cvp-real-p3-radius0-pattern": (lambda: _cvp_real(2, 3, radius=0), None, CERT_PATTERN),
+    "at-cap-pattern": (_sat_real, 0, CERT_PATTERN),
+    "below-cap-falsify": (_sat_real, -1, CERT_FALSIFIER),
+}
+
+
+@pytest.mark.parametrize("build, cap, certificate", list(ROUTES.values()), ids=list(ROUTES))
+def test_decide_routes_by_the_query(monkeypatch, build, cap, certificate):
+    query = build()
+    if cap is not None:
+        monkeypatch.setenv("INVFORGE_CAP", str(branching_units(query) + cap))
+    assert decide(query, restarts=200).certificate == certificate
+
+
+def test_decide_calls_each_oracle_by_module_name(monkeypatch):
+    calls = []
+    for name in ("invert_binary_bruteforce", "enumerate_patterns_invert", "falsify_real"):
+        monkeypatch.setattr(oracles, name, lambda *args, name=name, **kwargs: calls.append((name, args, kwargs)))
+    binary, pattern, falsify = identity_query(2, (1, 0)), _sat_real(), _cvp_real(2, 3, radius=1)
+    for query in (binary, pattern, falsify):
+        decide(query, restarts=7, seed=5, corner_levels=(0, 3))
+    assert calls == [
+        ("invert_binary_bruteforce", (binary,), {}),
+        ("enumerate_patterns_invert", (pattern,), {}),
+        ("falsify_real", (falsify,), {"restarts": 7, "seed": 5, "corner_levels": (0, 3)}),
+    ]

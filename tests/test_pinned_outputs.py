@@ -4,9 +4,10 @@ An entry is one oracle call: its decision, witness, certificate and stats
 (none of which depend on timing), and, for a query oracle, the sha256 of the
 artifact it decided. The corpus is drawn from invforge's own generators:
 `run_verify` for every family (cvp and cvp-real also at p = 3), logged
-through wrapped `FAMILIES` entries, plus direct calls of the two exhaustive
-binary oracles on a fixed set that includes queries beyond int64, and of the
-pattern oracle in thresholded mode (p = 1, threshold > 0) on cvp-real queries.
+through a wrapped `cli.decide` and wrapped `FAMILIES` entries, plus direct
+calls of the two exhaustive binary oracles on a fixed set that includes
+queries beyond int64, and of the pattern oracle in thresholded mode (p = 1,
+threshold > 0) on cvp-real queries.
 
 A change that moves an output on purpose re-records the pins and names the
 moved entries in CHANGES.md. To re-record, and first print how many entries
@@ -75,13 +76,17 @@ def _sha(text: str) -> str:
 def _verify_entries(log):
     for (name, n_max, trials, p), seed in itertools.product(VERIFY_RUNS, VERIFY_SEEDS):
         prefix = f"verify/{name}/p={p}/seed={seed}"
-        fam = cli.FAMILIES[name]
-        label = []
+        fam, decide = cli.FAMILIES[name], cli.decide
+        label, compiled = [], []
 
-        def invert(artifact, restarts, trial, fam=fam, prefix=prefix, label=label):
+        def compile_kept(source, p, fam=fam, compiled=compiled):  # decide sees only the query
+            compiled[:] = [fam.compile(source, p)]
+            return compiled[0]
+
+        def invert(query, restarts, trial, corner_levels, prefix=prefix, label=label, compiled=compiled):
             label[:] = [trial]
-            verdict = fam.invert(artifact, restarts, trial)
-            log(f"{prefix}/{trial}/invert", artifact=_sha(artifact_to_json(artifact)), **verdict.to_dict())
+            verdict = decide(query, restarts, trial, corner_levels)
+            log(f"{prefix}/{trial}/invert", artifact=_sha(artifact_to_json(compiled[0])), **verdict.to_dict())
             return verdict
 
         def solve(source, p, fam=fam, prefix=prefix, label=label):
@@ -89,11 +94,12 @@ def _verify_entries(log):
             log(f"{prefix}/{label[0]}/solve", **verdict.to_dict())
             return verdict
 
-        cli.FAMILIES[name] = dataclasses.replace(fam, invert=invert, solve=solve)
+        cli.FAMILIES[name] = dataclasses.replace(fam, compile=compile_kept, solve=solve)
+        cli.decide = invert
         try:
             report = cli.run_verify(name, n_max, trials, seed, p=p).to_dict()
         finally:
-            cli.FAMILIES[name] = fam
+            cli.FAMILIES[name], cli.decide = fam, decide
         del report["wall_time_s"]
         log(f"{prefix}/report", **report)
 
