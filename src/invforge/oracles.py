@@ -25,6 +25,13 @@ tabulated once per setting of S (see _scan).
 The falsifier searches in float64 copies of the same view, and answers
 YES only for a candidate the exact forward pass accepts (falsify_real).
 
+_binary_verdict sends a +/--stacked query, one layer [W; -W], [b; -b]
+against target 0 at p = 2 (_gram_form), to _gram_scan: as ReLU(x)^2 +
+ReLU(-x)^2 = x^2, its distance is the quadratic form ||W z + b||^2, which
+the n x n Gram matrix holds whatever the row count, so 2^(n+1) exact
+additions find every value; in int64 while its bound fits, else object,
+in tables of one chunk, the first minimizer taken as in _scan.
+
 The pattern enumeration branches on one ReLU unit at a time, in the order
 of a layer's masks 0, 1, ..., 2^fan_out - 1. Each trie node carries an
 exact point of its region (the zero vector at the root); a child whose
@@ -360,13 +367,76 @@ def invert_binary_bruteforce(query: InversionQuery) -> Verdict:
 
 
 def _binary_verdict(layers, target, p, n, threshold) -> Verdict:
-    """Exhaustive verdict of integer layers (sparse rows, bias) over n {0,1} latents against a scaled threshold."""
-    best_val, best_index = _scan(layers, target, p, n, _scan_dtype(layers, target, p))
+    """Exhaustive verdict of integer layers (sparse rows, bias) over n {0,1} latents against a scaled threshold.
+
+    _gram_form's queries go to _gram_scan, every other to _scan: each gives the minimum and its first minimizer.
+    """
+    gram = _gram_form(layers, target, p)
+    if gram is not None:
+        best_val, best_index = _gram_scan(*gram, n, _gram_dtype(*gram))
+    else:
+        best_val, best_index = _scan(layers, target, p, n, _scan_dtype(layers, target, p))
     stats = VerdictStats(latents_enumerated=1 << n)
     if best_val <= threshold:
         witness = tuple(Fraction(b) for b in _bits_msb(best_index, n))
         return Verdict(YES, witness, CERT_EXHAUSTIVE, stats)
     return Verdict(NO, None, CERT_EXHAUSTIVE, stats)
+
+
+def _gram_form(layers, target, p):
+    """(rows, bias) of the first half when the query is one layer [W; -W], [b; -b] against target 0 at p = 2, else None."""
+    if p != 2 or len(layers) != 1 or any(target):
+        return None
+    rows, bias = layers[0]
+    half, odd = divmod(len(rows), 2)
+    if odd or not all(bias[r + half] == -bias[r] and tuple(rows[r + half]) == tuple((j, -w) for j, w in rows[r])
+                      for r in range(half)):
+        return None
+    return rows[:half], bias[:half]
+
+
+def _gram_dtype(rows, bias):
+    """int64 while sum_r M_r^2 <= 2^63 - 1, M_r = |b_r| + sum_j |w_rj|, else object (see _gram_scan)."""
+    bound = sum((abs(b) + sum(abs(w) for _, w in row)) ** 2 for row, b in zip(rows, bias))
+    return np.int64 if bound <= _INT64_SAFE else object
+
+
+def _gram_scan(rows, bias, n, dtype):
+    """(minimum, first minimizer) of ||W z + b||^2 over z in {0,1}^n, from its Gram form.
+
+    As z_j^2 = z_j, the value is c + sum_j z_j d_j + sum_{j<k} z_j z_k e_jk,
+    c = sum_r b_r^2, d_j = sum_r w_rj (w_rj + 2 b_r), e_jk = 2 sum_r w_rj w_rk.
+    A chunk fixes the hi high bits, which fold into its constant and d_j. Its
+    table is doubled: latents n-1 down to hi each become the top bit,
+    table[k:2k] = table[:k] + d_j + (e_jk's subset sums over later latents).
+    Exactness: every value formed is a sum of distinct terms of the expanded
+    (b_r + sum_j w_rj z_j)^2, so within sum_r M_r^2, the bound of _gram_dtype.
+    Memory: one table of 2^lo entries within the dtype's chunk. Cost: 2^(n+1)
+    additions whatever the row count, after an n^2 R Gram build. Order: see _first_min.
+    """
+    cols = dense_columns(rows, n, dtype)
+    gram = cols @ cols.T
+    c = sum(b * b for b in bias)
+    d = (gram.diagonal() + 2 * (cols @ np.array(bias, dtype=dtype))).tolist()
+    e = [[2 * v for v in row] for row in gram.tolist()]  # e[j][k], k > j, is read
+    lo = min(n, max(0, _chunk_elements(dtype).bit_length() - 1))
+    hi = n - lo
+    table = np.empty(1 << lo, dtype=dtype)
+
+    def chunks():
+        for h in range(1 << hi):
+            on = [k for k, bit in enumerate(_bits_msb(h, hi)) if bit]
+            table[0] = c + sum(d[k] + sum(e[i][k] for i in on if i < k) for k in on)
+            for j in range(n - 1, hi - 1, -1):
+                size = 1 << (n - 1 - j)
+                seg = table[size : 2 * size]
+                seg[0] = d[j] + sum(e[k][j] for k in on)
+                for i, k in enumerate(range(n - 1, j, -1)):
+                    np.add(seg[: 1 << i], e[j][k], out=seg[1 << i : 2 << i])
+                seg += table[:size]
+            yield table
+
+    return _first_min(chunks(), lo)
 
 
 def _chunk_elements(dtype) -> int:

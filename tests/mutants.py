@@ -118,6 +118,20 @@ MUTANTS = (
            "z = first_hit(map(corner, range(corner_count)))", "z = None",
            (T_ORACLES + "test_falsify_checks_corners_exactly_past_float_range",
             "tests/test_cli.py::test_falsify_past_float_range_checks_corners_exactly")),
+    # -- the Gram path of +/- stacked p = 2 queries
+    Mutant("gram-cross-without-2", 27, ORACLES,
+           "e = [[2 * v for v in row] for row in gram.tolist()]", "e = [[v for v in row] for row in gram.tolist()]",
+           (T_ORACLES + "test_gram_path_matches_scan_and_naive",)),
+    Mutant("gram-mirror-ignores-bias", 27, ORACLES,
+           "if odd or not all(bias[r + half] == -bias[r] and tuple(", "if odd or not all(tuple(",
+           (T_ORACLES + "test_gram_routing_table",)),
+    Mutant("gram-doubling-lsb-first", 27, ORACLES,
+           "for i, k in enumerate(range(n - 1, j, -1)):", "for i, k in enumerate(range(j + 1, n)):",
+           (T_ORACLES + "test_gram_path_matches_scan_and_naive",)),
+    Mutant("gram-int64-past-bound", 27, ORACLES,
+           "return np.int64 if bound <= _INT64_SAFE else object", "return np.int64",
+           (T_ORACLES + "test_gram_dtype_edge_at_int64",
+            "tests/test_cli.py::test_reduce_halfclique_huge_bound_decides_by_gram_in_object_ints")),
 )
 
 # (mutant, why no test can kill it); the old text is checked as a killable mutant's is
@@ -156,7 +170,7 @@ def run(mutant: Mutant) -> str | None:
         mutated = _pytest(where, mutant.tests)
     if mutated.returncode == 0:
         return "survived"
-    # a failing hypothesis test can end in an INTERNALERROR (exit code 3) in place of its report
+    # a kill is a failed test in the summary: an error in a plugin's report hook exits 3, not 1
     if re.search(r"\b\d+ failed\b", mutated.stdout):
         return None
     return f"the mutated run failed no test (pytest exit code {mutated.returncode})"

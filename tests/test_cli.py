@@ -194,18 +194,43 @@ def test_invert_exponent_weight_is_fast_usage_error(tmp_path, capsys):
     _assert_fast_usage_error(capsys, "invert", "--query", str(out), "--oracle", "brute")
 
 
-def test_reduce_halfclique_huge_bound_inverts_exactly(tmp_path, monkeypatch):
-    """A bound past float range: the constants take exact integer roots, the scan object ints."""
+def _huge_bound_halfclique(tmp_path):
     src = tmp_path / "g.txt"
     src.write_text(GRAPH_TEXT)
     out = tmp_path / "art.json"
     assert run_cli("reduce", "--from", "halfclique", "--latent", "binary",
                    "--bound", "1" + "0" * 400, "--in", str(src), "--out", str(out)) == 0
+    return out
+
+
+def test_reduce_halfclique_huge_bound_inverts_exactly(tmp_path, monkeypatch):
+    """A bound past float range: the constants take exact integer roots, the scan object ints.
+
+    The Gram path is turned off, so that the layer scan decides.
+    """
+    out = _huge_bound_halfclique(tmp_path)
+    monkeypatch.setattr(oracles, "_gram_form", lambda *args: None)
     dtypes = []
     scan = oracles._scan
     monkeypatch.setattr(oracles, "_scan", lambda *args: dtypes.append(args[-1]) or scan(*args))
     assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
     assert dtypes == [object]
+
+
+def test_reduce_halfclique_huge_bound_decides_by_gram_in_object_ints(tmp_path, monkeypatch, capsys):
+    """The same query by its Gram form: object ints, and the layer scan's output."""
+    out = _huge_bound_halfclique(tmp_path)
+    capsys.readouterr()
+    dtypes = []
+    gram_scan = oracles._gram_scan
+    monkeypatch.setattr(oracles, "_gram_scan", lambda *args: dtypes.append(args[-1]) or gram_scan(*args))
+    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert dtypes == [object]
+    by_gram = capsys.readouterr().out
+    monkeypatch.setattr(oracles, "_gram_form", lambda *args: None)
+    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert dtypes == [object]
+    assert capsys.readouterr().out == by_gram
 
 
 def test_cap_exit_code(tmp_path, monkeypatch):

@@ -129,6 +129,7 @@ def test_cvp_int64_scan_matches_fraction_loop(monkeypatch):
     route's decision and its backward-mapped witness must be the loop's.
     """
     rng = random.Random(29)
+    _scan_only(monkeypatch)  # p = 2 would take the Gram path, tested in test_gram_path_matches_scan_and_naive
     scans = _spy_scans(monkeypatch)
     int64_safe = oracles._INT64_SAFE
 
@@ -199,6 +200,25 @@ def _spy_scans(monkeypatch):
 
     monkeypatch.setattr(oracles, "_scan", spy)
     return scans
+
+
+def _scan_only(monkeypatch):
+    """Turn the Gram path off, so that every binary verdict comes from _scan."""
+    _gram_toggle(monkeypatch)[0] = False
+
+
+def _spy_grams(monkeypatch):
+    """Record (dtype, (min, first minimizer)) for every call to the Gram path."""
+    grams = []
+    gram_scan = oracles._gram_scan
+
+    def spy(*args):
+        result = gram_scan(*args)
+        grams.append((args[-1], result))
+        return result
+
+    monkeypatch.setattr(oracles, "_gram_scan", spy)
+    return grams
 
 
 def test_cvp_bruteforce_fallback_beyond_int64(monkeypatch):
@@ -756,19 +776,26 @@ def _halfclique_bounds(g, p, copies):
     return Fraction(int(denom * 67 * (total + 1)) | 1, 2 * denom * 67), Fraction(numerator, 2 * denom)
 
 
-def test_graph_routes_at_benchmark_sizes_scan_in_float32(monkeypatch):
-    """Half-clique (n = 14, 16, edge_prob 0.8, p = 2, one six-copy split) and vertex cover n = 16 scan in float32.
-
-    The layer rule put each of these half-clique scans in int64.
-    """
+def _benchmark_graph_artifacts():
+    """Half-cliques n = 16, 14, 14 at their middle bound, the last at its six-copy split; a cover n = 16."""
     halfcliques = []
     for n, seed in ((16, 3), (14, 2), (14, 1)):
         g = gen_random_graph(n, 0.8, seed=seed)
         middle, split = _halfclique_bounds(g, 2, 6)
         halfcliques.append(halfclique_to_approx(HalfCliqueQuery(g, middle), 2))
     halfcliques.append(halfclique_to_approx(HalfCliqueQuery(g, split), 2))
+    return halfcliques, vertexcover_to_approx(VertexCoverQuery(gen_random_graph(16, 0.5, seed=4), 11), 2)
+
+
+def test_graph_routes_at_benchmark_sizes_scan_in_float32(monkeypatch):
+    """Half-clique (n = 14, 16, edge_prob 0.8, p = 2, one six-copy split) and vertex cover n = 16 scan in float32.
+
+    The layer rule put each of these half-clique scans in int64. The Gram
+    path is off, so that _scan decides (see test_graph_routes_at_benchmark_sizes_decide_by_gram).
+    """
+    halfcliques, cover = _benchmark_graph_artifacts()
     assert [a.constants["alpha_copies"] for a in halfcliques] == [1, 1, 1, 6]
-    cover = vertexcover_to_approx(VertexCoverQuery(gen_random_graph(16, 0.5, seed=4), 11), 2)
+    _scan_only(monkeypatch)
     scans = _spy_scans(monkeypatch)
     for artifact in halfcliques + [cover]:
         layers, target, _, _ = _integerized(artifact.query)
@@ -996,6 +1023,7 @@ def test_scan_tabulates_a_layer_whose_table_fills_the_chunk(monkeypatch):
     rng = random.Random(0)
     pairs = list(itertools.combinations(range(1, 17), 2))
     g = graph(16, [(i, j, 1) for i, j in sorted(rng.sample(pairs, 63))])
+    _scan_only(monkeypatch)
     plans = _spy_groups(monkeypatch)
     for size in (10, 11):
         vq = VertexCoverQuery(g, size)
@@ -1032,8 +1060,10 @@ def test_vertexcover_without_zero_rows_keeps_every_answer(monkeypatch):
 
     Over random graphs with n <= 8 at edge probability 0, 1/2 and 1, every
     cover size and p = 2 and 4. The compiled layer has no all-zero row with
-    bias 0, and 2(|E| + 1) rows.
+    bias 0, and 2(|E| + 1) rows. The Gram path is off, so that _scan decides
+    both (test_vertexcover_gram_path_keeps_every_answer has the Gram path).
     """
+    _scan_only(monkeypatch)
     scans = _spy_scans(monkeypatch)
     for n, prob, p in itertools.product(range(1, 9), (0, 0.5, 1), (2, 4)):
         g = gen_random_graph(n, prob, seed=n)
@@ -1128,6 +1158,215 @@ def test_invert_binary_object_scan_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert [dtype for dtype, _ in scans] == [object]
     assert peak < (64 * 10**6) >> 6
+
+
+# -- the Gram path of +/- stacked p = 2 queries ------------------------------
+
+
+def _gram_toggle(monkeypatch):
+    """A switch for the Gram path: set on[0] = False to send every query to _scan."""
+    on = [True]
+    gram_form = oracles._gram_form
+    monkeypatch.setattr(oracles, "_gram_form", lambda *args: gram_form(*args) if on[0] else None)
+    return on
+
+
+def _stacked_net(rows, bias, n):
+    """One layer [W; -W], [b; -b] over n latents."""
+    return ReluNetwork(n, (layer(rows + [[-w for w in r] for r in rows], bias + [-b for b in bias]),))
+
+
+def test_gram_path_matches_scan_and_naive(monkeypatch):
+    """Random +/- stacked p = 2 queries, n = 1..12, both domains: the Gram path, _scan and _naive_invert agree.
+
+    Entries in {-2..2}/{1, 2} make minima tie, so the lex-first witness is
+    tested. Each query runs at a chunk of 1, 4 or 64 entries (several
+    chunks) or the default one, in int64 and in object (_INT64_SAFE = -1).
+    The Gram path must give _scan's (minimum, first minimizer) at the same
+    scale, and the same verdict, witness and stats; both must match the
+    Fraction reference. The (0,1)-CVP source oracle at p = 2 is checked
+    against _scan the same way.
+    """
+    rng = random.Random(2027)
+    on = _gram_toggle(monkeypatch)
+    scans, grams = _spy_scans(monkeypatch), _spy_grams(monkeypatch)
+    int64_safe = oracles._INT64_SAFE
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+
+    outcomes, ties, split = set(), 0, 0
+    for n in list(range(1, 13)) * 3:
+        count = rng.randint(1, 4)
+        rows = [[entry() for _ in range(n)] for _ in range(count)]
+        bias = [entry() for _ in range(count)]
+        kind = rng.choice((DOMAIN_01, DOMAIN_PM1))
+        probe = InversionQuery(_stacked_net(rows, bias, n), (Fraction(0),) * 2 * count, 2, Fraction(0),
+                               LatentDomain(kind, n))
+        _, best, _ = _naive_invert(probe)
+        theta = rng.choice((best, best, best + Fraction(1, 2), max(best - Fraction(1, 4), Fraction(0))))
+        query = dataclasses.replace(probe, threshold_pow=theta)
+        expect_yes, _, best_z = _naive_invert(query)
+        chunk = rng.choice((1, 4, 64, oracles._CHUNK_ELEMENTS))
+        for safe, dtype in ((int64_safe, np.int64), (-1, object)):
+            monkeypatch.setattr(oracles, "_CHUNK_ELEMENTS", chunk)
+            monkeypatch.setattr(oracles, "_INT64_SAFE", safe)
+            verdicts = {}
+            for on[0] in (True, False):
+                verdicts[on[0]] = invert_binary_bruteforce(query)
+            assert grams.pop() == (dtype, scans.pop()[1])
+            assert not grams and not scans
+            assert verdicts[True].to_dict() == verdicts[False].to_dict()
+            assert verdicts[True].is_yes == expect_yes
+            assert verdicts[True].witness == (best_z if expect_yes else None)
+            assert verdicts[True].stats.latents_enumerated == 1 << n
+        monkeypatch.setattr(oracles, "_INT64_SAFE", int64_safe)
+        outcomes.add(expect_yes)
+        values = [distance_pow(forward(query.network, z), query.target, 2).value
+                  for z in itertools.product(*[(-1, 1) if kind == DOMAIN_PM1 else (0, 1)] * n)]
+        minimizers = [i for i, v in enumerate(values) if v == best]
+        ties += len(minimizers) > 1
+        split += minimizers[-1] - minimizers[0] >= chunk
+        if kind == DOMAIN_01:  # the same layer as a (0,1)-CVP instance: basis rows W, target -b
+            inst = CvpInstance(tuple(map(tuple, rows)), tuple(-b for b in bias), Fraction(rng.randint(0, 4)), 2)
+            cvp = []
+            for on[0] in (True, False):
+                cvp.append(solve_cvp01_bruteforce(inst).to_dict())
+            assert grams.pop()[1] == scans.pop()[1]
+            assert cvp[0] == cvp[1]
+    assert outcomes == {True, False}
+    assert ties >= 10 and split >= 10
+
+
+def test_gram_routing_table(monkeypatch):
+    """Only one layer that mirrors itself, bias included, against target 0 at p = 2 takes the Gram path.
+
+    Every variant still gets the Fraction reference's verdict and witness.
+    """
+    scans, grams = _spy_scans(monkeypatch), _spy_grams(monkeypatch)
+    n = 3
+    rows = [[Fraction(1), Fraction(-2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
+    bias = [Fraction(1), Fraction(-1)]
+    stacked = _stacked_net(rows, bias, n)
+    weights, biases = [list(r) for r in stacked.layers[0].weights], list(stacked.layers[0].bias)
+
+    def query(net=stacked, target=(0,) * 4, p=2, kind=DOMAIN_01):
+        return InversionQuery(net, tuple(map(Fraction, target)), p, Fraction(1), LatentDomain(kind, n))
+
+    unmirrored = [r[:] for r in weights]
+    unmirrored[3][2] = Fraction(2)  # row 3 is no longer -row 1
+    deep = ReluNetwork(n, (stacked.layers[0], layer([[int(i == j) for j in range(4)] for i in range(4)], [0] * 4)))
+    cases = [
+        ("mirrored {0,1}", query(), True),
+        ("mirrored {-1,1}", query(kind=DOMAIN_PM1), True),
+        ("p = 1", query(p=1), False),
+        ("p = 3", query(p=3), False),
+        ("p = 4", query(p=4), False),
+        ("one nonzero target entry", query(target=(0, 0, 1, 0)), False),
+        ("one unmirrored row", query(ReluNetwork(n, (layer(unmirrored, biases),))), False),
+        ("bias not mirrored", query(ReluNetwork(n, (layer(weights, biases[:3] + [biases[3] + 1]),))), False),
+        ("depth 2", query(deep), False),
+    ]
+    for name, q, gram in cases:
+        verdict = invert_binary_bruteforce(q)
+        assert (len(grams), len(scans)) == ((1, 0) if gram else (0, 1)), name
+        grams.clear(), scans.clear()
+        expect_yes, _, best_z = _naive_invert(q)
+        assert verdict.is_yes == expect_yes, name
+        assert verdict.witness == (best_z if expect_yes else None), name
+    basis, target = ((Fraction(1), Fraction(2)),), (Fraction(2),)
+    for p in (1, 2, 3):
+        solve_cvp01_bruteforce(CvpInstance(basis, target, Fraction(1), p))
+        assert (len(grams), len(scans)) == ((1, 0) if p == 2 else (0, 1))
+        grams.clear(), scans.clear()
+
+
+def test_graph_routes_at_benchmark_sizes_decide_by_gram(monkeypatch):
+    """The half-cliques and the cover of the float32 test take the Gram path in int64, with _scan's answers."""
+    halfcliques, cover = _benchmark_graph_artifacts()
+    on = _gram_toggle(monkeypatch)
+    scans, grams = _spy_scans(monkeypatch), _spy_grams(monkeypatch)
+    for artifact in halfcliques + [cover]:
+        verdicts = []
+        for on[0] in (True, False):
+            verdicts.append(invert_binary_bruteforce(artifact.query).to_dict())
+        dtype, best = grams.pop()
+        assert dtype is np.int64 and best == scans.pop()[1]
+        assert verdicts[0] == verdicts[1]
+
+
+def test_vertexcover_gram_path_keeps_every_answer(monkeypatch):
+    """p = 2 covers by the Gram path, with and without the zero rows: _scan's decision, witness and minimum."""
+    on = _gram_toggle(monkeypatch)
+    scans, grams = _spy_scans(monkeypatch), _spy_grams(monkeypatch)
+    for n, prob in itertools.product(range(1, 9), (0, 0.5, 1)):
+        g = gen_random_graph(n, prob, seed=n)
+        for size in range(n + 1):
+            vq = VertexCoverQuery(g, size)
+            for query in (vertexcover_to_approx(vq, 2).query, _vertexcover_with_zero_rows(vq, 2)):
+                verdicts = []
+                for on[0] in (True, False):
+                    verdicts.append(invert_binary_bruteforce(query).to_dict())
+                assert verdicts[0] == verdicts[1]
+                assert grams.pop()[1] == scans.pop()[1]
+            assert grams == [] and scans == []
+
+
+def test_gram_dtype_edge_at_int64(monkeypatch):
+    """int64 up to sum_r M_r^2 = _INT64_SAFE, object past it; at w = 2.5e9 int64 would wrap.
+
+    Rows (w, 0) and (0, w) have sum_r M_r^2 = 2 w^2 = 1.25e19, past 2^63 - 1,
+    though every Gram entry fits in int64; z = (1, 1) is at distance 2 w^2.
+    """
+    w = 2_500_000_000
+    rows, bias = [[(0, w)], [(1, w)]], [0, 0]
+    monkeypatch.setattr(oracles, "_INT64_SAFE", 2 * w * w)
+    assert oracles._gram_dtype(rows, bias) is np.int64
+    monkeypatch.setattr(oracles, "_INT64_SAFE", 2 * w * w - 1)
+    assert oracles._gram_dtype(rows, bias) is object
+    monkeypatch.undo()
+    assert oracles._gram_dtype(rows, bias) is object
+    net = _stacked_net([[Fraction(w), Fraction(0)], [Fraction(0), Fraction(w)]], [Fraction(0)] * 2, 2)
+    query = InversionQuery(net, (Fraction(0),) * 4, 2, Fraction(w * w), LatentDomain(DOMAIN_01, 2))
+    verdict = invert_binary_bruteforce(query)
+    assert verdict.witness == (Fraction(0), Fraction(0))
+    far = dataclasses.replace(query, domain=LatentDomain(DOMAIN_PM1, 2))  # every corner at 2 w^2
+    assert not invert_binary_bruteforce(far).is_yes
+    assert invert_binary_bruteforce(dataclasses.replace(far, threshold_pow=Fraction(2 * w * w))).witness == (-1, -1)
+
+
+def test_gram_memory_stays_within_the_chunk(monkeypatch):
+    """A cover query with n = 22 holds one int64 table of 2^21 entries, one chunk's bytes, and runs two chunks.
+
+    The 63-edge graph on 16 vertices of test_scan_tabulates_a_layer_whose_table_fills_the_chunk
+    takes the Gram path in 2^16 entries, far within half the chunk.
+    """
+    grams = _spy_grams(monkeypatch)
+    monkeypatch.setenv("INVFORGE_CAP", "22")
+    budget = 8 * oracles._CHUNK_ELEMENTS  # bytes of one int64 chunk
+    vq = VertexCoverQuery(gen_random_graph(22, 0.2, seed=7), 15)
+    tracemalloc.start()
+    try:
+        verdict = invert_binary_bruteforce(vertexcover_to_approx(vq, 2).query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [dtype for dtype, _ in grams] == [np.int64]
+    assert budget <= peak < budget + 2**20
+    assert verdict.is_yes == solve_vertexcover_bruteforce(vq).is_yes
+    rng = random.Random(0)
+    pairs = list(itertools.combinations(range(1, 17), 2))
+    g = graph(16, [(i, j, 1) for i, j in sorted(rng.sample(pairs, 63))])
+    for size in (10, 11):
+        vq = VertexCoverQuery(g, size)
+        tracemalloc.start()
+        try:
+            verdict = invert_binary_bruteforce(vertexcover_to_approx(vq, 2).query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # half the float32 chunk
+        assert verdict.is_yes == solve_vertexcover_bruteforce(vq).is_yes == (size == 11)
 
 
 # -- pattern enumeration -----------------------------------------------------
