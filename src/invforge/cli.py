@@ -2,9 +2,9 @@
 
 Each verify family (a source problem on binary or real latents) is declared
 once, as a `Family` record in `FAMILIES` below: its parser, compiler, source
-oracle, random-instance draws, witness forms and default p; oracles.decide
-picks the query oracle. `reduce`, `verify` and `bench` look families up
-there, and their argparse choices are derived from it.
+oracle, random-instance draws, witness forms and default p. `reduce`,
+`verify` and `bench` look families up there and derive their argparse
+choices from it. No command names a query oracle: oracles.decide picks it.
 
 Exit codes: 0 YES/success, 1 NO (or disagreements found), 2 usage/parse
 error or any other failure (so a crash never reads as NO), 3 enumeration
@@ -52,9 +52,6 @@ from .oracles import (
     Verdict,
     count_sat_assignments,
     decide,
-    enumerate_patterns_invert,
-    falsify_real,
-    invert_binary_bruteforce,
     solve_cvp01_bruteforce,
     solve_halfclique_bruteforce,
     solve_sat_bruteforce,
@@ -117,13 +114,6 @@ class BenchRecord:
 
 def _corners(artifact: ReductionArtifact) -> tuple:
     return (0, artifact.constants.get("clamp_hi", 1))  # the gadget scales each binary latent by clamp_hi
-
-
-ORACLES = {
-    "brute": lambda artifact, restarts, seed: invert_binary_bruteforce(artifact.query),
-    "pattern": lambda artifact, restarts, seed: enumerate_patterns_invert(artifact.query),
-    "falsify": lambda artifact, restarts, seed: falsify_real(artifact.query, restarts, seed, _corners(artifact)),
-}
 
 
 def _needs(value, flag: str):
@@ -216,7 +206,7 @@ def _halfclique_accepts(hq: HalfCliqueQuery, chosen, p: int) -> bool:
 
 
 def _bench_query(artifact: ReductionArtifact):
-    return (lambda: invert_binary_bruteforce(artifact.query)), 1 << artifact.query.domain.dim
+    return (lambda: decide(artifact.query)), 1 << artifact.query.domain.dim
 
 
 def _bench_halfclique(n: int, seed: int):
@@ -378,10 +368,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_invert(args) -> int:
     artifact = artifact_from_json(Path(args.query).read_text())
-    if args.oracle is None:  # the query chooses
-        verdict = decide(artifact.query, args.restarts, args.seed, _corners(artifact))
-    else:
-        verdict = ORACLES[args.oracle](artifact, args.restarts, args.seed)
+    verdict = decide(artifact.query, args.restarts, args.seed, _corners(artifact))
     print(json.dumps(verdict.to_dict(), sort_keys=True))
     return EXIT_YES if verdict.is_yes else EXIT_NO
 
@@ -423,7 +410,6 @@ def run_verify(
     seed: int,
     p: int | None = None,
     exhaustive: bool = False,
-    restarts: int = 2000,
 ) -> VerifyReport:
     """Generate instances, solve both sides, and record agreements."""
     started = time.perf_counter()
@@ -437,7 +423,7 @@ def run_verify(
 
     def trial(label, source, must_be_yes: bool = False):
         artifact = fam.compile(source, p)
-        verdict = decide(artifact.query, restarts, label, _corners(artifact))
+        verdict = decide(artifact.query, 2000, label, _corners(artifact))
         agree, detail = _check(fam, source, artifact, verdict)
         report.trials += 1
         if agree and (detail["source"] == YES or not must_be_yes):
@@ -550,12 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--size", type=int, default=None, help="vertex-cover size")
     reduce_p.set_defaults(func=cmd_reduce)
 
-    invert_p = sub.add_parser("invert", help="run an inversion oracle on a query artifact")
+    invert_p = sub.add_parser("invert", help="decide a query artifact by the oracle its query picks")
     invert_p.add_argument("--query", required=True)
-    invert_p.add_argument("--oracle", choices=list(ORACLES),
-                          help="omit to let the query choose (oracles.decide)")
-    invert_p.add_argument("--restarts", type=int, default=10_000)
-    invert_p.add_argument("--seed", type=int, default=0)
+    invert_p.add_argument("--restarts", type=int, default=10_000, help="falsifier restarts")
+    invert_p.add_argument("--seed", type=int, default=0, help="falsifier seed")
     invert_p.set_defaults(func=cmd_invert)
 
     verify_p = sub.add_parser("verify", help="round-trip reductions against the oracles")

@@ -48,6 +48,7 @@ decide picks a query's oracle from the query alone: the scan for a binary
 domain; for a real one, the pattern enumeration where it applies
 (threshold 0 or p = 1) within the pattern_units cap, else the falsifier.
 It calls each by module-global name, so patching a name reaches decide.
+It is the CLI's only route to a query oracle: no command names one.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -262,8 +263,6 @@ def solve_halfclique_bruteforce(query: HalfCliqueQuery, p: int) -> Verdict:
     g = query.graph
     n = g.num_vertices
     _check_cap("subset_vertices", n, "vertices")
-    if n % 2 != 0:
-        raise ValueError("half-clique needs an even vertex count")
     weights = {pair: root**p for pair, root in g.root_weights().items()}
     masks = _masks_of_popcount(n, n // 2)
     clique = np.ones(len(masks), dtype=bool)

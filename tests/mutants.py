@@ -44,7 +44,8 @@ class Mutant:
 
 
 ORACLES, RELUNET, REDUCTIONS = "src/invforge/oracles.py", "src/invforge/relunet.py", "src/invforge/reductions.py"
-T_ORACLES = "tests/test_oracles.py::"
+CLI = "src/invforge/cli.py"
+T_ORACLES, T_CLI = "tests/test_oracles.py::", "tests/test_cli.py::"
 
 MUTANTS = (
     # -- LP warm start
@@ -131,7 +132,44 @@ MUTANTS = (
     Mutant("gram-int64-past-bound", 27, ORACLES,
            "return np.int64 if bound <= _INT64_SAFE else object", "return np.int64",
            (T_ORACLES + "test_gram_dtype_edge_at_int64",
-            "tests/test_cli.py::test_reduce_halfclique_huge_bound_decides_by_gram_in_object_ints")),
+            T_CLI + "test_reduce_halfclique_huge_bound_decides_by_gram_in_object_ints")),
+    # -- the CLI's one route to a query oracle, and checks no test reached before
+    Mutant("invert-default-corners", 28, CLI,
+           "decide(artifact.query, args.restarts, args.seed, _corners(artifact))",
+           "decide(artifact.query, args.restarts, args.seed, (0, 1))",
+           (T_CLI + "test_invert_without_oracle_lets_the_query_choose",
+            T_CLI + "test_falsify_past_float_range_checks_corners_exactly")),
+    Mutant("needs-without-none-check", 28, CLI,
+           '    if value is None:\n        raise UnsupportedReduction(f"this route needs {flag}")\n', "",
+           (T_CLI + "test_reduce_without_its_route_flag_is_usage_error",)),
+    Mutant("reduce-p-check-dropped", 28, CLI,
+           "if args.p not in (None, artifact.query.p):", "if False:",
+           (T_CLI + "test_malformed_instance_is_one_line_usage_error",)),
+    Mutant("loader-metadata-check-dropped", 28, RELUNET,
+           '    if not isinstance(metadata, dict):\n        raise ValueError("metadata must be an object")\n', "",
+           (T_CLI + "test_malformed_artifact_is_usage_error",)),
+    Mutant("loader-shape-check-dropped", 28, RELUNET,
+           "if rows < 1 or cols < 1:", "if False:",
+           (T_CLI + "test_malformed_artifact_is_usage_error",)),
+    Mutant("halfclique-negative-theta-check-dropped", 28, REDUCTIONS,
+           "if theta < 0:", "if False:",
+           (T_CLI + "test_malformed_instance_is_one_line_usage_error",)),
+    Mutant("halfclique-alpha-check-dropped", 28, REDUCTIONS,
+           "if alpha_pow <= 0:", "if False:",
+           (T_CLI + "test_malformed_instance_is_one_line_usage_error",)),
+    Mutant("last-resort-exits-no", 28, CLI,
+           '.replace("\\n", " "), file=sys.stderr)\n        return EXIT_USAGE',
+           '.replace("\\n", " "), file=sys.stderr)\n        return EXIT_NO',
+           (T_CLI + "test_unexpected_exception_is_one_line_usage_error",)),
+    Mutant("split-drops-perfect-power-leftover", 28, "src/invforge/ratio.py",
+           "if root**p == remainder:", "if False:",
+           ("tests/test_ratio.py::test_pth_power_split_exact",)),
+    Mutant("sat-real-back-skips-clamp-check", 28, REDUCTIONS,
+           "if any(abs(v) != 1 for v in clamped):", "if False:",
+           ("tests/test_reductions.py::test_sat_real_satisfying_assignment_maps_exactly",)),
+    Mutant("patterns-accept-binary-domain", 28, ORACLES,
+           'raise ValueError("pattern enumeration needs a real latent domain")', "pass",
+           (T_ORACLES + "test_invert_binary_rejects_real_domain",)),
 )
 
 # (mutant, why no test can kill it); the old text is checked as a killable mutant's is

@@ -56,11 +56,11 @@ def test_invert_brute_exit_codes(tmp_path):
     out = tmp_path / "art.json"
     cnf.write_text(SAT_TEXT)
     run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert run_cli("invert", "--query", str(out)) == 0
 
     cnf.write_text(UNSAT_TEXT)
     run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 1
+    assert run_cli("invert", "--query", str(out)) == 1
 
 
 def test_invert_verdict_json(tmp_path, capsys):
@@ -69,45 +69,39 @@ def test_invert_verdict_json(tmp_path, capsys):
     cnf.write_text(SAT_TEXT)
     run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
     capsys.readouterr()
-    run_cli("invert", "--query", str(out), "--oracle", "brute")
+    run_cli("invert", "--query", str(out))
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["decision"] == "YES"
     assert verdict["certificate"] == "exhaustive"
     assert verdict["witness"] is not None
 
 
-def test_brute_on_real_domain_is_usage_error(tmp_path):
-    cnf = tmp_path / "f.cnf"
-    out = tmp_path / "art.json"
-    cnf.write_text(SAT_TEXT)
-    run_cli("reduce", "--from", "sat", "--latent", "real", "--in", str(cnf), "--out", str(out))
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 2
-
-
 @pytest.mark.parametrize(
-    "family, latent, flags, oracle",
-    [("sat", "binary", [], "brute"), ("sat", "real", [], "pattern"),
-     ("halfclique", "real", ["--bound", "5"], "falsify")],
+    "family, latent, flags, certificate",
+    [("sat", "binary", [], "exhaustive"), ("sat", "real", [], "pattern-enumeration"),
+     ("halfclique", "real", ["--bound", "5"], "falsifier-only")],
     ids=["binary-scan", "real-pattern", "real-falsify"],
 )
-def test_invert_without_oracle_lets_the_query_choose(tmp_path, capsys, family, latent, flags, oracle):
+def test_invert_without_oracle_lets_the_query_choose(tmp_path, capsys, family, latent, flags, certificate):
     src, out = tmp_path / "in.txt", tmp_path / "art.json"
     src.write_text(SAT_TEXT if family == "sat" else GRAPH_TEXT)
     assert run_cli("reduce", "--from", family, "--latent", latent, *flags, "--in", str(src), "--out", str(out)) == 0
     capsys.readouterr()
-    common = ("invert", "--query", str(out), "--restarts", "40", "--seed", "3")
-    assert run_cli(*common) == run_cli(*common, "--oracle", oracle) == 0
-    chosen, explicit = capsys.readouterr().out.splitlines()
-    assert chosen == explicit
+    assert run_cli("invert", "--query", str(out), "--restarts", "40", "--seed", "3") == 0
+    artifact = artifact_from_json(out.read_text())
+    verdict = oracles.decide(artifact.query, 40, 3, cli._corners(artifact))
+    assert capsys.readouterr().out == json.dumps(verdict.to_dict(), sort_keys=True) + "\n"
+    assert verdict.certificate == certificate
 
 
-def test_falsify_zero_restarts_reports_no(tmp_path, capsys):
+def test_falsify_zero_restarts_reports_no(tmp_path, capsys, monkeypatch):
     cnf = tmp_path / "f.cnf"
     out = tmp_path / "art.json"
     cnf.write_text(SAT_TEXT)
     run_cli("reduce", "--from", "sat", "--latent", "real", "--in", str(cnf), "--out", str(out))
     capsys.readouterr()
-    code = run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "0")
+    monkeypatch.setenv("INVFORGE_CAP", "0")  # past the pattern_units cap, decide takes the falsifier
+    code = run_cli("invert", "--query", str(out), "--restarts", "0")
     assert code == 1
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["certificate"] == "falsifier-only"
@@ -177,6 +171,17 @@ def test_reduce_exponent_literal_is_fast_usage_error(tmp_path, capsys, source, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, flag", [("halfclique", "--bound"), ("vertexcover", "--size")])
+def test_reduce_without_its_route_flag_is_usage_error(tmp_path, capsys, source, flag):
+    src = tmp_path / "g.txt"
+    src.write_text(GRAPH_TEXT)
+    out = tmp_path / "art.json"
+    err = _assert_fast_usage_error(capsys, "reduce", "--from", source, "--latent", "binary",
+                                   "--in", str(src), "--out", str(out))
+    assert err == f"error: this route needs {flag}\n"
+    assert not out.exists()
+
+
 def test_verify_huge_p_is_fast_usage_error(capsys):
     err = _assert_fast_usage_error(capsys, "verify", "--family", "halfclique", "--n-max", "4",
                                    "--trials", "1", "--p", "1000000000")
@@ -191,7 +196,7 @@ def test_invert_exponent_weight_is_fast_usage_error(tmp_path, capsys):
     doc = json.loads(out.read_text())
     doc["network"]["layers"][0]["weights"][0] = HUGE
     out.write_text(json.dumps(doc))
-    _assert_fast_usage_error(capsys, "invert", "--query", str(out), "--oracle", "brute")
+    _assert_fast_usage_error(capsys, "invert", "--query", str(out))
 
 
 def _huge_bound_halfclique(tmp_path):
@@ -213,7 +218,7 @@ def test_reduce_halfclique_huge_bound_inverts_exactly(tmp_path, monkeypatch):
     dtypes = []
     scan = oracles._scan
     monkeypatch.setattr(oracles, "_scan", lambda *args: dtypes.append(args[-1]) or scan(*args))
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert run_cli("invert", "--query", str(out)) == 0
     assert dtypes == [object]
 
 
@@ -224,11 +229,11 @@ def test_reduce_halfclique_huge_bound_decides_by_gram_in_object_ints(tmp_path, m
     dtypes = []
     gram_scan = oracles._gram_scan
     monkeypatch.setattr(oracles, "_gram_scan", lambda *args: dtypes.append(args[-1]) or gram_scan(*args))
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert run_cli("invert", "--query", str(out)) == 0
     assert dtypes == [object]
     by_gram = capsys.readouterr().out
     monkeypatch.setattr(oracles, "_gram_form", lambda *args: None)
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 0
+    assert run_cli("invert", "--query", str(out)) == 0
     assert dtypes == [object]
     assert capsys.readouterr().out == by_gram
 
@@ -239,7 +244,7 @@ def test_cap_exit_code(tmp_path, monkeypatch):
     cnf.write_text(SAT_TEXT)
     run_cli("reduce", "--from", "sat", "--latent", "binary", "--in", str(cnf), "--out", str(out))
     monkeypatch.setenv("INVFORGE_CAP", "1")
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 3
+    assert run_cli("invert", "--query", str(out)) == 3
     bench = ("bench", "--family", "sat", "--n-from", "2", "--n-to", "2", "--out", str(tmp_path / "b.csv"))
     assert run_cli(*bench) == 3
 
@@ -303,15 +308,17 @@ def test_bench_halfclique_skips_odd_n(tmp_path, capsys):
     assert [(r[0], r[1], r[4]) for r in rows] == [("halfclique", "4", "16"), ("halfclique", "6", "64")]
 
 
-@pytest.mark.parametrize("latent, oracle", [("binary", "brute"), ("real", "pattern")])
-def test_formula_without_clauses_inverts_to_yes(tmp_path, capsys, latent, oracle):
+@pytest.mark.parametrize("latent, certificate", [("binary", "exhaustive"), ("real", "pattern-enumeration")],
+                         ids=["binary-brute", "real-pattern"])
+def test_formula_without_clauses_inverts_to_yes(tmp_path, capsys, latent, certificate):
     # no clause leaves the clause layer one dead row, which is 0 for every latent
     cnf, art = tmp_path / "f.cnf", tmp_path / "art.json"
     cnf.write_text("p cnf 3 0\n")
     assert run_cli("reduce", "--from", "sat", "--latent", latent, "--in", str(cnf), "--out", str(art)) == 0
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(art), "--oracle", oracle) == 0
-    assert json.loads(capsys.readouterr().out)["decision"] == "YES"
+    assert run_cli("invert", "--query", str(art)) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["decision"] == "YES" and verdict["certificate"] == certificate
 
 
 @pytest.mark.parametrize("family", [name for name, fam in FAMILIES.items() if fam.exhaustive is None])
@@ -322,14 +329,29 @@ def test_verify_exhaustive_without_cases_is_usage_error(capsys, family):
     assert captured.err.startswith("error: ") and f"family {family} has no exhaustive cases" in captured.err
 
 
+def test_unexpected_exception_is_one_line_usage_error(tmp_path, monkeypatch, capsys):
+    """main's last resort: any other exception exits 2, not 1 (a NO), on one line."""
+
+    def boom(text):
+        raise RuntimeError("boom\nagain")
+
+    monkeypatch.setattr(cli, "artifact_from_json", boom)
+    art = tmp_path / "art.json"
+    art.write_text("{}")
+    assert run_cli("invert", "--query", str(art)) == 2
+    assert capsys.readouterr() == ("", "error: RuntimeError: boom again\n")
+
+
 def test_unknown_flag_is_usage_error():
     assert main(["invert", "--nope"]) == 2
+    assert main(["invert", "--query", "art.json", "--oracle", "brute"]) == 2  # no command names a query oracle
 
 
 SAT3_TEXT = "p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"
 CVP2_TEXT = "cvp 2 2 1\n1 1/2\n0 2\n3/2 2\n1/2\n"
 GRAPH4_TEXT = "graph 4\n1 2 1/1\n3 4 2/1\n1 3 1/4\n2 4 9/1\n"
 GRAPH1_TEXT = "graph 4\n1 2 1/1\n"
+K4_TEXT = "graph 4\n1 2 1\n1 3 1\n1 4 1\n2 3 1\n2 4 1\n3 4 1\n"
 
 
 @pytest.mark.parametrize(
@@ -398,6 +420,10 @@ def test_reduce_artifacts_are_pinned(tmp_path, source, latent, text, flags, sha2
         ("cvp", "cvp 1 1 1\n1\n", [], "expected 4 or 5"),
         ("cvp", "cvp 1 2 1\n1\n2\n1/2\n", [], "expected 2 rationals"),
         ("cvp", "cvp 1 1 1\n1\n2\n-1\n", [], "radius must be nonnegative"),
+        ("sat", SAT_TEXT, ["--p", "2"], "--p 2 does not apply: this route fixes p = 1"),
+        # K4 with unit roots at p = 2: weight 6, so alpha^p = bound + 7 and theta = 6 + 8 * bound
+        ("halfclique", K4_TEXT, ["--bound", "-1"], "bound so small the threshold would be negative"),
+        ("halfclique", K4_TEXT, ["--bound", "-7"], "bound too negative: penalty would be nonpositive"),
     ],
 )
 @pytest.mark.parametrize("latent", ["binary", "real"])
@@ -425,37 +451,40 @@ def test_malformed_instance_is_one_line_usage_error(tmp_path, capsys, source, te
 def test_non_json_artifact_is_one_line_usage_error(tmp_path, capsys, text, message):
     art = tmp_path / "art.json"
     art.write_text(text)
-    err = _assert_fast_usage_error(capsys, "invert", "--query", str(art), "--oracle", "brute")
+    err = _assert_fast_usage_error(capsys, "invert", "--query", str(art))
     assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, message",
     [
-        (("network", "layers", 0, "weights", 0), 1),
-        (("target", 0), 0),
-        (("threshold_pow",), None),
-        (("constants",), "abc"),
-        (("witness_map",), []),
-        (("domain", "dim"), 5),
-        (("domain", "dim"), 2),
+        (("network", "layers", 0, "weights", 0), 1, "layer 0: malformed entry: bad rational literal: 1"),
+        (("target", 0), 0, "bad rational literal: 0"),
+        (("threshold_pow",), None, "bad rational literal: None"),
+        (("constants",), "abc", "str for an object"),
+        (("witness_map",), [], "list for an object"),
+        (("domain", "dim"), 5, "domain dimension 5 != network input_dim 3"),
+        (("domain", "dim"), 2, "domain dimension 2 != network input_dim 3"),
         # an integer field takes only a JSON integer: int() would read 1.9 or true as 1
-        (("p",), 1.9),
-        (("p",), True),
-        (("p",), "1"),
-        (("domain", "dim"), 3.0),
-        (("domain", "dim"), True),
-        (("network", "input_dim"), 3.5),
-        (("network", "layers", 0, "rows"), 3.0),
-        (("network", "layers", 0, "cols"), "3"),
-        (("p",), 1000000001),  # past ratio.P_MAX: refused before any power is taken
+        (("p",), 1.9, "p 1.9 is not an integer"),
+        (("p",), True, "p True is not an integer"),
+        (("p",), "1", "p '1' is not an integer"),
+        (("domain", "dim"), 3.0, "dim 3.0 is not an integer"),
+        (("domain", "dim"), True, "dim True is not an integer"),
+        (("network", "input_dim"), 3.5, "input_dim 3.5 is not an integer"),
+        (("network", "layers", 0, "rows"), 3.0, "rows 3.0 is not an integer"),
+        (("network", "layers", 0, "cols"), "3", "cols '3' is not an integer"),
+        # past ratio.P_MAX: refused before any power is taken
+        (("p",), 1000000001, "p = 1000000001 is outside [1, 64]"),
+        (("network", "layers", 0, "rows"), 0, "layer 0: nonpositive shape 0x3"),
+        (("network", "metadata"), [], "metadata must be an object"),
     ],
     ids=["numeric-weight", "numeric-target", "null-threshold", "string-constants",
          "list-witness-map", "dim-above-input", "dim-below-input", "p-float", "p-bool",
          "p-string", "dim-float", "dim-bool", "input-dim-float", "rows-float", "cols-string",
-         "p-huge"],
+         "p-huge", "rows-zero", "list-metadata"],
 )
-def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value):
+def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value, message):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(SAT3_TEXT)
     out = tmp_path / "art.json"
@@ -467,10 +496,11 @@ def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value):
     node[path[-1]] = value
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--oracle", "brute") == 2
+    assert run_cli("invert", "--query", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("clamp_hi", [[1], {"a": 1}], ids=["list", "object"])
@@ -483,7 +513,7 @@ def test_falsify_bad_clamp_hi_is_usage_error(tmp_path, capsys, clamp_hi):
     doc["constants"]["clamp_hi"] = clamp_hi
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "8") == 2
+    assert run_cli("invert", "--query", str(out), "--restarts", "8") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -502,7 +532,7 @@ def test_falsify_past_float_range_checks_corners_exactly(tmp_path, capsys):
     assert run_cli("reduce", "--from", "halfclique", "--latent", "real",
                    "--bound", "1" + "0" * 400, "--in", str(src), "--out", str(out)) == 0
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--oracle", "falsify", "--restarts", "50") == 0
+    assert run_cli("invert", "--query", str(out), "--restarts", "50") == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     verdict = json.loads(captured.out)
@@ -525,9 +555,10 @@ def test_falsify_overflowing_forward_prints_no_warning(tmp_path):
     query = InversionQuery(net, (Fraction(1),), 2, Fraction(0), LatentDomain(DOMAIN_REAL, 2))
     out = tmp_path / "art.json"
     out.write_text(artifact_to_json(ReductionArtifact(query)))
-    env = {**os.environ, "PYTHONPATH": str(Path(invforge.__file__).parents[1])}
+    # the pattern oracle would certify this NO; past the pattern_units cap, decide takes the falsifier
+    env = {**os.environ, "PYTHONPATH": str(Path(invforge.__file__).parents[1]), "INVFORGE_CAP": "0"}
     proc = subprocess.run(
-        [sys.executable, "-m", "invforge.cli", "invert", "--query", str(out), "--oracle", "falsify"],
+        [sys.executable, "-m", "invforge.cli", "invert", "--query", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (1, "")
@@ -587,7 +618,7 @@ def test_verify_reports_injected_faults(monkeypatch, family):
 
     monkeypatch.setattr(cli, "decide", recorded_decide)
     monkeypatch.setattr(cli, "backward_witness", no_source_witness)
-    report = run_verify(family, n_max, 6, seed=3, restarts=200)
+    report = run_verify(family, n_max, 6, seed=3)
     failed = [d for d in report.disagreements if d.get("witness_back") == "failed"]
     assert len(query_yes) == report.trials and any(query_yes)
     assert len(failed) == sum(query_yes)
@@ -595,7 +626,7 @@ def test_verify_reports_injected_faults(monkeypatch, family):
 
     monkeypatch.undo()
     monkeypatch.setattr(cli, "constants_valid", lambda artifact: False)
-    report = run_verify(family, n_max, 6, seed=3, restarts=200)
+    report = run_verify(family, n_max, 6, seed=3)
     assert report.agreements == 0
     assert len(report.disagreements) == report.trials >= 6
     assert all(d["constants"] == "invalid" for d in report.disagreements)
@@ -613,7 +644,7 @@ def test_verify_reports_injected_faults(monkeypatch, family):
         return latent
 
     monkeypatch.setattr(cli, "forward_witness", shifted_latent)
-    report = run_verify(family, n_max, 6, seed=3, restarts=200)
+    report = run_verify(family, n_max, 6, seed=3)
     failed = [d for d in report.disagreements if d.get("witness_forward") == "failed"]
     assert any(misses) and len(failed) == len(report.disagreements) == sum(misses)
     assert all(d["source"] == "YES" for d in failed)

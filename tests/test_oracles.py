@@ -415,6 +415,9 @@ def test_invert_binary_rejects_real_domain():
     q = identity_query(2, (1, 0), domain=DOMAIN_REAL)
     with pytest.raises(ValueError):
         invert_binary_bruteforce(q)
+    # and the pattern oracle a binary one
+    with pytest.raises(ValueError, match="pattern enumeration needs a real latent domain"):
+        enumerate_patterns_invert(identity_query(2, (1, 0)))
 
 
 def test_invert_binary_cap(monkeypatch):

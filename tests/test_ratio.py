@@ -89,3 +89,5 @@ def test_pth_power_split_exact():
         assert k >= 1 and s > 0
     # 8 = 2 * 2**2: the square part comes out
     assert pth_power_split(Fraction(8), 2) == (2, Fraction(2))
+    # 100003 is a prime past the trial division's 100,000: the leftover 100003^2 is a perfect square
+    assert pth_power_split(Fraction(100003**2), 2) == (1, Fraction(100003))

@@ -105,6 +105,9 @@ def test_sat_real_satisfying_assignment_maps_exactly():
     assert source.is_yes
     latent = forward_witness(art, tuple(bool(v) for v in source.witness))
     assert forward(art.query.network, latent) == art.query.target
+    assert backward_witness(art, latent) == tuple(bool(v) for v in source.witness)
+    with pytest.raises(ValueError, match="latent does not clamp to a"):
+        backward_witness(art, (latent[0], Fraction(1, 2)))
 
 
 def test_sat_real_yes_via_patterns():
