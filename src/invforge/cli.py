@@ -4,7 +4,8 @@ Each verify family (a source problem on binary or real latents) is declared
 once, as a `Family` record in `FAMILIES` below: its parser, compiler, source
 oracle, random-instance draws, witness forms and default p. `reduce`,
 `verify` and `bench` look families up there and derive their argparse
-choices from it. No command names a query oracle: oracles.decide picks it.
+choices from it. No command names or tunes a query oracle: oracles.decide
+picks it and its settings from the query alone.
 
 Exit codes: 0 YES/success, 1 NO (or disagreements found), 2 usage/parse
 error or any other failure (so a crash never reads as NO), 3 enumeration
@@ -110,10 +111,6 @@ class BenchRecord:
 
 
 # -- source families ------------------------------------------------------------
-
-
-def _corners(artifact: ReductionArtifact) -> tuple:
-    return (0, artifact.constants.get("clamp_hi", 1))  # the gadget scales each binary latent by clamp_hi
 
 
 def _needs(value, flag: str):
@@ -368,7 +365,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_invert(args) -> int:
     artifact = artifact_from_json(Path(args.query).read_text())
-    verdict = decide(artifact.query, args.restarts, args.seed, _corners(artifact))
+    verdict = decide(artifact.query)
     print(json.dumps(verdict.to_dict(), sort_keys=True))
     return EXIT_YES if verdict.is_yes else EXIT_NO
 
@@ -423,7 +420,7 @@ def run_verify(
 
     def trial(label, source, must_be_yes: bool = False):
         artifact = fam.compile(source, p)
-        verdict = decide(artifact.query, 2000, label, _corners(artifact))
+        verdict = decide(artifact.query)
         agree, detail = _check(fam, source, artifact, verdict)
         report.trials += 1
         if agree and (detail["source"] == YES or not must_be_yes):
@@ -536,10 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--size", type=int, default=None, help="vertex-cover size")
     reduce_p.set_defaults(func=cmd_reduce)
 
-    invert_p = sub.add_parser("invert", help="decide a query artifact by the oracle its query picks")
+    invert_p = sub.add_parser("invert", help="decide a query artifact; its query picks the oracle and its settings")
     invert_p.add_argument("--query", required=True)
-    invert_p.add_argument("--restarts", type=int, default=10_000, help="falsifier restarts")
-    invert_p.add_argument("--seed", type=int, default=0, help="falsifier seed")
     invert_p.set_defaults(func=cmd_invert)
 
     verify_p = sub.add_parser("verify", help="round-trip reductions against the oracles")

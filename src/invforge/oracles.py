@@ -44,11 +44,13 @@ from there, since feasibility and the optimal value do not depend on the
 start; only the leaf that answers YES is solved once more from no start,
 and that cold solve gives the witness.
 
-decide picks a query's oracle from the query alone: the scan for a binary
-domain; for a real one, the pattern enumeration where it applies
-(threshold 0 or p = 1) within the pattern_units cap, else the falsifier.
-It calls each by module-global name, so patching a name reaches decide.
-It is the CLI's only route to a query oracle: no command names one.
+decide picks a query's oracle and its settings from the query alone: the
+scan for a binary domain; for a real one, the pattern enumeration where it
+applies (threshold 0 or p = 1) within the pattern_units cap, else the
+falsifier at its default restarts and seed, its corners at the latent box
+that the network's first two layers clamp to (_clamp_box). It calls each
+by module-global name, so patching a name reaches decide. It is the CLI's
+only route to a query oracle: no command names or tunes one.
 
 Enumeration caps are configuration: the INVFORGE_CAP environment
 variable, else the defaults below.
@@ -817,9 +819,10 @@ def falsify_real(
     the witness: the decision and the witness are those of checking every
     candidate in order.
 
-    A NO answer is explicitly non-certifying. With 2^N <= restarts and
-    corner levels {0, clamp_hi}, every YES of a gadget query is found at a
-    seed, since forward_witness scales the binary witness by clamp_hi.
+    A NO answer is explicitly non-certifying. With 2^N <= restarts, every YES
+    of a gadget or sat-real query is found at a corner of _clamp_box's levels:
+    {0, clamp_hi}, as forward_witness scales the binary witness by clamp_hi, or
+    {-1, 1}, where a satisfying +/-1 assignment lies at float distance exactly 0.
     When the query overflows float64, only the corners are checked, exactly, in index order.
     """
     if query.domain.kind != DOMAIN_REAL:
@@ -920,10 +923,21 @@ def falsify_real(
 # -- decision entry point ----------------------------------------------------
 
 
-def decide(query: InversionQuery, restarts: int = 10_000, seed: int = 0, corner_levels: tuple = (0, 1)) -> Verdict:
-    """The query's oracle, picked as the module docstring says; the falsifier takes the other arguments."""
+def _clamp_box(net) -> tuple:
+    """(-a, c - a) if layers 0-1 are ReLU(z_i + a) then ReLU(c - v_i), c > 0, on every latent; else (0, 1)."""
+    eye = tuple(tuple(int(i == j) for j in range(net.input_dim)) for i in range(net.input_dim))
+    first, second = (*net.layers, None)[:2]
+    if second and (first.weights, second.weights) == (eye, tuple(tuple(-v for v in row) for row in eye)):
+        a, c = first.bias[0], second.bias[0]
+        if c > 0 and {*first.bias} == {a} and {*second.bias} == {c}:
+            return -a, c - a
+    return 0, 1
+
+
+def decide(query: InversionQuery) -> Verdict:
+    """The query's oracle, picked as the module docstring says, with settings read off the query alone."""
     if query.domain.kind != DOMAIN_REAL:
         return invert_binary_bruteforce(query)
     if (query.threshold_pow == 0 or query.p == 1) and branching_units(query) <= resolve_cap("pattern_units"):
         return enumerate_patterns_invert(query)
-    return falsify_real(query, restarts=restarts, seed=seed, corner_levels=corner_levels)
+    return falsify_real(query, corner_levels=_clamp_box(query.network))

@@ -37,6 +37,12 @@ def json_int(doc, key: str) -> int:
     return value
 
 
+def json_keys(doc: dict, keys: frozenset, what: str) -> None:
+    """Refuse a key of the JSON object doc outside keys, so that a misspelled field is not read as absent."""
+    if unknown := doc.keys() - keys:
+        raise ValueError(f"unknown {what} key {min(unknown)!r}")
+
+
 def format_ratio(value) -> str:
     """Canonical "num/den" form in lowest terms, always with a denominator; zero is "0/1"."""
     frac = value if isinstance(value, Fraction) else Fraction(value)
@@ -79,19 +85,8 @@ def int_root_ceil(value, p: int) -> int:
 
 
 def rational_root_ceil(value, p: int) -> Fraction:
-    """Smallest k/64 (k >= 1) whose p-th power is >= value."""
-    value = Fraction(value)
-    if value <= 0:
-        return Fraction(1, 64)
-    hi = int_root_ceil(value, p) * 64
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if Fraction(mid, 64) ** p >= value:
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo, 64)
+    """Smallest k/64 (k >= 1) whose p-th power is >= value: (k/64)^p >= v exactly when k^p >= v 64^p."""
+    return Fraction(int_root_ceil(Fraction(value) * 64**p, p), 64)
 
 
 def pth_power_split(value, p: int) -> tuple[int, Fraction]:

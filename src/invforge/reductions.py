@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
-from .ratio import check_p, format_ratio, int_root_ceil, json_int, parse_ratio, pth_power_split, rational_root_ceil
+from .ratio import check_p, format_ratio, int_root_ceil, json_int, json_keys, parse_ratio, pth_power_split, rational_root_ceil
 from .relunet import (
     ReluNetwork,
     as_fraction,
@@ -721,6 +721,10 @@ def _constants_from_json(doc):
     return out
 
 
+_ARTIFACT_KEYS = frozenset(("network", "target", "p", "threshold_pow", "domain", "constants", "witness_map"))
+_DOMAIN_KEYS = frozenset(("kind", "dim"))
+
+
 def artifact_from_json(text: str | bytes) -> ReductionArtifact:
     try:
         doc = json.loads(text)
@@ -732,6 +736,8 @@ def artifact_from_json(text: str | bytes) -> ReductionArtifact:
         p = json_int(doc, "p")
         theta = parse_ratio(doc["threshold_pow"])
         domain = LatentDomain(doc["domain"]["kind"], json_int(doc["domain"], "dim"))
+        json_keys(doc, _ARTIFACT_KEYS, "artifact")
+        json_keys(doc["domain"], _DOMAIN_KEYS, "domain")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed artifact document: {exc}") from exc
     query = InversionQuery(net, target, p, theta, domain)

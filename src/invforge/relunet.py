@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ratio import check_p, format_ratio, json_int, parse_ratio, scaled_int
+from .ratio import check_p, format_ratio, json_int, json_keys, parse_ratio, scaled_int
 
 NETWORK_FORMAT_VERSION = "relunet-1"
 
@@ -288,6 +288,10 @@ def deserialize(text: str | bytes) -> ReluNetwork:
     return network_from_dict(doc)
 
 
+_NETWORK_KEYS = frozenset(("version", "input_dim", "layers", "metadata"))
+_LAYER_KEYS = frozenset(("rows", "cols", "weights", "bias"))
+
+
 def network_from_dict(doc) -> ReluNetwork:
     if not isinstance(doc, dict):
         raise ValueError("network document must be a JSON object")
@@ -296,6 +300,7 @@ def network_from_dict(doc) -> ReluNetwork:
     try:
         input_dim = json_int(doc, "input_dim")
         raw_layers = doc["layers"]
+        json_keys(doc, _NETWORK_KEYS, "network")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
     layers = []
@@ -304,6 +309,7 @@ def network_from_dict(doc) -> ReluNetwork:
             rows, cols = json_int(raw, "rows"), json_int(raw, "cols")
             flat = [parse_ratio(w) for w in raw["weights"]]
             bias = [parse_ratio(b) for b in raw["bias"]]
+            json_keys(raw, _LAYER_KEYS, "layer")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"layer {index}: malformed entry: {exc}") from exc
         if rows < 1 or cols < 1:

@@ -134,11 +134,6 @@ MUTANTS = (
            (T_ORACLES + "test_gram_dtype_edge_at_int64",
             T_CLI + "test_reduce_halfclique_huge_bound_decides_by_gram_in_object_ints")),
     # -- the CLI's one route to a query oracle, and checks no test reached before
-    Mutant("invert-default-corners", 28, CLI,
-           "decide(artifact.query, args.restarts, args.seed, _corners(artifact))",
-           "decide(artifact.query, args.restarts, args.seed, (0, 1))",
-           (T_CLI + "test_invert_without_oracle_lets_the_query_choose",
-            T_CLI + "test_falsify_past_float_range_checks_corners_exactly")),
     Mutant("needs-without-none-check", 28, CLI,
            '    if value is None:\n        raise UnsupportedReduction(f"this route needs {flag}")\n', "",
            (T_CLI + "test_reduce_without_its_route_flag_is_usage_error",)),
@@ -170,6 +165,27 @@ MUTANTS = (
     Mutant("patterns-accept-binary-domain", 28, ORACLES,
            'raise ValueError("pattern enumeration needs a real latent domain")', "pass",
            (T_ORACLES + "test_invert_binary_rejects_real_domain",)),
+    # -- decide reads the falsifier's corner box off the query; checks that rode along
+    Mutant("decide-default-corners", 29, ORACLES,
+           "falsify_real(query, corner_levels=_clamp_box(query.network))", "falsify_real(query)",
+           (T_CLI + "test_falsify_past_float_range_checks_corners_exactly",
+            T_CLI + "test_invert_finds_a_sat_real_witness_past_the_pattern_cap",
+            T_ORACLES + "test_decide_calls_each_oracle_by_module_name")),
+    Mutant("clamp-box-always-01", 29, ORACLES,
+           "if second and (first.weights, second.weights) ==", "if False and (first.weights, second.weights) ==",
+           (T_ORACLES + "test_clamp_box_table", T_ORACLES + "test_decide_finds_every_satisfiable_sat_real_formula")),
+    Mutant("clamp-box-unshifted", 29, ORACLES,
+           "return -a, c - a", "return a, c",
+           (T_ORACLES + "test_clamp_box_table",)),
+    Mutant("clamp-box-bias-unchecked", 29, ORACLES,
+           " and {*first.bias} == {a} and {*second.bias} == {c}:", ":",
+           (T_ORACLES + "test_clamp_box_table",)),
+    Mutant("root-ceil-scale-64-pow-p-1", 29, "src/invforge/ratio.py",
+           "Fraction(value) * 64**p, p)", "Fraction(value) * 64**(p - 1), p)",
+           ("tests/test_ratio.py::test_rational_root_ceil_is_tight",)),
+    Mutant("loader-unknown-key-unchecked", 29, "src/invforge/ratio.py",
+           'raise ValueError(f"unknown {what} key {min(unknown)!r}")', "pass",
+           (T_CLI + "test_malformed_artifact_is_usage_error",)),
 )
 
 # (mutant, why no test can kill it); the old text is checked as a killable mutant's is

@@ -14,7 +14,8 @@ import pytest
 import invforge
 from invforge import cli, oracles
 from invforge.cli import FAMILIES, main, run_bench, run_verify, write_bench_csv
-from invforge.instances import CvpInstance, is_clique, parse_graph
+from invforge.instances import CvpInstance, assignment_satisfies, emit_dimacs, gen_random_ksat, is_clique, parse_graph
+from invforge.oracles import solve_sat_bruteforce
 from invforge.ratio import parse_ratio
 from invforge.reductions import (
     DOMAIN_REAL,
@@ -87,24 +88,26 @@ def test_invert_without_oracle_lets_the_query_choose(tmp_path, capsys, family, l
     src.write_text(SAT_TEXT if family == "sat" else GRAPH_TEXT)
     assert run_cli("reduce", "--from", family, "--latent", latent, *flags, "--in", str(src), "--out", str(out)) == 0
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--restarts", "40", "--seed", "3") == 0
+    assert run_cli("invert", "--query", str(out)) == 0
     artifact = artifact_from_json(out.read_text())
-    verdict = oracles.decide(artifact.query, 40, 3, cli._corners(artifact))
+    verdict = oracles.decide(artifact.query)
     assert capsys.readouterr().out == json.dumps(verdict.to_dict(), sort_keys=True) + "\n"
     assert verdict.certificate == certificate
 
 
-def test_falsify_zero_restarts_reports_no(tmp_path, capsys, monkeypatch):
-    cnf = tmp_path / "f.cnf"
-    out = tmp_path / "art.json"
-    cnf.write_text(SAT_TEXT)
-    run_cli("reduce", "--from", "sat", "--latent", "real", "--in", str(cnf), "--out", str(out))
+def test_invert_finds_a_sat_real_witness_past_the_pattern_cap(tmp_path, capsys):
+    """n = 10 with 40 clauses: past the pattern_units cap the falsifier decides, at the +/-1 corners."""
+    formula = gen_random_ksat(10, 40, 3, 0)
+    assert solve_sat_bruteforce(formula).is_yes
+    src, out = tmp_path / "f.cnf", tmp_path / "art.json"
+    src.write_text(emit_dimacs(formula))
+    assert run_cli("reduce", "--from", "sat", "--latent", "real", "--in", str(src), "--out", str(out)) == 0
     capsys.readouterr()
-    monkeypatch.setenv("INVFORGE_CAP", "0")  # past the pattern_units cap, decide takes the falsifier
-    code = run_cli("invert", "--query", str(out), "--restarts", "0")
-    assert code == 1
+    assert run_cli("invert", "--query", str(out)) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["certificate"] == "falsifier-only"
+    witness = [parse_ratio(v) for v in verdict["witness"]]
+    assert assignment_satisfies(formula, backward_witness(artifact_from_json(out.read_text()), witness))
 
 
 def test_reduce_halfclique_odd_p_rejected(tmp_path):
@@ -342,9 +345,12 @@ def test_unexpected_exception_is_one_line_usage_error(tmp_path, monkeypatch, cap
     assert capsys.readouterr() == ("", "error: RuntimeError: boom again\n")
 
 
-def test_unknown_flag_is_usage_error():
+def test_unknown_flag_is_usage_error(capsys):
     assert main(["invert", "--nope"]) == 2
-    assert main(["invert", "--query", "art.json", "--oracle", "brute"]) == 2  # no command names a query oracle
+    # no command names a query oracle, nor tunes one: the query picks both
+    for flags in (["--oracle", "brute"], ["--restarts", "8"], ["--seed", "3"]):
+        assert main(["invert", "--query", "art.json", *flags]) == 2
+        assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
 
 
 SAT3_TEXT = "p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"
@@ -478,11 +484,18 @@ def test_non_json_artifact_is_one_line_usage_error(tmp_path, capsys, text, messa
         (("p",), 1000000001, "p = 1000000001 is outside [1, 64]"),
         (("network", "layers", 0, "rows"), 0, "layer 0: nonpositive shape 0x3"),
         (("network", "metadata"), [], "metadata must be an object"),
+        # a key the writer never emits is refused, so that a misspelled field is not read as absent
+        (("thresold_pow",), "0/1", "malformed artifact document: unknown artifact key 'thresold_pow'"),
+        (("metadata",), {}, "malformed artifact document: unknown artifact key 'metadata'"),
+        (("domain", "size"), 3, "malformed artifact document: unknown domain key 'size'"),
+        (("network", "metdata"), {}, "malformed network document: unknown network key 'metdata'"),
+        (("network", "layers", 0, "scale"), "1/1", "layer 0: malformed entry: unknown layer key 'scale'"),
     ],
     ids=["numeric-weight", "numeric-target", "null-threshold", "string-constants",
          "list-witness-map", "dim-above-input", "dim-below-input", "p-float", "p-bool",
          "p-string", "dim-float", "dim-bool", "input-dim-float", "rows-float", "cols-string",
-         "p-huge", "rows-zero", "list-metadata"],
+         "p-huge", "rows-zero", "list-metadata", "misspelled-threshold", "root-metadata",
+         "domain-extra-key", "misspelled-network-metadata", "layer-extra-key"],
 )
 def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value, message):
     cnf = tmp_path / "f.cnf"
@@ -513,7 +526,7 @@ def test_falsify_bad_clamp_hi_is_usage_error(tmp_path, capsys, clamp_hi):
     doc["constants"]["clamp_hi"] = clamp_hi
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--restarts", "8") == 2
+    assert run_cli("invert", "--query", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -532,7 +545,7 @@ def test_falsify_past_float_range_checks_corners_exactly(tmp_path, capsys):
     assert run_cli("reduce", "--from", "halfclique", "--latent", "real",
                    "--bound", "1" + "0" * 400, "--in", str(src), "--out", str(out)) == 0
     capsys.readouterr()
-    assert run_cli("invert", "--query", str(out), "--restarts", "50") == 0
+    assert run_cli("invert", "--query", str(out)) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     verdict = json.loads(captured.out)

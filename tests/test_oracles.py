@@ -18,6 +18,7 @@ from invforge.instances import (
     CvpInstance,
     HalfCliqueQuery,
     VertexCoverQuery,
+    assignment_satisfies,
     gen_random_cvp,
     gen_random_graph,
     gen_random_ksat,
@@ -60,6 +61,7 @@ from invforge.reductions import (
     cvp_to_approx_binary,
     cvp_to_approx_real,
     halfclique_to_approx,
+    halfclique_to_approx_real,
     sat_to_exact_binary,
     sat_to_exact_real,
     vertexcover_to_approx,
@@ -2113,18 +2115,77 @@ def test_decide_routes_by_the_query(monkeypatch, build, cap, certificate):
     query = build()
     if cap is not None:
         monkeypatch.setenv("INVFORGE_CAP", str(branching_units(query) + cap))
-    assert decide(query, restarts=200).certificate == certificate
+    assert decide(query).certificate == certificate
 
 
 def test_decide_calls_each_oracle_by_module_name(monkeypatch):
     calls = []
     for name in ("invert_binary_bruteforce", "enumerate_patterns_invert", "falsify_real"):
         monkeypatch.setattr(oracles, name, lambda *args, name=name, **kwargs: calls.append((name, args, kwargs)))
-    binary, pattern, falsify = identity_query(2, (1, 0)), _sat_real(), _cvp_real(2, 3, radius=1)
-    for query in (binary, pattern, falsify):
-        decide(query, restarts=7, seed=5, corner_levels=(0, 3))
+    binary, pattern = identity_query(2, (1, 0)), _sat_real()
+    gadget = cvp_to_approx_real(dataclasses.replace(gen_random_cvp(2, 1, 0, p=3), radius=Fraction(1)))
+    for query in (binary, pattern, gadget.query):
+        decide(query)
+    assert gadget.constants["clamp_hi"] > 1
     assert calls == [
         ("invert_binary_bruteforce", (binary,), {}),
         ("enumerate_patterns_invert", (pattern,), {}),
-        ("falsify_real", (falsify,), {"restarts": 7, "seed": 5, "corner_levels": (0, 3)}),
+        ("falsify_real", (gadget.query,), {"corner_levels": (0, gadget.constants["clamp_hi"])}),
     ]
+
+
+def _clamp_net(w0, b0, w1=((-1, 0), (0, -1)), b1=(1, 1)):
+    return ReluNetwork(2, (layer(w0, b0), layer(w1, b1), layer([[1, 1]], [0])))
+
+
+_EYE = ((1, 0), (0, 1))
+# the box a net's first two layers clamp its latents to, or (0, 1) when they are no such clamp
+CLAMP_BOXES = {
+    "clamp-shifted": (lambda: _clamp_net(_EYE, (3, 3), b1=(5, 5)), (-3, 2)),
+    "clamp-fractional": (lambda: _clamp_net(_EYE, (Fraction(-1, 2),) * 2), (Fraction(1, 2), Fraction(3, 2))),
+    "sat-real": (lambda: _sat_real().network, (-1, 1)),
+    "depth-1": (lambda: identity_query(2, (1, 0)).network, (0, 1)),
+    "layer-0-scaled": (lambda: _clamp_net(((2, 0), (0, 2)), (0, 0)), (0, 1)),
+    "layer-0-permuted": (lambda: _clamp_net(((0, 1), (1, 0)), (0, 0)), (0, 1)),
+    "layer-1-not-negated": (lambda: _clamp_net(_EYE, (0, 0), w1=_EYE), (0, 1)),
+    "layer-0-unequal-bias": (lambda: _clamp_net(_EYE, (0, 1), b1=(2, 2)), (0, 1)),
+    "layer-1-unequal-bias": (lambda: _clamp_net(_EYE, (0, 0), b1=(2, 3)), (0, 1)),
+    "c-zero": (lambda: _clamp_net(_EYE, (-1, -1), b1=(0, 0)), (0, 1)),
+    "c-negative": (lambda: _clamp_net(_EYE, (0, 0), b1=(-1, -1)), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("build, box", list(CLAMP_BOXES.values()), ids=list(CLAMP_BOXES))
+def test_clamp_box_table(build, box):
+    assert oracles._clamp_box(build()) == box
+
+
+@pytest.mark.parametrize("build, mode", [
+    (lambda: cvp_to_approx_real(CvpInstance(((Fraction(1),),), (Fraction(1),), Fraction(1, 8), 1)), "quarter"),
+    (lambda: cvp_to_approx_real(CvpInstance(((Fraction(1),),), (Fraction(1),), Fraction(1, 2), 1)), "general"),
+    (lambda: halfclique_to_approx_real(HalfCliqueQuery(graph(4, [(1, 2, 1), (3, 4, 2)]), Fraction(5)), 2), "general"),
+], ids=["cvp-quarter", "cvp-general", "halfclique"])
+def test_clamp_box_of_a_gadget_is_its_clamp(build, mode):
+    artifact = build()
+    assert artifact.constants["gadget_mode"] == mode
+    assert oracles._clamp_box(artifact.query.network) == (0, artifact.constants["clamp_hi"])
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 13])
+def test_decide_finds_every_satisfiable_sat_real_formula(n):
+    """Past the pattern_units cap, sat-real goes to the falsifier: its corners must be the +/-1 assignments.
+
+    With 2^n <= 10,000 corners, each satisfying assignment is a corner at distance 0, so none is missed.
+    """
+    satisfiable = 0
+    for seed in range(20):
+        formula = gen_random_ksat(n, 4 * n, 3, seed)
+        if not solve_sat_bruteforce(formula).is_yes:
+            continue
+        satisfiable += 1
+        artifact = sat_to_exact_real(formula)
+        assert branching_units(artifact.query) > oracles.resolve_cap("pattern_units")
+        verdict = decide(artifact.query)
+        assert verdict.is_yes and verdict.certificate == CERT_FALSIFIER, seed
+        assert assignment_satisfies(formula, backward_witness(artifact, verdict.witness)), seed
+    assert satisfiable >= 10

@@ -83,10 +83,17 @@ def _verify_entries(log):
             compiled[:] = [fam.compile(source, p)]
             return compiled[0]
 
-        def invert(query, restarts, trial, corner_levels, prefix=prefix, label=label, compiled=compiled):
-            label[:] = [trial]
-            verdict = decide(query, restarts, trial, corner_levels)
-            log(f"{prefix}/{trial}/invert", artifact=_sha(artifact_to_json(compiled[0])), **verdict.to_dict())
+        def draw(rng, ts, n_max, p, fam=fam, label=label):  # run_verify labels a drawn trial by its seed
+            label[:] = [ts]
+            return fam.draw(rng, ts, n_max, p)
+
+        def boundary(seed, p, fam=fam, label=label):
+            label[:] = ["boundary"]
+            return fam.boundary(seed, p)
+
+        def invert(query, prefix=prefix, label=label, compiled=compiled):
+            verdict = decide(query)
+            log(f"{prefix}/{label[0]}/invert", artifact=_sha(artifact_to_json(compiled[0])), **verdict.to_dict())
             return verdict
 
         def solve(source, p, fam=fam, prefix=prefix, label=label):
@@ -94,7 +101,9 @@ def _verify_entries(log):
             log(f"{prefix}/{label[0]}/solve", **verdict.to_dict())
             return verdict
 
-        cli.FAMILIES[name] = dataclasses.replace(fam, compile=compile_kept, solve=solve)
+        cli.FAMILIES[name] = dataclasses.replace(
+            fam, compile=compile_kept, solve=solve, draw=draw, boundary=fam.boundary and boundary
+        )
         cli.decide = invert
         try:
             report = cli.run_verify(name, n_max, trials, seed, p=p).to_dict()

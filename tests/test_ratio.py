@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invforge.ratio import (
@@ -74,12 +74,18 @@ def test_int_root_ceil():
     assert int_root_ceil(Fraction(54), 2) == 8
 
 
-def test_rational_root_ceil_is_tight():
-    for value in (Fraction(53), Fraction(2), Fraction(5, 7)):
-        for p in (1, 2, 3):
-            root = rational_root_ceil(value, p)
-            assert root**p >= value
-            assert (root - Fraction(1, 64)) ** p < value or root == Fraction(1, 64)
+@given(st.fractions(), st.integers(1, 8))
+@example(Fraction(53), 3)
+@example(Fraction(5, 7), 2)
+@example(Fraction(0), 2)
+@example(Fraction(1, 64**3), 3)
+@example(Fraction(10**400, 7), 7)
+def test_rational_root_ceil_is_tight(value, p):
+    root = rational_root_ceil(value, p)
+    k = root * 64
+    assert k.denominator == 1 and k >= 1
+    assert root**p >= value
+    assert k == 1 or Fraction(k - 1, 64) ** p < value
 
 
 def test_pth_power_split_exact():
