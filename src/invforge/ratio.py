@@ -37,6 +37,14 @@ def json_int(doc, key: str) -> int:
     return value
 
 
+def json_list(doc, key: str) -> list:
+    """doc[key] if it is a JSON array; a string or object is refused, not iterated."""
+    value = doc[key]
+    if type(value) is not list:
+        raise ValueError(f"{key} is not an array")
+    return value
+
+
 def json_keys(doc: dict, keys: frozenset, what: str) -> None:
     """Refuse a key of the JSON object doc outside keys, so that a misspelled field is not read as absent."""
     if unknown := doc.keys() - keys:

@@ -11,11 +11,14 @@ Conventions shared by every construction here:
     distance <= threshold_pow.
   * Latent-tight: a source of size n (variables, coefficients, vertices)
     compiles to n latents, so a 2^n bound in n is one in the latent size.
+  * Layers are built as relunet.Layer's sparse integer rows over one
+    scale, never as dense Fraction rows: no construction calls `layer`.
   * "+/- stacking" (_stacked_query, the cvp and both graph routes): a
     1-layer network [W; -W], [b; -b] satisfies ||ReLU(stacked)||_p^p ==
     sum_rows |W_r z + b_r|^p exactly: per row one of the two copies fires.
+    The copy is W's rows with each integer negated, so no zero is stored.
   * Pair rows (_pair_rows): both graph routes charge each vertex pair
-    2s(z_i + z_j) - s, then the subset size.
+    2s(z_i + z_j) - s, two nonzeros, then the subset size.
   * Per-coordinate rows (_diagonal): row i has a weight in column i only;
     they build the clamp and |v - c| stages of sat-real and the gadget.
   * Semantic clamp/abs stages are realized with ReLU pairs whose additive
@@ -27,20 +30,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .instances import CnfFormula, CvpInstance, HalfCliqueQuery, VertexCoverQuery
-from .ratio import check_p, format_ratio, int_root_ceil, json_int, json_keys, parse_ratio, pth_power_split, rational_root_ceil
-from .relunet import (
-    ReluNetwork,
-    as_fraction,
-    forward_layers,
-    layer,
-    network_from_dict,
-    network_to_dict,
-)
+from .ratio import check_p, format_ratio, int_root_ceil, json_int, json_keys, json_list, parse_ratio, pth_power_split
+from .ratio import rational_root_ceil, scaled_int
+from .relunet import Layer, ReluNetwork, as_fraction, forward_layers, network_from_dict, network_to_dict, sparse_layer
 
 DOMAIN_PM1 = "pm1"
 DOMAIN_01 = "01"
@@ -156,69 +154,53 @@ def choose_c(delta) -> int:
 # -- the shared blocks ------------------------------------------------------
 
 
-def _stacked_query(rows, bias, p: int, theta, metadata: dict) -> InversionQuery:
+def _stacked_query(inner: Layer, p: int, theta, metadata: dict) -> InversionQuery:
     """The one-layer {0,1}-latent query of [W; -W], [b; -b] against target 0 (+/- stacking)."""
-    net = ReluNetwork(
-        len(rows[0]),
-        (layer(rows + [[-w for w in r] for r in rows], bias + [-b for b in bias]),),
-        metadata=metadata,
-    )
-    return InversionQuery(
-        net, (_ZERO,) * net.output_dim, p, theta, LatentDomain(DOMAIN_01, net.input_dim)
-    )
+    negated = tuple(tuple((j, -w) for j, w in row) for row in inner.rows)
+    stacked = Layer(inner.fan_in, inner.rows + negated, inner.int_bias + tuple(-b for b in inner.int_bias), inner.scale)
+    net = ReluNetwork(inner.fan_in, (stacked,), metadata=metadata)
+    return InversionQuery(net, (_ZERO,) * net.output_dim, p, theta, LatentDomain(DOMAIN_01, net.input_dim))
 
 
-def _pair_rows(n: int, scales, beta: Fraction, picked: Fraction):
-    """Pair rows, then the size row, over latents z in {0,1}^n: (rows, bias).
+def _pair_rows(n: int, scales, beta: int, picked: Fraction) -> Layer:
+    """Pair rows, then the size row, over latents z in {0,1}^n.
 
     Each vertex pair i < j gets one row 2s(z_i + z_j) - s per scale s in
     scales(i, j): |.| is 3s when both of the pair are picked and s
     otherwise. The size row beta * (sum z - picked) is 0 exactly when
     `picked` latents are set.
     """
-    rows: list[list[Fraction]] = []
-    bias: list[Fraction] = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        for s in scales(i, j):
-            row = [_ZERO] * n
-            row[i - 1] = 2 * s
-            row[j - 1] = 2 * s
-            rows.append(row)
-            bias.append(-s)
-    rows.append([beta] * n)
-    bias.append(-picked * beta)
-    return rows, bias
+    pairs = [(i - 1, j - 1, s) for i, j in itertools.combinations(range(1, n + 1), 2) for s in scales(i, j)]
+    scale = math.lcm(*{s.denominator for *_, s in pairs}, picked.denominator)
+    scaled = [(i, j, scaled_int(s, scale)) for i, j, s in pairs]
+    rows = tuple(((i, 2 * k), (j, 2 * k)) for i, j, k in scaled) + (tuple((i, beta * scale) for i in range(n)),)
+    return Layer(n, rows, tuple(-k for *_, k in scaled) + (-scaled_int(picked * beta, scale),), scale)
 
 
-def _diagonal(count: int, weight, width: int) -> list[list]:
-    """The per-coordinate rows: row i holds weight in column i and 0 in the other width - 1."""
-    return [[weight if j == i else _ZERO for j in range(width)] for i in range(count)]
+def _diagonal(count: int, weight: int) -> tuple:
+    """The per-coordinate rows: row i holds weight in column i only."""
+    return tuple(((i, weight),) for i in range(count))
+
+
+def _sum_row(start: int, stop: int) -> tuple:
+    """The row summing inputs start..stop - 1 with weight 1."""
+    return tuple((j, 1) for j in range(start, stop))
 
 
 # -- satisfiability, binary latents ---------------------------------------
 
 
-def _clause_matrix(formula: CnfFormula) -> tuple[list[list[Fraction]], list[Fraction]]:
+def _clause_matrix(formula: CnfFormula) -> Layer:
     """Clause rows: -1 per positive literal, +1 per negative, 0 otherwise.
 
     With latents in {-1,1} a satisfied clause scores <= k-2 and an
     unsatisfied one exactly k, so bias -(k-1) sends satisfied clauses to 0
     and unsatisfied ones to 1 after the ReLU.
     """
-    n = formula.num_vars
-    rows = []
-    for clause in formula.clauses:
-        row = [_ZERO] * n
-        for lit in clause:
-            row[abs(lit) - 1] = Fraction(-1) if lit > 0 else _ONE
-        rows.append(row)
-    bias = [Fraction(-(formula.clause_width - 1))] * len(rows)
-    if not rows:
-        # Degenerate empty formula: a single dead row keeps the stack valid
-        # and evaluates to 0 everywhere (always YES, as it should be).
-        rows = [[_ZERO] * n]
-        bias = [_ZERO]
-    return rows, bias
+    rows = tuple(tuple(sorted({abs(lit) - 1: -1 if lit > 0 else 1 for lit in clause}.items())) for clause in formula.clauses)
+    # Degenerate empty formula: a single dead row keeps the stack valid
+    # and evaluates to 0 everywhere (always YES, as it should be).
+    return Layer(formula.num_vars, rows or ((),), (-(formula.clause_width - 1),) * len(rows) or (0,))
 
 
 def sat_to_exact_binary(formula: CnfFormula) -> ReductionArtifact:
@@ -228,23 +210,18 @@ def sat_to_exact_binary(formula: CnfFormula) -> ReductionArtifact:
     clause (0 = satisfied, 1 = violated); layer 2 sums the scores. Target 0,
     threshold 0.
     """
-    rows, bias = _clause_matrix(formula)
-    m = len(rows)
+    clauses = _clause_matrix(formula)
+    m = clauses.fan_out
     net = ReluNetwork(
         formula.num_vars,
-        (
-            layer(rows, bias),
-            layer([[1] * m], [0]),
-        ),
+        (clauses, Layer(m, (_sum_row(0, m),), (0,))),
         metadata={
             "construction": "sat-exact-binary",
             "clauses": formula.num_clauses,
             "clause_width": formula.clause_width,
         },
     )
-    query = InversionQuery(
-        net, (_ZERO,), 1, _ZERO, LatentDomain(DOMAIN_PM1, formula.num_vars)
-    )
+    query = InversionQuery(net, (_ZERO,), 1, _ZERO, LatentDomain(DOMAIN_PM1, formula.num_vars))
     return ReductionArtifact(query, constants={}, witness_map={"kind": "sat-pm1"})
 
 
@@ -258,24 +235,22 @@ def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
     at -1 or +1, which reduces the question to the binary case.
     """
     n = formula.num_vars
-    clause_rows, clause_bias = _clause_matrix(formula)
-    m = len(clause_rows)
+    clauses = _clause_matrix(formula)
+    m = clauses.fan_out
 
-    layer1 = layer(_diagonal(n, 1, n), [1] * n)
-    layer2 = layer(_diagonal(n, -1, n), [2] * n)
+    layer1 = Layer(n, _diagonal(n, 1), (1,) * n)
+    layer2 = Layer(n, _diagonal(n, -1), (2,) * n)
 
     # Layer 2 outputs bv with semantic v = 1 - bv; fold that affine change
     # into layer 3.
-    layer3 = layer(
-        [[-w for w in row] for row in clause_rows]
-        + _diagonal(n, -1, n)  # ReLU(v_i) = ReLU(1 - bv_i)
-        + _diagonal(n, 1, n),  # ReLU(-v_i) = ReLU(bv_i - 1)
-        [sum(row, _ZERO) + b for row, b in zip(clause_rows, clause_bias)] + [1] * n + [-1] * n,
+    layer3 = Layer(
+        n,
+        tuple(tuple((j, -w) for j, w in row) for row in clauses.rows)
+        + _diagonal(n, -1)  # ReLU(v_i) = ReLU(1 - bv_i)
+        + _diagonal(n, 1),  # ReLU(-v_i) = ReLU(bv_i - 1)
+        tuple(sum(w for _, w in row) + b for row, b in zip(clauses.rows, clauses.int_bias)) + (1,) * n + (-1,) * n,
     )
-
-    out_clause = [1] * m + [0] * (2 * n)
-    out_abs = [0] * m + [1] * (2 * n)
-    layer4 = layer([out_clause, out_abs], [0, 0])
+    layer4 = Layer(m + 2 * n, (_sum_row(0, m), _sum_row(m, m + 2 * n)), (0, 0))
 
     net = ReluNetwork(
         n,
@@ -286,9 +261,7 @@ def sat_to_exact_real(formula: CnfFormula) -> ReductionArtifact:
             "clause_width": formula.clause_width,
         },
     )
-    query = InversionQuery(
-        net, (_ZERO, Fraction(n)), 1, _ZERO, LatentDomain(DOMAIN_REAL, n)
-    )
+    query = InversionQuery(net, (_ZERO, Fraction(n)), 1, _ZERO, LatentDomain(DOMAIN_REAL, n))
     return ReductionArtifact(query, constants={}, witness_map={"kind": "sat-real"})
 
 
@@ -309,9 +282,9 @@ def cvp_to_approx_binary(inst: CvpInstance) -> ReductionArtifact:
     routes instead.
     """
     metadata = {"construction": "cvp-approx-binary", "lattice_rows": inst.dim}
-    query = _stacked_query(
-        list(inst.basis), [-t for t in inst.target], inst.p, inst.radius**inst.p, metadata
-    )
+    basis = [[(j, w) for j, w in enumerate(row) if w] for row in inst.basis]
+    inner = sparse_layer(inst.num_vectors, basis, [-t for t in inst.target])
+    query = _stacked_query(inner, inst.p, inst.radius**inst.p, metadata)
     return ReductionArtifact(query, witness_map={"kind": "cvp-01"})
 
 
@@ -364,29 +337,24 @@ def binarization_gadget(inner: ReductionArtifact, delta, mode: str) -> Reduction
         raise ValueError(f"unknown gadget mode {mode!r}")
     half = clamp_hi / 2
 
-    layer1 = layer(_diagonal(N, 1, N), [0] * N)
-    layer2 = layer(_diagonal(N, -1, N), [clamp_hi] * N)
+    layer1 = Layer(N, _diagonal(N, 1), (0,) * N)
+    layer2 = sparse_layer(N, _diagonal(N, -1), (clamp_hi,) * N)
 
     # Layer 2 outputs bv with semantic v = clamp_hi - bv.
-    layer3 = layer(
-        _diagonal(N, 1, N)  # collapse score ReLU(collapse_bias - v_i)
-        + _diagonal(N, -1, N)  # ReLU(v_i - half)
-        + _diagonal(N, 1, N),  # ReLU(half - v_i)
-        [collapse_bias - clamp_hi] * N + [half] * N + [-half] * N,
+    layer3 = sparse_layer(
+        N,
+        _diagonal(N, 1)  # collapse score ReLU(collapse_bias - v_i)
+        + _diagonal(N, -1)  # ReLU(v_i - half)
+        + _diagonal(N, 1),  # ReLU(half - v_i)
+        (collapse_bias - clamp_hi,) * N + (half,) * N + (-half,) * N,
     )
 
-    deviation_row = [_ZERO] * N + [_ONE] * (2 * N)
-    layer4 = layer(
-        _diagonal(N, -slope, 3 * N)  # hard collapse: 1 when v_i is high, 0 when low
-        + [deviation_row],
-        [_ONE] * N + [_ZERO],
-    )
+    # hard collapse: 1 when v_i is high, 0 when low; then the total deviation
+    layer4 = Layer(3 * N, _diagonal(N, -int(slope)) + (_sum_row(N, 3 * N),), (1,) * N + (0,))
 
-    inner_layer = inner_net.layers[0]
-    layer5 = layer(
-        [row + (_ZERO,) for row in inner_layer.weights] + [[_ZERO] * N + [_ONE]],
-        inner_layer.bias + (_ZERO,),
-    )
+    inner_layer = inner_net.layers[0]  # plus the deviation node, which it passes on
+    rows5 = inner_layer.rows + (((N, inner_layer.scale),),)
+    layer5 = Layer(N + 1, rows5, inner_layer.int_bias + (0,), inner_layer.scale)
 
     tail = Fraction(N) * clamp_hi / 2
     net = ReluNetwork(
@@ -476,13 +444,13 @@ def halfclique_to_approx(query: HalfCliqueQuery, p: int) -> ReductionArtifact:
     def scales(i, j):
         return [roots[(i, j)]] if (i, j) in roots else [alpha_root] * copies
 
-    rows, bias = _pair_rows(n, scales, beta, Fraction(n, 2))
+    inner = _pair_rows(n, scales, beta.numerator, Fraction(n, 2))
     metadata = {
         "construction": "halfclique-approx",
         "nonedge_copies": copies,
-        "pair_rows": len(rows) - 1,
+        "pair_rows": inner.fan_out - 1,
     }
-    inv_query = _stacked_query(rows, bias, p, theta, metadata)
+    inv_query = _stacked_query(inner, p, theta, metadata)
     return ReductionArtifact(
         inv_query,
         constants={
@@ -532,14 +500,14 @@ def vertexcover_to_approx(query: VertexCoverQuery, p: int) -> ReductionArtifact:
     theta = Fraction(edge_count) * alpha**p
     beta = Fraction(beta_root(theta, p))
 
-    rows, bias = _pair_rows(
+    inner = _pair_rows(
         n,
         lambda i, j: [alpha] if (i, j) in edge_set else [],
-        beta,
+        beta.numerator,
         Fraction(n - query.size),
     )
     metadata = {"construction": "vertexcover-approx", "edge_count": edge_count}
-    inv_query = _stacked_query(rows, bias, p, theta, metadata)
+    inv_query = _stacked_query(inner, p, theta, metadata)
     return ReductionArtifact(
         inv_query,
         constants={
@@ -732,7 +700,7 @@ def artifact_from_json(text: str | bytes) -> ReductionArtifact:
         raise ValueError(f"malformed artifact document: {exc}") from exc
     try:
         net = network_from_dict(doc["network"])
-        target = tuple(parse_ratio(v) for v in doc["target"])
+        target = tuple(parse_ratio(v) for v in json_list(doc, "target"))
         p = json_int(doc, "p")
         theta = parse_ratio(doc["threshold_pow"])
         domain = LatentDomain(doc["domain"]["kind"], json_int(doc["domain"], "dim"))

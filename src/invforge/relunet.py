@@ -2,8 +2,10 @@
 
 A network is a stack of layers, each applying ``ReLU(W v + b)`` elementwise
 (the last layer included). Weights, biases, inputs and outputs are
-arbitrary-precision rationals (`fractions.Fraction`). Exact evaluation runs in
-integers on one view per network (`ReluNetwork.integer`), layer l over
+arbitrary-precision rationals, which a `Layer` holds as sparse integer rows
+over its least scale (`layer` builds one from rationals; the dense `Fraction`
+copies are built only when read). Exact evaluation runs in integers on one
+view per network (`ReluNetwork.integer`), layer l over
 L_l = lcm(s_l L_(l-1), t_l): for inputs X / D, `preactivations` forms its
 pre-activations as integers over L_l D. `forward` returns Fractions, and
 `distance_pows` gives many points' exact distances to a target in one batch.
@@ -18,6 +20,8 @@ File format ("relunet-1"): a UTF-8 JSON document with fields
                every entry a "num/den" string
     metadata   free-form object
 
+The format stays dense: the writer fills each row's nonzeros into "0/1"
+entries, in lowest terms; the loader builds the sparse rows as it parses.
 `serialize` and `deserialize` are the network codec for this format, and
 round-tripping through them is bit-exact (acceptance criterion 09).
 """
@@ -33,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ratio import check_p, format_ratio, json_int, json_keys, parse_ratio, scaled_int
+from .ratio import check_p, json_int, json_keys, json_list, parse_ratio, scaled_int
 
 NETWORK_FORMAT_VERSION = "relunet-1"
 
@@ -56,37 +60,53 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Layer:
-    """One affine-then-ReLU stage: weights (fan_out x fan_in) and bias."""
+    """One affine-then-ReLU stage over one positive integer scale: unit r is ReLU((sum_j w_rj v_j + b_r) / scale).
 
-    weights: tuple[tuple[Fraction, ...], ...]
-    bias: tuple[Fraction, ...]
+    rows[r] lists (column j, int w_rj) of unit r's nonzero weights by ascending column, and int_bias holds
+    the integers b_r. The scale must be the least one, so that equal layers compare equal. `weights` and
+    `bias` are the dense Fraction copies, built on first use.
+    """
+
+    fan_in: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    int_bias: tuple[int, ...]
+    scale: int = 1
 
     def __post_init__(self):
-        if not self.weights:
-            raise ValueError("layer needs at least one row")
-        cols = len(self.weights[0])
-        if cols < 1:
-            raise ValueError("layer needs at least one column")
-        if any(len(row) != cols for row in self.weights):
-            raise ValueError("ragged weight matrix")
-        if len(self.bias) != len(self.weights):
-            raise ValueError(
-                f"bias length {len(self.bias)} != row count {len(self.weights)}"
-            )
+        if not self.rows or self.fan_in < 1 or self.scale < 1 or len(self.int_bias) != len(self.rows):
+            raise ValueError(f"bad layer: {len(self.rows)} rows, {len(self.int_bias)} biases, fan_in {self.fan_in}, scale {self.scale}")
+        if not all(0 <= row[0][0] and row[-1][0] < self.fan_in for row in self.rows if row):
+            raise ValueError(f"a weight's column is outside 0..{self.fan_in - 1}")
+        if self.scale > 1 and math.gcd(self.scale, *self.int_bias, *(w for row in self.rows for _, w in row)) > 1:
+            raise ValueError(f"layer scale {self.scale} shares a factor with every entry: it is not the least")
 
     @property
     def fan_out(self) -> int:
-        return len(self.weights)
+        return len(self.rows)
 
-    @property
-    def fan_in(self) -> int:
-        return len(self.weights[0])
+    @cached_property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(row.get(j, 0), self.scale) for j in range(self.fan_in)) for row in map(dict, self.rows))
+
+    @cached_property
+    def bias(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(b, self.scale) for b in self.int_bias)
+
+
+def sparse_layer(fan_in: int, rows, bias) -> Layer:
+    """The Layer of rows of (column, nonzero rational weight) and a rational bias, over the lcm of their denominators."""
+    scale = math.lcm(*(w.denominator for row in rows for _, w in row), *(b.denominator for b in bias))
+    ints = tuple(tuple((j, scaled_int(w, scale)) for j, w in row) for row in rows)
+    return Layer(fan_in, ints, tuple(scaled_int(b, scale) for b in bias), scale)
 
 
 def layer(weights: Iterable[Iterable], bias: Iterable) -> Layer:
-    """Build a Layer, coercing entries to Fractions."""
-    rows = tuple(tuple(as_fraction(w) for w in row) for row in weights)
-    return Layer(rows, tuple(as_fraction(b) for b in bias))
+    """Build a Layer from dense rows and a bias of rationals: ints, Fractions or "num/den" strings."""
+    dense = [[as_fraction(w) for w in row] for row in weights]
+    if not dense or any(len(row) != len(dense[0]) for row in dense):
+        raise ValueError("layer needs a nonempty, rectangular weight matrix")
+    rows = [[(j, w) for j, w in enumerate(row) if w] for row in dense]
+    return sparse_layer(len(dense[0]), rows, [as_fraction(b) for b in bias])
 
 
 @dataclass(frozen=True)
@@ -106,9 +126,7 @@ class ReluNetwork:
         fan_in = self.input_dim
         for index, lyr in enumerate(self.layers):
             if lyr.fan_in != fan_in:
-                raise ValueError(
-                    f"layer {index}: fan-in {lyr.fan_in} != expected {fan_in}"
-                )
+                raise ValueError(f"layer {index}: fan-in {lyr.fan_in} != expected {fan_in}")
             fan_in = lyr.fan_out
 
     @property
@@ -132,16 +150,16 @@ class ReluNetwork:
     def integer(self) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
         """Per layer (rows, bias, L_l), built on first use: weights scaled by L_l / L_(l-1), bias by L_l.
 
-        L_l = lcm(s_l L_(l-1), t_l), L_(-1) = 1, for s_l and t_l the lcms of the layer's
-        weight and bias denominators. Each row lists (column, weight) of its nonzero weights only.
+        L_l = lcm(s_l L_(l-1), t_l), L_(-1) = 1, for s_l and t_l the lcms of the layer's weight and bias
+        denominators. Rows list (column, weight) of nonzero weights only: the layer's own when L_l = scale L_(l-1).
         """
         out, prev = [], 1
         for lyr in self.layers:
-            s = math.lcm(*(w.denominator for row in lyr.weights for w in row))
-            scale = math.lcm(s * prev, *(b.denominator for b in lyr.bias))
-            wf = scale // prev
-            rows = tuple(tuple((j, scaled_int(w, wf)) for j, w in enumerate(row) if w) for row in lyr.weights)
-            out.append((rows, tuple(scaled_int(b, scale) for b in lyr.bias), scale))
+            s = lyr.scale // math.gcd(lyr.scale, *(w for row in lyr.rows for _, w in row))
+            scale = math.lcm(s * prev, lyr.scale // math.gcd(lyr.scale, *lyr.int_bias))
+            den = lyr.scale * prev  # a weight is w / lyr.scale, an input over prev
+            rows = lyr.rows if scale == den else tuple(tuple((j, w * scale // den) for j, w in row) for row in lyr.rows)
+            out.append((rows, tuple(b * scale // lyr.scale for b in lyr.int_bias), scale))
             prev = scale
         return tuple(out)
 
@@ -192,12 +210,8 @@ def dense_columns(rows, fan_in: int, dtype) -> np.ndarray:
 
 def float_layers(net: ReluNetwork) -> list[tuple[np.ndarray, np.ndarray]]:
     """float64 copies of each layer's weights (fan_in x fan_out) and bias: int / int, correctly rounded."""
-    out, fan_in, prev = [], net.input_dim, 1
-    for rows, bias, scale in net.integer:
-        w = (dense_columns(rows, fan_in, object) * prev / scale).astype(np.float64)
-        out.append((w, np.array([b / scale for b in bias], dtype=np.float64)))
-        fan_in, prev = len(bias), scale
-    return out
+    return [((dense_columns(lyr.rows, lyr.fan_in, object) / lyr.scale).astype(np.float64),
+             np.array([b / lyr.scale for b in lyr.int_bias], dtype=np.float64)) for lyr in net.layers]
 
 
 def forward_float(net: ReluNetwork, z: Sequence[float]) -> np.ndarray:
@@ -263,6 +277,15 @@ def serialize(net: ReluNetwork) -> str:
     return json.dumps(network_to_dict(net), sort_keys=True)
 
 
+def _literals(entries, count: int, scale: int) -> list[str]:
+    """count "num/den" strings in lowest terms: entry k is w / scale for each (k, w) of entries, "0/1" elsewhere."""
+    out = ["0/1"] * count
+    for k, w in entries:
+        g = math.gcd(w, scale)
+        out[k] = f"{w // g}/{scale // g}"
+    return out
+
+
 def network_to_dict(net: ReluNetwork) -> dict:
     return {
         "version": NETWORK_FORMAT_VERSION,
@@ -271,8 +294,9 @@ def network_to_dict(net: ReluNetwork) -> dict:
             {
                 "rows": lyr.fan_out,
                 "cols": lyr.fan_in,
-                "weights": [format_ratio(w) for row in lyr.weights for w in row],
-                "bias": [format_ratio(b) for b in lyr.bias],
+                "weights": _literals(((r * lyr.fan_in + j, w) for r, row in enumerate(lyr.rows) for j, w in row),
+                                     lyr.fan_out * lyr.fan_in, lyr.scale),
+                "bias": _literals(enumerate(lyr.int_bias), lyr.fan_out, lyr.scale),
             }
             for lyr in net.layers
         ],
@@ -299,7 +323,7 @@ def network_from_dict(doc) -> ReluNetwork:
         raise ValueError(f"unsupported network version: {doc.get('version')!r}")
     try:
         input_dim = json_int(doc, "input_dim")
-        raw_layers = doc["layers"]
+        raw_layers = json_list(doc, "layers")
         json_keys(doc, _NETWORK_KEYS, "network")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
@@ -307,8 +331,8 @@ def network_from_dict(doc) -> ReluNetwork:
     for index, raw in enumerate(raw_layers):
         try:
             rows, cols = json_int(raw, "rows"), json_int(raw, "cols")
-            flat = [parse_ratio(w) for w in raw["weights"]]
-            bias = [parse_ratio(b) for b in raw["bias"]]
+            flat = [parse_ratio(w) for w in json_list(raw, "weights")]
+            bias = [parse_ratio(b) for b in json_list(raw, "bias")]
             json_keys(raw, _LAYER_KEYS, "layer")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"layer {index}: malformed entry: {exc}") from exc
@@ -318,8 +342,8 @@ def network_from_dict(doc) -> ReluNetwork:
             raise ValueError(
                 f"layer {index}: {len(flat)} weights for declared {rows}x{cols}"
             )
-        weights = tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows))
-        layers.append(Layer(weights, tuple(bias)))
+        nonzeros = [[(j, w) for j, w in enumerate(flat[r * cols : (r + 1) * cols]) if w] for r in range(rows)]
+        layers.append(sparse_layer(cols, nonzeros, bias))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be an object")

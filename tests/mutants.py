@@ -186,6 +186,28 @@ MUTANTS = (
     Mutant("loader-unknown-key-unchecked", 29, "src/invforge/ratio.py",
            'raise ValueError(f"unknown {what} key {min(unknown)!r}")', "pass",
            (T_CLI + "test_malformed_artifact_is_usage_error",)),
+    # -- layers as sparse integer rows over their least scale, written and loaded without a dense pass
+    Mutant("writer-skips-gcd", 30, RELUNET,
+           "g = math.gcd(w, scale)", "g = 1",
+           (T_ORACLES + "test_layer_representation_matches_dense_references",)),
+    Mutant("stacking-negates-only-bias", 30, REDUCTIONS,
+           "inner.rows + negated,", "inner.rows + inner.rows,",
+           ("tests/test_reductions.py::test_cvp_binary_shape_and_examples",)),
+    Mutant("loader-drops-zero-row", 30, RELUNET,
+           "        nonzeros = [[(j, w) for j, w in enumerate(flat[r * cols : (r + 1) * cols]) if w] for r in range(rows)]\n"
+           "        layers.append(sparse_layer(cols, nonzeros, bias))",
+           "        kept = [r for r in range(rows) if any(flat[r * cols : (r + 1) * cols])]\n"
+           "        nonzeros = [[(j, w) for j, w in enumerate(flat[r * cols : (r + 1) * cols]) if w] for r in kept]\n"
+           "        layers.append(sparse_layer(cols, nonzeros, [bias[r] for r in kept]))",
+           (T_ORACLES + "test_layer_representation_matches_dense_references",)),
+    Mutant("integer-view-always-own-rows", 30, RELUNET,
+           "rows = lyr.rows if scale == den else", "rows = lyr.rows if scale else",
+           (T_ORACLES + "test_layer_representation_matches_dense_references",
+            T_ORACLES + "test_integerized_matches_reference_on_every_family")),
+    Mutant("layer-least-scale-unchecked", 30, RELUNET,
+           "if self.scale > 1 and math.gcd(", "if False and math.gcd(",
+           ("tests/test_relunet.py::test_layer_invariants",
+            T_ORACLES + "test_layer_representation_matches_dense_references")),
 )
 
 # (mutant, why no test can kill it); the old text is checked as a killable mutant's is

@@ -490,12 +490,18 @@ def test_non_json_artifact_is_one_line_usage_error(tmp_path, capsys, text, messa
         (("domain", "size"), 3, "malformed artifact document: unknown domain key 'size'"),
         (("network", "metdata"), {}, "malformed network document: unknown network key 'metdata'"),
         (("network", "layers", 0, "scale"), "1/1", "layer 0: malformed entry: unknown layer key 'scale'"),
+        # a string or number where an array belongs is refused, not iterated
+        (("network", "layers"), 5, "malformed network document: layers is not an array"),
+        (("network", "layers", 0, "weights"), "110011001", "layer 0: malformed entry: weights is not an array"),
+        (("network", "layers", 0, "bias"), "000", "layer 0: malformed entry: bias is not an array"),
+        (("target",), "0", "malformed artifact document: target is not an array"),
     ],
     ids=["numeric-weight", "numeric-target", "null-threshold", "string-constants",
          "list-witness-map", "dim-above-input", "dim-below-input", "p-float", "p-bool",
          "p-string", "dim-float", "dim-bool", "input-dim-float", "rows-float", "cols-string",
          "p-huge", "rows-zero", "list-metadata", "misspelled-threshold", "root-metadata",
-         "domain-extra-key", "misspelled-network-metadata", "layer-extra-key"],
+         "domain-extra-key", "misspelled-network-metadata", "layer-extra-key", "layers-number",
+         "weights-string", "bias-string", "target-string"],
 )
 def test_malformed_artifact_is_usage_error(tmp_path, capsys, path, value, message):
     cnf = tmp_path / "f.cnf"

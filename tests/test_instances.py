@@ -178,6 +178,7 @@ _TEXTS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_TEXTS)
 @example("[" * 100000)  # nesting past the recursion limit
+@example('{"version":"relunet-1","input_dim":1,"layers":5}')  # a number where the layers array belongs
 def test_loaders_raise_only_value_error(text):
     for load in (parse_dimacs, parse_graph, parse_cvp, artifact_from_json, deserialize):
         try:

@@ -45,15 +45,13 @@ from invforge.oracles import (
     solve_sat_bruteforce,
     solve_vertexcover_bruteforce,
 )
-from invforge.ratio import pth_power_split
+from invforge.ratio import format_ratio, pth_power_split
 from invforge.reductions import (
     DOMAIN_01,
     DOMAIN_PM1,
     DOMAIN_REAL,
     InversionQuery,
     LatentDomain,
-    _pair_rows,
-    _stacked_query,
     backward_witness,
     beta_root,
     choose_alpha_halfclique,
@@ -67,6 +65,7 @@ from invforge.reductions import (
     vertexcover_to_approx,
 )
 from invforge.relunet import (
+    Layer,
     ReluNetwork,
     distance_pow,
     distance_pows,
@@ -74,6 +73,8 @@ from invforge.relunet import (
     forward,
     forward_float,
     layer,
+    network_from_dict,
+    network_to_dict,
     preactivations,
 )
 
@@ -1002,6 +1003,70 @@ def test_integerized_matches_reference_on_fractional_targets():
     assert folded > 50
 
 
+# (numerator, denominator) as written, often not in lowest terms: shared factors, negatives, zeros, past 2^64
+_LITERAL = st.one_of(
+    st.builds(lambda k: (0, k), st.integers(1, 6)),
+    st.builds(
+        lambda num, den, k: (num * k, den * k),
+        st.one_of(st.integers(-9, 9), st.integers(-(1 << 80), 1 << 80)),
+        st.sampled_from([1, 2, 3, 4, 6, 12, 1 << 66, 3 << 65]),
+        st.integers(1, 6),
+    ),
+)
+
+
+@st.composite
+def _rational_layers(draw):
+    """(n, per layer (rows, bias) of (num, den) literals): zero rows and all-zero layers included."""
+    n = fan_in = draw(st.integers(1, 4))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        fan_out, zero = draw(st.integers(1, 4)), draw(st.sampled_from(["layer", "rows", "none"]))
+        rows = [
+            [(0, 1)] * fan_in if zero == "layer" or (zero == "rows" and draw(st.booleans()))
+            else draw(st.lists(_LITERAL, min_size=fan_in, max_size=fan_in))
+            for _ in range(fan_out)
+        ]
+        bias = [(0, 1)] * fan_out if zero == "layer" else draw(st.lists(_LITERAL, min_size=fan_out, max_size=fan_out))
+        layers.append((rows, bias))
+        fan_in = fan_out
+    return n, layers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_layers())
+def test_layer_representation_matches_dense_references(drawn):
+    """Sparse integer layers against dense Fraction references: the writer, the loader, equality, the integer view."""
+    n, spec = drawn
+    dense = [([[Fraction(*e) for e in row] for row in rows], [Fraction(*e) for e in bias]) for rows, bias in spec]
+    net = ReluNetwork(n, tuple(
+        layer([[f"{a}/{b}" for a, b in row] for row in rows], [f"{a}/{b}" for a, b in bias]) for rows, bias in spec
+    ))
+    assert [(lyr.weights, lyr.bias) for lyr in net.layers] == [(tuple(map(tuple, w)), tuple(b)) for w, b in dense]
+    # the writer against the dense one it replaced: format_ratio per entry, row-major
+    doc = network_to_dict(net)
+    assert doc["layers"] == [
+        {"rows": len(w), "cols": len(w[0]), "weights": [format_ratio(v) for row in w for v in row],
+         "bias": [format_ratio(v) for v in b]}
+        for w, b in dense
+    ]
+    assert network_from_dict(doc) == net
+    for lyr, (w, b) in zip(net.layers, dense):
+        def over(d):
+            rows = tuple(tuple((j, int(v * d)) for j, v in enumerate(row) if v) for row in w)
+            return Layer(len(w[0]), rows, tuple(int(v * d) for v in b), d)
+
+        # built from Fractions, and from integers over the least common denominator, the one scale taken
+        assert layer(w, b) == lyr
+        least = math.lcm(*(v.denominator for v in (*itertools.chain(*w), *b)))
+        assert over(least) == lyr
+        with pytest.raises(ValueError):
+            over(6 * least)
+    query = InversionQuery(net, (Fraction(0),) * net.output_dim, 1, Fraction(0), LatentDomain(DOMAIN_REAL, n))
+    layers, *rest = _integerized(query)
+    assert (_dense(layers, n), *rest) == _reference_integerized(query)
+
+
 def test_invert_binary_scan_memory_is_bounded():
     """A 16-bit query on a 242-unit layer: chunk arrays stay small whatever the width."""
     g = gen_random_graph(16, 1.0, seed=3)  # complete: 120 edges
@@ -1056,8 +1121,13 @@ def _vertexcover_with_zero_rows(vq, p):
     alpha = choose_alpha_vc()
     theta = len(edges) * alpha**p
     beta = Fraction(beta_root(theta, p))
-    rows, bias = _pair_rows(n, lambda i, j: [alpha if (i, j) in edges else Fraction(0)], beta, Fraction(n - vq.size))
-    return _stacked_query(rows, bias, p, theta, {})
+    rows, bias = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        s = alpha if (i + 1, j + 1) in edges else Fraction(0)
+        rows.append([2 * s if k in (i, j) else 0 for k in range(n)])
+        bias.append(-s)
+    net = _stacked_net(rows + [[beta] * n], bias + [-beta * (n - vq.size)], n)
+    return InversionQuery(net, (Fraction(0),) * net.output_dim, p, theta, LatentDomain(DOMAIN_01, n))
 
 
 def test_vertexcover_without_zero_rows_keeps_every_answer(monkeypatch):

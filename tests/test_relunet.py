@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from invforge.instances import parse_dimacs
+from invforge.reductions import artifact_from_json, artifact_to_json, sat_to_exact_binary
 from invforge.relunet import (
     Layer,
     ReluNetwork,
@@ -183,9 +186,50 @@ def test_deserialize_rejects_bad_documents():
 
 def test_layer_invariants():
     with pytest.raises(ValueError):
-        Layer(((Fraction(1),),), (Fraction(0), Fraction(0)))
+        Layer(1, (((0, 1),),), (0, 0))  # one row, two biases
     with pytest.raises(ValueError):
         ReluNetwork(2, (layer([[1]], [0]),))  # fan-in mismatch
+    bad = {
+        "no rows": (1, (), ()),
+        "no columns": (0, ((),), (0,)),
+        "column past fan_in": (2, (((2, 1),),), (0,)),
+        "negative column": (2, (((-1, 1),),), (0,)),
+        "zero scale": (1, ((),), (0,), 0),
+        "scale not the least": (2, (((0, 6), (1, -4)), ()), (2, 0), 8),
+        "all zero over 5": (1, ((),), (0,), 5),
+    }
+    for args in bad.values():
+        with pytest.raises(ValueError):
+            Layer(*args)
+    with pytest.raises(ValueError):
+        layer([[1, 2], [3]], [0, 0])  # ragged
+    assert Layer(2, (((0, 3), (1, -2)), ()), (1, 0), 4) == layer([["6/8", "-1/2"], [0, 0]], ["1/4", 0])
+    assert Layer(1, ((),), (0,)) == layer([[0]], ["0/5"])
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"version": "relunet-1", "input_dim": 1, "layers": 5}', "layers is not an array"),
+        ('{"version": "relunet-1", "input_dim": 1, "layers": "[]"}', "layers is not an array"),
+        ('{"version": "relunet-1", "input_dim": 2, "layers": [{"rows": 1, "cols": 2, "weights": "12", "bias": ["7"]}]}',
+         "layer 0: malformed entry: weights is not an array"),
+        ('{"version": "relunet-1", "input_dim": 2, "layers": [{"rows": 1, "cols": 2, "weights": ["1", "2"], "bias": "7"}]}',
+         "layer 0: malformed entry: bias is not an array"),
+    ],
+    ids=["layers-int", "layers-string", "weights-string", "bias-string"],
+)
+def test_loader_refuses_a_non_array(doc, message):
+    """A string where an array belongs is refused, not read character by character."""
+    with pytest.raises(ValueError, match=message):
+        deserialize(doc)
+
+
+def test_artifact_loader_refuses_a_string_target():
+    """The string "0" once loaded as the target (0,) of a one-output query."""
+    doc = json.loads(artifact_to_json(sat_to_exact_binary(parse_dimacs("p cnf 1 1\n1 0\n"))))
+    with pytest.raises(ValueError, match="target is not an array"):
+        artifact_from_json(json.dumps(dict(doc, target="0")))
 
 
 def test_float_path_tracks_exact_path():
